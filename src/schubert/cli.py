@@ -6,9 +6,10 @@ length.index pair ("4.2"), or by "wN" as shorthand for the one-letter word
 precondition failed (bad node, degree mismatch, class not in the table),
 3 = a resource cap was exceeded.
 
-Coset tables are cached (binary) under --cache-dir, or under the directory
-named by the SCHUBERT_CACHE_DIR environment variable when the flag is
-absent; with neither set, nothing is persisted.  All output is
+Coset tables are cached under --cache-dir, or under the directory named by
+the SCHUBERT_CACHE_DIR environment variable when the flag is absent; with
+neither set, nothing is persisted.  A cache file holds the table's
+`enumerate` JSON object, and a corrupt one is a domain error.  All output is
 deterministic for fixed inputs, so repeated runs (cached or not) emit
 byte-identical JSON.
 """
@@ -144,7 +145,7 @@ def parse_class_token(table: CosetTable, token: str) -> SchubertClass:
 
 
 def _cache_path(cache_dir: Path, lie_type: LieType, K) -> Path:
-    return cache_dir / f"{lie_type}-K{'_'.join(str(k) for k in sorted(K))}.table"
+    return cache_dir / f"{lie_type}-K{'_'.join(str(k) for k in sorted(K))}.json"
 
 
 def load_table(spec: JobSpec) -> CosetTable:

@@ -201,7 +201,8 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
                     break
             if found:
                 break
-        assert found is not None  # adding every class always completes
+        if found is None:  # adding every class always completes
+            raise RuntimeError(f"no generator set completes degree {m}")
         taken = {g.name for g in chosen}
         for j in found:
             word = table.element(m, j).word

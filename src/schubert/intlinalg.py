@@ -19,6 +19,7 @@ Conventions:
 
 Transforms are re-multiplied against the input as an exact postcondition,
 and for sizes up to 12 the transform determinants are checked to be +-1.
+A failed postcondition raises ArithmeticError (also under ``python -O``).
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def determinant(M) -> int:
             if a[r][c]:
                 f = a[r][c] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError("determinant of an integer matrix is not an integer")
     return int(det)
 
 
@@ -131,9 +133,10 @@ def hermite_with_transform(M):
 
 
 def _check_transform_product(u, m, h):
-    assert _mat_mul(u, _copy(m)) == h, "transform postcondition violated"
-    if len(u) <= DET_CHECK_LIMIT:
-        assert abs(determinant(u)) == 1, "transform is not unimodular"
+    if _mat_mul(u, _copy(m)) != h:
+        raise ArithmeticError("transform postcondition violated")
+    if len(u) <= DET_CHECK_LIMIT and abs(determinant(u)) != 1:
+        raise ArithmeticError("transform is not unimodular")
 
 
 def kernel_basis(M):
@@ -268,11 +271,12 @@ def smith_with_transforms(M):
         t += 1
         if t >= min(rows, cols):
             break
-    assert _mat_mul(_mat_mul(p, _copy(M)), q) == d, "Smith postcondition violated"
-    if rows <= DET_CHECK_LIMIT:
-        assert abs(determinant(p)) == 1
-    if cols <= DET_CHECK_LIMIT:
-        assert abs(determinant(q)) == 1
+    if _mat_mul(_mat_mul(p, _copy(M)), q) != d:
+        raise ArithmeticError("Smith postcondition violated")
+    if rows <= DET_CHECK_LIMIT and abs(determinant(p)) != 1:
+        raise ArithmeticError("Smith row transform is not unimodular")
+    if cols <= DET_CHECK_LIMIT and abs(determinant(q)) != 1:
+        raise ArithmeticError("Smith column transform is not unimodular")
     return p, d, q
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures and the acceptance-summary reporting hook."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from schubert.cartan import LieType
@@ -34,6 +37,14 @@ def e6_p2():
 @pytest.fixture(scope="session")
 def e7_p2():
     return enumerate_cosets(LieType.parse("E7"), {2})
+
+
+@pytest.fixture
+def subprocess_env():
+    """Environment in which a child interpreter imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 # -- acceptance reporting -------------------------------------------------

@@ -121,7 +121,7 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
         capsys, "enumerate", "F4", "--K", "1", "--cache-dir", str(tmp_path)
     )
     assert code1 == EXIT_OK
-    assert (tmp_path / "F4-K1.table").exists()
+    assert (tmp_path / "F4-K1.json").exists()
     code2, out2, _ = run_cli(
         capsys, "enumerate", "F4", "--K", "1", "--cache-dir", str(tmp_path)
     )
@@ -135,19 +135,70 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     _, out1, _ = run_cli(capsys, "enumerate", "B3", "--K", "3")
-    assert (tmp_path / "B3-K3.table").exists()
+    assert (tmp_path / "B3-K3.json").exists()
     _, out2, _ = run_cli(capsys, "enumerate", "B3", "--K", "3")
     assert out1 == out2
 
 
 def test_cache_content_mismatch_is_domain_error(capsys, tmp_path):
     run_cli(capsys, "enumerate", "A2", "--K", "1", "--cache-dir", str(tmp_path))
-    (tmp_path / "A2-K2.table").write_bytes((tmp_path / "A2-K1.table").read_bytes())
+    (tmp_path / "A2-K2.json").write_bytes((tmp_path / "A2-K1.json").read_bytes())
     code, _, err = run_cli(
         capsys, "enumerate", "A2", "--K", "2", "--cache-dir", str(tmp_path)
     )
     assert code == EXIT_DOMAIN
     assert "cache file" in err
+
+
+def _edit(change):
+    def apply(raw):
+        obj = json.loads(raw)
+        change(obj)
+        return json.dumps(obj).encode()
+
+    return apply
+
+
+def _set_word(k, word):
+    return _edit(lambda obj: obj["elements"][k].update(word=word))
+
+
+def _duplicate_level_1(obj):
+    obj["elements"].insert(2, {"r": 1, "i": 2, "word": [1]})
+    obj["beta"] = [1, 2, 1]
+
+
+# (K, change to the cache file) for A2; levels of K={1}: [], [1], [2,1]
+CORRUPT_CACHES = {
+    "truncated": ("1", lambda raw: raw[: len(raw) // 2]),
+    "garbage": ("1", lambda raw: b"\x80\x04\x95\xff not a cache \xfe"),
+    "json-list": ("1", lambda raw: b'["A2", [1], true]'),
+    "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}'),
+    "letter-0": ("1", _set_word(1, [0])),
+    "letter-rank+1": ("1", _set_word(1, [3])),
+    "not-reduced": ("1", _set_word(2, [1, 1])),
+    "not-minimal": ("1", _set_word(1, [2])),
+    "tail-not-a-class": ("1", _set_word(2, [1, 2])),
+    "out-of-position": ("1", _edit(lambda obj: obj["elements"][1].update(i=2))),
+    # full flag: [1,2,1] and [2,1,2] are the same element
+    "not-minimized": ("1,2", _set_word(5, [2, 1, 2])),
+    "duplicate-class": ("1", _edit(_duplicate_level_1)),
+    "beta-mismatch": ("1", _edit(lambda obj: obj.update(beta=[1, 1, 2]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
+def test_corrupt_cache_is_domain_error(capsys, tmp_path, case):
+    K, corrupt = CORRUPT_CACHES[case]
+    argv = ["enumerate", "A2", "--K", K, "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    (path,) = tmp_path.glob("A2-K*.json")
+    path.write_bytes(corrupt(path.read_bytes()))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert "domain error" in err and "corrupt coset-table cache" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_multiply_uses_cache(capsys, tmp_path):
@@ -202,11 +253,12 @@ def test_jobspec_validates_eagerly():
         JobSpec("enumerate", LieType("F", 4), (1,), fmt="yaml")
 
 
-def test_console_entry_point_subprocess():
+def test_console_entry_point_subprocess(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "schubert.cli", "enumerate", "F4", "--K", "1"],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 24

@@ -6,6 +6,8 @@ comparison with brute-force integer span enumeration on small cases.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,22 @@ def test_hermite_transform_properties(m):
     h, u = hermite_with_transform(m)
     assert mat_mul(u, m) == h
     assert abs(determinant(u)) == 1
+
+
+def test_postcondition_check_survives_optimize(subprocess_env):
+    code = (
+        "from schubert.intlinalg import _check_transform_product\n"
+        "assert False\n"  # stripped under -O, so this line proves -O is on
+        "_check_transform_product([[2]], [[1]], [[1]])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+    )
+    assert proc.returncode == 1
+    assert "ArithmeticError: transform postcondition violated" in proc.stderr
 
 
 def test_hermite_deterministic():

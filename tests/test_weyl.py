@@ -256,44 +256,59 @@ def test_invalid_k_rejected():
 
 
 def test_binary_cache_roundtrip(tmp_path):
-    table = enumerate_cosets(F4, {1})
-    path = tmp_path / "f4_p1.ctab"
-    table.save_binary(path)
-    loaded = CosetTable.load_binary(path)
-    assert loaded == table
-    assert loaded.complete == table.complete
+    for lt, K in [(A3, {1, 2, 3}), (F4, {1}), (E6, {1, 2, 3, 4, 5, 6})]:
+        table = enumerate_cosets(lt, K)
+        path = tmp_path / f"{lt}.json"
+        table.save_binary(path)
+        assert json.loads(path.read_text()) == table.json_obj()
+        loaded = CosetTable.load_binary(path)
+        assert loaded == table
+        assert loaded.complete == table.complete
+        for r, i, w in table:
+            assert loaded.element(r, i).weight_rows == w.weight_rows
+        assert not list(tmp_path.glob(".*.tmp"))
 
 
-def test_binary_cache_version_check(tmp_path):
+class _OpenOnUnpickle:
+    def __init__(self, target):
+        self.target = target
+
+    def __reduce__(self):
+        return (open, (self.target, "w"))
+
+
+def test_binary_cache_rejects_pickle(tmp_path):
     import pickle
 
-    path = tmp_path / "bad.ctab"
-    path.write_bytes(pickle.dumps({"format": "schubert-coset-table", "version": 99}))
-    with pytest.raises(ValueError, match="version"):
+    marker = tmp_path / "unpickled"
+    path = tmp_path / "old.table"
+    # unpickling this payload would create `marker`
+    path.write_bytes(pickle.dumps(_OpenOnUnpickle(str(marker))))
+    with pytest.raises(ValueError, match="corrupt coset-table cache"):
         CosetTable.load_binary(path)
-    path.write_bytes(pickle.dumps({"something": "else"}))
-    with pytest.raises(ValueError, match="not a coset-table cache"):
-        CosetTable.load_binary(path)
+    assert not marker.exists()
 
 
 def test_json_export_stable(tmp_path):
     table = enumerate_cosets(A3, {2})
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    table.save_json(p1)
+    table.save_binary(p1)
     obj = json.loads(p1.read_text())
     assert obj["lie_type"] == "A3"
     assert obj["K"] == [2]
     assert obj["beta"] == list(table.betti)
     assert obj["elements"][0] == {"r": 0, "i": 1, "word": []}
+    assert obj["elements"][1]["word"] == [2]
     # re-exporting the loaded table is byte-identical
-    words = [tuple(e["word"]) for e in obj["elements"]]
-    rebuilt_levels = {}
-    for e in obj["elements"]:
-        rebuilt_levels.setdefault(e["r"], []).append(tuple(e["word"]))
-    enumerate_cosets(A3, {2}).save_json(p2)
+    CosetTable.load_binary(p1).save_binary(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert words[1] == (2,)
+
+
+def test_from_word_rejects_letters_outside_rank():
+    for word in [(0,), (7,), (1, 0, 2)]:
+        with pytest.raises(ValueError, match="outside 1..6"):
+            WeylElement.from_word(E6, word)
 
 
 def test_word_agrees_with_brute_matrix():
