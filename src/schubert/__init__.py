@@ -56,7 +56,6 @@ from .cohomology import (
 )
 from .intlinalg import (
     AbelianGroupStructure,
-    IntLattice,
     SparseIntLattice,
     cokernel_structure,
     determinant,
@@ -96,7 +95,6 @@ __all__ = [
     "Generator",
     "GeneratorSet",
     "GysinTable",
-    "IntLattice",
     "IntPolynomial",
     "LieType",
     "PolyRing",

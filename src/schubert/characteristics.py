@@ -12,9 +12,11 @@ a partial product w' by position p exactly when w'(alpha_{letter p}) > 0.
 
 Two cached fast paths feed the cohomology layer:
 
-* multiplication by a degree-one class ("cover data"): for each target the
-  drop-one-position subproducts and the operator values T(x_{all minus p}
-  * x_j) are precomputed, turning the Chevalley-type step into lookups;
+* multiplication by a degree-one class uses Chevalley's formula: for each
+  target w and each position p whose drop leaves a class u, the coroot
+  beta^vee of the reflection with w = u * s_beta is precomputed ("cover
+  data") by one walk along the word, and the coefficient of s_w in
+  omega_l * s_u is its alpha_l^vee-coordinate;
 * pairwise products, cached per (factor, factor) with targets swept once.
 """
 
@@ -22,13 +24,12 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from operator import mul
 
 from .weyl import (
     CosetTable,
     WeylElement,
     _identity_rows,
-    _mat_compose,
-    _reflect_root_rows,
     reflection_pairs,
     right_multiply_rows,
 )
@@ -249,7 +250,18 @@ def expand_product(table: CosetTable, factors, threads: int = 1) -> SchubertExpa
 
 
 def _cover_data(table: CosetTable, r: int):
-    """Per length-r target: (letters, drop-one class keys, T(x_{-p} x_j) grid)."""
+    """Per length-r target with word (i_1..i_m): (drop-one class keys, coroots).
+
+    Dropping position p leaves u = s_{i_1}...s_{i_{p-1}} s_{i_{p+1}}...s_{i_m},
+    and w = u * s_beta for the root beta = s_{i_m}...s_{i_{p+1}}(alpha_{i_p}).
+    By Chevalley's formula the coefficient of s_w in omega_l * s_u is the
+    alpha_l^vee-coordinate of beta^vee, so the entry stores beta^vee for
+    each position, and the key of u (None when u is not a class of the
+    table).  One walk from the right end of the word carries the images of
+    the simple coroots under s_{i_m}...s_{i_{p+1}}; one walk from the left
+    carries gamma = s_{i_1}...s_{i_{p-1}}(alpha_{i_p}) = -w(beta), so that
+    u(alpha_k) = w(alpha_k) + <alpha_k, beta^vee> * gamma.
+    """
     key = ("cover", r)
     cached = table._cache.get(key)
     if cached is not None:
@@ -258,53 +270,54 @@ def _cover_data(table: CosetTable, r: int):
     c = cartan_matrix(lt)
     pairs = reflection_pairs(lt)
     n = lt.rank
+    # s_j acts on coroot coordinates through the transposed Cartan matrix
+    copairs = tuple(
+        tuple((k, c[j][k]) for k in range(n) if c[j][k]) for j in range(n)
+    )
     identity = _identity_rows(n)
     entries = []
     for w in table.levels[r]:
         letters = w.word
-        m = r
-        prefixes = [identity]
-        for p in range(m):
-            prefixes.append(right_multiply_rows(prefixes[-1], letters[p] - 1, pairs))
-        suffixes = [identity] * (m + 1)
-        for p in range(m - 1, -1, -1):
-            suffixes[p] = tuple(_reflect_root_rows(suffixes[p + 1], letters[p] - 1, c))
+        coroots = [None] * r
+        images = identity
+        for p in range(r - 1, -1, -1):
+            j0 = letters[p] - 1
+            coroots[p] = images[j0]
+            images = right_multiply_rows(images, j0, copairs)
         cand = []
-        for p in range(m):
-            rows = _mat_compose(prefixes[p], suffixes[p + 1])
-            cand.append(table.index_of_root_rows(rows))
-        a = cartan_matrix_of_word(lt, letters)
-        tvals = []
-        for p in range(m):
-            row = []
-            for j in range(m):
-                exp = [1] * m
-                exp[p] -= 1
-                exp[j] += 1
-                row.append(evaluate_exponents(a, {tuple(exp): 1}))
-            tvals.append(tuple(row))
-        entries.append((letters, tuple(cand), tuple(tvals)))
+        prefix = identity
+        for p, beta in enumerate(coroots):
+            j0 = letters[p] - 1
+            gamma = prefix[j0]
+            prefix = right_multiply_rows(prefix, j0, pairs)
+            rows = []
+            for ck, row in zip(c, w.root_rows):
+                pk = sum(map(mul, ck, beta))
+                rows.append(tuple(x + pk * g for x, g in zip(row, gamma)) if pk else row)
+            cand.append(table.index_of_root_rows(tuple(rows)))
+        entries.append((tuple(cand), tuple(coroots)))
     table._cache[key] = entries
     return entries
 
 
 def _chevalley_apply(table, vec, form, r_target):
-    """vec (degree r_target - 1) times the weight class sum form = {letter: c}."""
+    """vec (degree r_target - 1) times the weight class sum form = {letter: c}.
+
+    The coefficient of s_w collects, over the drop-one classes u of w, the
+    coefficient of u in vec times the pairing of form with beta^vee.
+    """
     out = {}
-    for idx, (letters, cand, tvals) in enumerate(_cover_data(table, r_target)):
+    for idx, (cand, coroots) in enumerate(_cover_data(table, r_target)):
         total = 0
-        for p, uk in enumerate(cand):
+        for uk, coroot in zip(cand, coroots):
             if uk is None:
                 continue
             cu = vec.get(uk)
             if not cu:
                 continue
-            row = tvals[p]
             s = 0
-            for j, lj in enumerate(letters):
-                fc = form.get(lj)
-                if fc:
-                    s += fc * row[j]
+            for letter, fc in form.items():
+                s += fc * coroot[letter - 1]
             if s:
                 total += cu * s
         if total:
@@ -376,6 +389,9 @@ def expand_class_monomial(table: CosetTable, classes):
 def _expand_class_monomial(table, classes):
     if not classes:
         return {(0, 1): 1}
+    if len(classes) == 1:
+        table.element(*classes[0])  # validates membership
+        return {classes[0]: 1}
     key = ("mono", classes)
     cached = table._cache.get(key)
     if cached is not None:

@@ -471,7 +471,10 @@ class CosetTable:
 
         Each class is rebuilt from its parent in the previous level by the
         enumeration step, so a file that does not describe minimal
-        representatives with their minimized words raises ValueError.
+        representatives with their minimized words raises ValueError.  A
+        table marked complete must also end in one class that no letter
+        extends and have palindromic level sizes, so a file with its top
+        levels cut off is rejected too.
         """
         try:
             return cls._from_json_obj(json.loads(Path(path).read_bytes()))
@@ -538,6 +541,16 @@ class CosetTable:
                 w._word = word
                 level.append(w)
             levels.append(level)
+        if complete:
+            # a complete table ends in the single longest representative,
+            # and Poincare duality makes its level sizes palindromic
+            top = levels[-1]
+            if len(top) != 1 or any(
+                _left_step(top[0], a, K) is not None for a in range(1, n + 1)
+            ):
+                raise ValueError(f"marked complete, but level {len(levels) - 1} is not the top")
+            if beta != beta[::-1]:
+                raise ValueError(f"marked complete, but beta {beta} is not palindromic")
         return cls(lie_type, K, levels, complete, max_length)
 
     def __getstate__(self):

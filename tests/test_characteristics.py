@@ -6,8 +6,12 @@ import pytest
 
 from schubert.cartan import LieType
 from schubert.weyl import WeylElement, enumerate_cosets
+from schubert.cohomology import gysin_analysis
+from schubert.triangular import cartan_matrix_of_word, evaluate_exponents
+import schubert.characteristics as characteristics
 from schubert.characteristics import (
     SchubertClass,
+    _cover_data,
     characteristic,
     characteristic_with_word,
     expand_class_monomial,
@@ -203,6 +207,102 @@ def test_multiply_vec_by_class_linear(f4_p1):
     expected = {t: v for t, v in expected.items() if v}
     assert out == expected
     assert multiply_vec_by_class(f4_p1, {}, y3) == {}
+
+
+# ------------------------------------------------------------- Chevalley path
+
+
+def _drop_one_classes(table, letters):
+    """{p: key of the class whose word is `letters` without position p}."""
+    out = {}
+    for p in range(len(letters)):
+        u = WeylElement.from_word(table.lie_type, letters[:p] + letters[p + 1:])
+        try:
+            out[p] = table.index_of(u)
+        except KeyError:
+            pass
+    return out
+
+
+def _operator_sums(lie_type, letters, positions):
+    """{p: (sum over j with letter_j = l of T(x_{all but p} * x_j), l = 1..n)}.
+
+    The degree-1 coefficients through the triangular operator of the word's
+    Cartan matrix; by linearity each sum over j is one form.
+    """
+    a = cartan_matrix_of_word(lie_type, letters)
+    m = len(letters)
+    out = {}
+    for p in positions:
+        sums = []
+        for letter in range(1, lie_type.rank + 1):
+            form = {}
+            for j in range(m):
+                if letters[j] == letter:
+                    exp = [1] * m
+                    exp[p] -= 1
+                    exp[j] += 1
+                    form[tuple(exp)] = 1
+            sums.append(evaluate_exponents(a, form) if form else 0)
+        out[p] = tuple(sums)
+    return out
+
+
+COROOT_WALK_TABLES = [
+    ("G2", (1, 2)),
+    ("B3", (1, 2, 3)),
+    ("C3", (1, 2, 3)),
+    ("D4", (1, 2, 3, 4)),
+    ("B4", (2, 4)),
+    ("C4", (1,)),
+    ("F4", (1, 2, 3, 4)),
+    ("F4", (1,)),
+    ("E6", (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "lie, K",
+    COROOT_WALK_TABLES,
+    ids=[f"{lie}-K{''.join(map(str, K))}" for lie, K in COROOT_WALK_TABLES],
+)
+def test_coroot_walk_matches_operator(lie, K):
+    lt = LieType.parse(lie)
+    table = enumerate_cosets(lt, set(K))
+    for r in range(1, table.lmax + 1):
+        for w, (cand, coroots) in zip(table.levels[r], _cover_data(table, r)):
+            drops = _drop_one_classes(table, w.word)
+            assert {p: u for p, u in enumerate(cand) if u is not None} == drops
+            expected = _operator_sums(lt, w.word, drops)
+            assert {p: coroots[p] for p in drops} == expected, w.word
+
+
+def test_gysin_matrices_match_general_path(f4_p1):
+    omega = SchubertClass(1, 1)
+    gy = gysin_analysis(f4_p1, 1, f4_p1.lmax)
+    assert sorted(gy.matrices) == list(range(1, f4_p1.lmax + 1))
+    for r, rows in gy.matrices.items():
+        expected = [
+            [
+                characteristic(f4_p1, SchubertClass(r, k), [SchubertClass(r - 1, j), omega])
+                for k in range(1, f4_p1.beta(r) + 1)
+            ]
+            for j in range(1, f4_p1.beta(r - 1) + 1)
+        ]
+        assert rows == expected, r
+
+
+def test_one_class_monomial_is_the_class(f4_p1, monkeypatch):
+    def no_pair_products(*args):
+        raise AssertionError("expand_pair called for a one-class monomial")
+
+    monkeypatch.setattr(characteristics, "expand_pair", no_pair_products)
+    for r, i, _ in f4_p1:
+        assert expand_class_monomial(f4_p1, [(r, i)]) == {(r, i): 1}
+    assert expand_class_monomial(f4_p1, [SchubertClass(4, 2)]) == {(4, 2): 1}
+    for absent in [(4, 3), (16, 1), (-1, 1)]:
+        with pytest.raises(KeyError):
+            expand_class_monomial(f4_p1, [absent])
 
 
 # ------------------------------------------------------------- LR oracle

@@ -163,6 +163,11 @@ def _set_word(k, word):
     return _edit(lambda obj: obj["elements"][k].update(word=word))
 
 
+def _drop_top_level(obj):
+    obj["elements"].pop()
+    obj["beta"].pop()
+
+
 def _duplicate_level_1(obj):
     obj["elements"].insert(2, {"r": 1, "i": 2, "word": [1]})
     obj["beta"] = [1, 2, 1]
@@ -184,6 +189,7 @@ CORRUPT_CACHES = {
     "not-minimized": ("1,2", _set_word(5, [2, 1, 2])),
     "duplicate-class": ("1", _edit(_duplicate_level_1)),
     "beta-mismatch": ("1", _edit(lambda obj: obj.update(beta=[1, 1, 2]))),
+    "top-level-dropped": ("1", _edit(_drop_top_level)),
 }
 
 

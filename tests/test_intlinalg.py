@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from schubert.intlinalg import (
     AbelianGroupStructure,
-    IntLattice,
     cokernel_structure,
     determinant,
     diagonalize_with_unit_minor,
@@ -23,6 +22,8 @@ from schubert.intlinalg import (
     kernel_basis,
     smith_with_transforms,
 )
+
+from dense_lattice import IntLattice
 
 
 def mat_mul(A, B):
