@@ -22,7 +22,6 @@ Two cached fast paths feed the cohomology layer:
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from operator import mul
 
@@ -198,22 +197,11 @@ def characteristic_with_word(table: CosetTable, word, factors) -> int:
     return _characteristic_on_word(table, word, factors)
 
 
-def _expand_chunk(args):
-    table, degree, indices, factors = args
-    out = []
-    for i in indices:
-        val = characteristic(table, SchubertClass(degree, i), factors)
-        if val:
-            out.append((i, val))
-    return out
-
-
-def expand_product(table: CosetTable, factors, threads: int = 1) -> SchubertExpansion:
+def expand_product(table: CosetTable, factors) -> SchubertExpansion:
     """Expand a product of Schubert classes in the Schubert basis.
 
     A product whose degree exceeds the dimension of a complete table is
     zero; on a truncated table that degree is out of reach and errors.
-    Workers partition the target classes when threads > 1.
     """
     factors = [f if isinstance(f, SchubertClass) else SchubertClass(*f) for f in factors]
     degree = sum(f.r for f in factors)
@@ -227,21 +215,13 @@ def expand_product(table: CosetTable, factors, threads: int = 1) -> SchubertExpa
         )
     if not factors:
         return SchubertExpansion(0, {SchubertClass(0, 1): 1})
-    beta = table.beta(degree)
-    indices = range(1, beta + 1)
-    if threads > 1 and beta > 1:
-        nchunks = min(threads, beta)
-        chunks = [list(indices)[k::nchunks] for k in range(nchunks)]
-        with multiprocessing.Pool(nchunks) as pool:
-            results = pool.map(
-                _expand_chunk, [(table, degree, chunk, factors) for chunk in chunks]
-            )
-        pairs = [p for res in results for p in res]
-    else:
-        pairs = _expand_chunk((table, degree, list(indices), factors))
-    return SchubertExpansion(
-        degree, {SchubertClass(degree, i): v for i, v in sorted(pairs)}
-    )
+    coeffs = {}
+    for i in range(1, table.beta(degree) + 1):
+        target = SchubertClass(degree, i)
+        val = characteristic(table, target, factors)
+        if val:
+            coeffs[target] = val
+    return SchubertExpansion(degree, coeffs)
 
 
 # ---------------------------------------------------- cached fast paths
@@ -365,6 +345,9 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
         if table.complete:
             return {}
         raise ValueError(f"degree {r_target} exceeds the truncated table")
+    if cls.r == 0:
+        table.element(0, cls.i)  # validates membership
+        return dict(vec)
     if cls.r == 1:
         letter = table.element(1, cls.i).word[0]
         return _chevalley_apply(table, vec, {letter: 1}, r_target)

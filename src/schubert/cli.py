@@ -77,7 +77,6 @@ class JobSpec:
     fmt: str = "json"
     degree: int | None = None
     cache_dir: Path | None = None
-    threads: int = 1
     max_elements: int = DEFAULT_MAX_ELEMENTS
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class JobSpec:
             raise CliParseError(f"unknown command {self.command!r}")
         if self.fmt not in FORMATS:
             raise CliParseError(f"unknown format {self.fmt!r}")
-        if self.threads < 1:
-            raise CliParseError("--threads must be at least 1")
         if self.max_elements < 1:
             raise CliParseError("--max-elements must be at least 1")
         n = self.lie_type.rank
@@ -195,7 +192,7 @@ def _run_enumerate(spec: JobSpec, table: CosetTable):
 
 def _run_multiply(spec: JobSpec, table: CosetTable):
     factors = [parse_class_token(table, tok) for tok in spec.arguments]
-    exp = expand_product(table, factors, threads=spec.threads)
+    exp = expand_product(table, factors)
     if spec.fmt == "json":
         return {
             "lie_type": str(spec.lie_type),
@@ -354,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degree", type=int, default=None)
         p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
 
     common(sub.add_parser("enumerate", help="list the Schubert classes of G/P"))
@@ -386,7 +382,6 @@ def spec_from_args(argv) -> JobSpec:
         fmt=ns.format,
         degree=getattr(ns, "degree", None),
         cache_dir=Path(cache) if cache else None,
-        threads=ns.threads,
         max_elements=ns.max_elements,
     )
 

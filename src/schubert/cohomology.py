@@ -513,18 +513,11 @@ def symplectic_forms(n: int):
     return out
 
 
-def spin_even_forms(n: int, first: str = "w1"):
-    """The n linear forms entering the Spin(2n)/T invariants.
-
-    The head form is w1 or wn depending on `first` (both dictionaries are
-    exposed; tests adjudicate which one annihilates the relations).
-    """
+def spin_even_forms(n: int):
+    """The n linear forms entering the Spin(2n)/T invariants; the head is w1."""
     if n < 4:
         raise ValueError("need n >= 4")
-    if first not in ("w1", "wn"):
-        raise ValueError("first must be 'w1' or 'wn'")
-    head = _unit(n, 1) if first == "w1" else _unit(n, n)
-    forms = [head]
+    forms = [_unit(n, 1)]
     forms += [_diff(n, i, i - 1) for i in range(2, n - 1)]
     forms.append(
         tuple(
@@ -535,7 +528,7 @@ def spin_even_forms(n: int, first: str = "w1"):
     return forms
 
 
-def spin_relations(n: int, first: str = "w1"):
+def spin_relations(n: int):
     """Relations and class words for the even-spin full flag Spin(2n)/T.
 
     Returns (ring, relations, words): generators w1..wn and y2..y_{n-1}
@@ -552,7 +545,7 @@ def spin_relations(n: int, first: str = "w1"):
             return ring.variable(f"w{n - 1}")
         return ring.variable(f"y{r}")
 
-    cs = elementary_symmetric(ring, [vec + (0,) * (n - 2) for vec in spin_even_forms(n, first)])
+    cs = elementary_symmetric(ring, [vec + (0,) * (n - 2) for vec in spin_even_forms(n)])
     relations = []
     for i in range(1, n):
         relations.append(2 * y(i) - cs[i - 1])
@@ -572,14 +565,14 @@ def spin_relations(n: int, first: str = "w1"):
     return ring, relations, words
 
 
-def spin_relations_reduced(n: int, first: str = "w1"):
+def spin_relations_reduced(n: int):
     """The even-spin relations with even-index y's substituted away.
 
     Every y_2r is replaced by the polynomial the quadratic family solves
     it to, leaving generators w1..wn and the odd-index y's; the doubling
     and top-quadratic relations survive the substitution.
     """
-    ring0, rels0, words0 = spin_relations(n, first)
+    ring0, rels0, words0 = spin_relations(n)
     names = [f"w{i}" for i in range(1, n + 1)]
     degs = [1] * n
     for k in range(3, n, 2):

@@ -1,11 +1,11 @@
 """Weyl groups, reduced words, and length-graded minimal coset representatives.
 
-A Weyl group element is stored as three integer matrices (tuples of rows):
+A Weyl group element is stored as two integer matrices (tuples of rows):
 
-* ``weight_rows``: row k is w(omega_{k+1}) in fundamental-weight coordinates.
-  This is the canonical key: two elements are equal iff these agree.
-* ``root_rows``: row k is w(alpha_{k+1}) in simple-root coordinates.  Column
-  signs give right descents: l(w sigma_j) < l(w) iff w(alpha_j) < 0.
+* ``root_rows``: row k is w(alpha_{k+1}) in simple-root coordinates.  Row
+  signs give right descents: l(w sigma_j) < l(w) iff w(alpha_j) < 0.  This
+  is the canonical key: W acts faithfully on the root lattice, so two
+  elements are equal iff these agree.
 * ``inv_root_rows``: the root matrix of w^{-1}.  Row signs give left
   descents: l(sigma_i w) < l(w) iff w^{-1}(alpha_i) < 0.
 
@@ -78,24 +78,22 @@ def right_multiply_rows(rows, j, pairs):
 class WeylElement:
     """An element of the Weyl group of `lie_type` (exact matrix form)."""
 
-    __slots__ = ("lie_type", "weight_rows", "root_rows", "inv_root_rows",
-                 "_word", "_length", "_hash")
+    __slots__ = ("lie_type", "root_rows", "inv_root_rows", "_word", "_length", "_hash")
 
-    def __init__(self, lie_type, weight_rows, root_rows, inv_root_rows, word=None):
+    def __init__(self, lie_type, root_rows, inv_root_rows, word=None):
         self.lie_type = lie_type
-        self.weight_rows = weight_rows
         self.root_rows = root_rows
         self.inv_root_rows = inv_root_rows
         self._word = word
         self._length = None
-        self._hash = hash((lie_type, weight_rows))
+        self._hash = hash((lie_type, root_rows))
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def identity(cls, lie_type: LieType) -> "WeylElement":
         e = _identity_rows(lie_type.rank)
-        return cls(lie_type, e, e, e, word=())
+        return cls(lie_type, e, e, word=())
 
     @classmethod
     def simple_reflection(cls, lie_type: LieType, i: int) -> "WeylElement":
@@ -104,16 +102,11 @@ class WeylElement:
             raise ValueError(f"reflection index {i} out of range 1..{n}")
         c = cartan_matrix(lie_type)
         i0 = i - 1
-        e = _identity_rows(n)
-        weight = tuple(
-            tuple(int(k == j) - (c[i0][j] if k == i0 else 0) for j in range(n))
-            for k in range(n)
-        )
         root = tuple(
             tuple(int(k == j) - (c[k][i0] if j == i0 else 0) for j in range(n))
             for k in range(n)
         )
-        return cls(lie_type, weight, root, root, word=(i,))
+        return cls(lie_type, root, root, word=(i,))
 
     @classmethod
     def from_word(cls, lie_type: LieType, word) -> "WeylElement":
@@ -131,50 +124,27 @@ class WeylElement:
     def right_mul_simple(self, j: int) -> "WeylElement":
         """self * sigma_j."""
         lt = self.lie_type
-        c = cartan_matrix(lt)
-        n = lt.rank
         j0 = j - 1
-        pairs = reflection_pairs(lt)
-
-        root = right_multiply_rows(self.root_rows, j0, pairs)
-        # (w sigma_j)(omega_k) = w(omega_k) for k != j, minus w(alpha_j) at k = j
-        wr = list(self.weight_rows)
-        walpha_j = [0] * n
-        for t in range(n):
-            ct = c[j0][t]
-            if ct:
-                row = wr[t]
-                for s in range(n):
-                    walpha_j[s] += ct * row[s]
-        wr[j0] = tuple(a - b for a, b in zip(wr[j0], walpha_j))
+        root = right_multiply_rows(self.root_rows, j0, reflection_pairs(lt))
         # (w sigma_j)^{-1} = sigma_j w^{-1}: left-reflect every row of inv
-        inv = tuple(_reflect_root_rows(self.inv_root_rows, j0, c))
-        return WeylElement(lt, tuple(wr), root, inv)
+        inv = tuple(_reflect_root_rows(self.inv_root_rows, j0, cartan_matrix(lt)))
+        return WeylElement(lt, root, inv)
 
     def left_mul_simple(self, i: int) -> "WeylElement":
         """sigma_i * self."""
         lt = self.lie_type
-        c = cartan_matrix(lt)
         i0 = i - 1
-        pairs = reflection_pairs(lt)
-
-        # weight rows: reflect each image vector
-        weight = tuple(
-            tuple(v[k] - v[i0] * c[i0][k] for k in range(len(v))) if v[i0] else v
-            for v in self.weight_rows
-        )
-        root = tuple(_reflect_root_rows(self.root_rows, i0, c))
-        inv = right_multiply_rows(self.inv_root_rows, i0, pairs)
-        return WeylElement(lt, weight, root, inv)
+        root = tuple(_reflect_root_rows(self.root_rows, i0, cartan_matrix(lt)))
+        inv = right_multiply_rows(self.inv_root_rows, i0, reflection_pairs(lt))
+        return WeylElement(lt, root, inv)
 
     def multiply(self, other: "WeylElement") -> "WeylElement":
         """self * other (apply other first, then self)."""
         if self.lie_type != other.lie_type:
             raise ValueError("cannot multiply elements of different Lie types")
-        weight = _mat_compose(self.weight_rows, other.weight_rows)
         root = _mat_compose(self.root_rows, other.root_rows)
         inv = _mat_compose(other.inv_root_rows, self.inv_root_rows)
-        return WeylElement(self.lie_type, weight, root, inv)
+        return WeylElement(self.lie_type, root, inv)
 
     __mul__ = multiply
 
@@ -183,16 +153,6 @@ class WeylElement:
         return WeylElement.from_word(self.lie_type, word)
 
     # -- actions ------------------------------------------------------
-
-    def apply_to_weight(self, v) -> tuple[int, ...]:
-        n = self.lie_type.rank
-        out = [0] * n
-        for k, vk in enumerate(v):
-            if vk:
-                row = self.weight_rows[k]
-                for s in range(n):
-                    out[s] += vk * row[s]
-        return tuple(out)
 
     def apply_to_root(self, r) -> tuple[int, ...]:
         n = self.lie_type.rank
@@ -215,7 +175,7 @@ class WeylElement:
         return self._length
 
     def is_identity(self) -> bool:
-        return self.weight_rows == _identity_rows(self.lie_type.rank)
+        return self.root_rows == _identity_rows(self.lie_type.rank)
 
     def has_right_descent(self, j: int) -> bool:
         """True iff l(w sigma_j) < l(w), i.e. w(alpha_j) < 0."""
@@ -292,7 +252,7 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and self.lie_type == other.lie_type
-            and self.weight_rows == other.weight_rows
+            and self.root_rows == other.root_rows
         )
 
     def __hash__(self):
@@ -300,13 +260,6 @@ class WeylElement:
 
     def __repr__(self):
         return f"WeylElement({self.lie_type}, word={list(self.word)})"
-
-    def __getstate__(self):
-        return (self.lie_type, self.weight_rows, self.root_rows,
-                self.inv_root_rows, self._word)
-
-    def __setstate__(self, state):
-        self.__init__(*state[:4], word=state[4])
 
 
 def _reflect_root_rows(rows, i0, c):
@@ -378,11 +331,9 @@ class CosetTable:
         self.levels = levels
         self.complete = complete
         self.max_length = max_length
-        self._index = {}
         self._root_index = {}
         for r, level in enumerate(levels):
             for i, w in enumerate(level):
-                self._index[w.weight_rows] = (r, i + 1)
                 self._root_index[w.root_rows] = (r, i + 1)
         self._cache = {}
 
@@ -412,7 +363,7 @@ class CosetTable:
 
     def index_of(self, w: WeylElement) -> tuple[int, int]:
         try:
-            return self._index[w.weight_rows]
+            return self._root_index[w.root_rows]
         except KeyError:
             raise KeyError(f"{w!r} is not a representative in this table") from None
 
@@ -553,21 +504,6 @@ class CosetTable:
                 raise ValueError(f"marked complete, but beta {beta} is not palindromic")
         return cls(lie_type, K, levels, complete, max_length)
 
-    def __getstate__(self):
-        return {
-            "lie_type": self.lie_type,
-            "K": self.K,
-            "levels": self.levels,
-            "complete": self.complete,
-            "max_length": self.max_length,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(
-            state["lie_type"], state["K"], state["levels"],
-            state["complete"], state["max_length"],
-        )
-
 
 def enumerate_cosets(
     lie_type: LieType,
@@ -602,9 +538,9 @@ def enumerate_cosets(
         for i in range(1, n + 1):
             for u in prev:
                 w = _left_step(u, i, K)
-                if w is not None and w.weight_rows not in new:
+                if w is not None and w.root_rows not in new:
                     w._word = (i,) + u.word
-                    new[w.weight_rows] = w
+                    new[w.root_rows] = w
         if not new:
             break
         level = sorted(new.values(), key=lambda w: w._word)

@@ -6,6 +6,7 @@ Lengths come from BFS distance in the Cayley graph, not from root counting,
 so agreement with the package is a genuine cross-check.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from schubert.cartan import LieType, cartan_matrix
@@ -113,3 +114,37 @@ def brute_minimal_reps(lie_type, K):
         if minimal:
             out.setdefault(length, []).append(mat)
     return {r: len(mats) for r, mats in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _inverse_cartan(lie_type):
+    """C^-1 over the rationals, by Gauss-Jordan elimination."""
+    c = cartan_matrix(lie_type)
+    n = lie_type.rank
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(c)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def weight_matrix(w):
+    """The weight matrix of a package element: C^-1 . root_rows . C.
+
+    Row k of root_rows is w(alpha_{k+1}) in root coordinates and
+    alpha_t = sum_s C[t][s] omega_s, so C . W = root_rows . C for the
+    weight matrix W (row k = w(omega_{k+1}) in weight coordinates).
+    """
+    # _matmul(a, b) is the ordinary product a . b
+    rc = _matmul(w.root_rows, cartan_matrix(w.lie_type))
+    mat = _matmul(_inverse_cartan(w.lie_type), rc)
+    if any(x.denominator != 1 for row in mat for x in row):
+        raise ValueError(f"non-integral weight matrix for {w!r}")
+    return tuple(tuple(int(x) for x in row) for row in mat)

@@ -16,6 +16,8 @@ permutes.
 
 from schubert.characteristics import SchubertClass
 
+from brute_weyl import weight_matrix
+
 
 def _point_vectors(rank):
     """x_1..x_{rank+1} in fundamental-weight coordinates."""
@@ -36,7 +38,11 @@ def permutation_of(w):
     rank = w.lie_type.rank
     xs = _point_vectors(rank)
     lookup = {v: j + 1 for j, v in enumerate(xs)}
-    return tuple(lookup[w.apply_to_weight(v)] for v in xs)
+    mat = weight_matrix(w)
+    return tuple(
+        lookup[tuple(sum(v[k] * mat[k][s] for k in range(rank)) for s in range(rank))]
+        for v in xs
+    )
 
 
 def subset_to_partition(subset, k):

@@ -146,15 +146,6 @@ def test_expand_commutative(f4_p1):
     assert expand_product(f4_p1, [u, v]).coeffs == expand_product(f4_p1, [v, u]).coeffs
 
 
-def test_parallel_matches_serial(f4_p1):
-    w1 = SchubertClass(1, 1)
-    y3 = SchubertClass(3, 1)
-    serial = expand_product(f4_p1, [w1, w1, y3])
-    parallel = expand_product(f4_p1, [w1, w1, y3], threads=2)
-    assert serial.coeffs == parallel.coeffs
-    assert not serial.is_zero()
-
-
 def test_associativity_via_vectors(b3_full):
     rng = random.Random(5)
     classes = [
@@ -303,6 +294,23 @@ def test_one_class_monomial_is_the_class(f4_p1, monkeypatch):
     for absent in [(4, 3), (16, 1), (-1, 1)]:
         with pytest.raises(KeyError):
             expand_class_monomial(f4_p1, [absent])
+
+
+def test_identity_class_returns_the_vector(f4_p1, monkeypatch):
+    def no_pair_products(*args):
+        raise AssertionError("expand_pair called for the identity class")
+
+    expected = gysin_analysis(f4_p1, 1, f4_p1.lmax).matrices
+    monkeypatch.setattr(characteristics, "expand_pair", no_pair_products)
+    one = SchubertClass(0, 1)
+    for r in (0, 1, 7, f4_p1.lmax):
+        vec = {(r, i): 3 * i - 5 for i in range(1, f4_p1.beta(r) + 1)}
+        assert multiply_vec_by_class(f4_p1, vec, one) == vec
+    with pytest.raises(KeyError):
+        multiply_vec_by_class(f4_p1, {(2, 1): 1}, SchubertClass(0, 2))
+    # a fresh table, so no cached monomial hides a pair product
+    fresh = enumerate_cosets(F4, {1})
+    assert gysin_analysis(fresh, 1, fresh.lmax).matrices == expected
 
 
 # ------------------------------------------------------------- LR oracle

@@ -19,6 +19,7 @@ from brute_weyl import (
     brute_length,
     brute_matrix,
     brute_minimal_reps,
+    weight_matrix,
 )
 
 A2 = LieType.parse("A2")
@@ -52,8 +53,17 @@ def test_group_orders(lt, order):
 def test_length_matches_cayley_distance(lt):
     for mat, (dist, word) in brute_group(lt).items():
         w = WeylElement.from_word(lt, word)
-        assert w.weight_rows == mat
+        assert weight_matrix(w) == mat
         assert w.length() == dist
+
+
+@pytest.mark.parametrize("lt", [A3, B3, G2, F4])
+def test_root_rows_key_is_faithful(lt):
+    # the brute group is generated on weights; distinct elements there must
+    # have distinct root matrices, or root_rows could not be the key
+    group = brute_group(lt)
+    keys = {WeylElement.from_word(lt, word).root_rows for _, word in group.values()}
+    assert len(keys) == len(group)
 
 
 def test_identity_basics():
@@ -98,8 +108,8 @@ def test_apply_actions_match_matrices():
     w = wd(F4, 3, 2, 1)
     for k in range(4):
         unit = tuple(int(j == k) for j in range(4))
-        assert w.apply_to_weight(unit) == w.weight_rows[k]
         assert w.apply_to_root(unit) == w.root_rows[k]
+    assert weight_matrix(w) == brute_matrix(F4, (3, 2, 1))
     winv = w.inverse()
     assert winv.root_rows == w.inv_root_rows
 
@@ -265,7 +275,8 @@ def test_binary_cache_roundtrip(tmp_path):
         assert loaded == table
         assert loaded.complete == table.complete
         for r, i, w in table:
-            assert loaded.element(r, i).weight_rows == w.weight_rows
+            got = loaded.element(r, i)
+            assert (got.root_rows, got.inv_root_rows) == (w.root_rows, w.inv_root_rows)
         assert not list(tmp_path.glob(".*.tmp"))
 
 
@@ -313,5 +324,5 @@ def test_from_word_rejects_letters_outside_rank():
 
 def test_word_agrees_with_brute_matrix():
     for word in [(1,), (2, 1), (3, 2, 1), (1, 2, 3, 2)]:
-        assert wd(B3, *word).weight_rows == brute_matrix(B3, word)
+        assert weight_matrix(wd(B3, *word)) == brute_matrix(B3, word)
     assert brute_length(B3, (1, 2, 1, 2)) == wd(B3, 1, 2, 1, 2).length()
