@@ -18,7 +18,6 @@ from .characteristics import (
     SchubertClass,
     SchubertExpansion,
     characteristic,
-    characteristic_with_word,
     expand_class_monomial,
     expand_pair,
     expand_product,
@@ -69,7 +68,6 @@ from .intlinalg import (
 from .intpoly import (
     IntPolynomial,
     PolyRing,
-    monomial_basis,
     monomial_exponents,
     parse_polynomial,
 )
@@ -108,7 +106,6 @@ __all__ = [
     "cartan_matrix",
     "cartan_matrix_of_word",
     "characteristic",
-    "characteristic_with_word",
     "cokernel_structure",
     "determinant",
     "diagonalize_with_unit_minor",
@@ -128,7 +125,6 @@ __all__ = [
     "kernel_basis",
     "minimal_generators",
     "minimal_relations",
-    "monomial_basis",
     "monomial_exponents",
     "multiply_vec_by_class",
     "parse_polynomial",

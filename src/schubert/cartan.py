@@ -169,7 +169,3 @@ def all_roots(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
 def positive_roots(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
     """The positive roots, in the discovery order of `all_roots`."""
     return tuple(r for r in all_roots(lie_type) if is_positive_root_vector(r))
-
-
-def num_positive_roots(lie_type: LieType) -> int:
-    return len(positive_roots(lie_type))

@@ -10,14 +10,15 @@ Because a product of q reflections can only have length q when every
 prefix increases length, subword search is a depth-first walk that extends
 a partial product w' by position p exactly when w'(alpha_{letter p}) > 0.
 
-Two cached fast paths feed the cohomology layer:
-
-* multiplication by a degree-one class uses Chevalley's formula: for each
-  target w and each position p whose drop leaves a class u, the coroot
-  beta^vee of the reflection with w = u * s_beta is precomputed ("cover
-  data") by one walk along the word, and the coefficient of s_w in
-  omega_l * s_u is its alpha_l^vee-coordinate;
-* pairwise products, cached per (factor, factor) with targets swept once.
+One sweep evaluates this over every target of a level: `expand_product`
+(any number of factors) and `expand_pair` (two factors, cached per
+unordered pair for the cohomology layer) both call it, and
+`characteristic` evaluates a single target.  Multiplication by a
+degree-one class skips the operator: by Chevalley's formula, for each
+target w and each position p whose drop leaves a class u, the coroot
+beta^vee of the reflection with w = u * s_beta is precomputed ("cover
+data") by one walk along the word, and the coefficient of s_w in
+omega_l * s_u is its alpha_l^vee-coordinate.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .weyl import (
     CosetTable,
     WeylElement,
     _identity_rows,
+    _is_neg,
     reflection_pairs,
     right_multiply_rows,
 )
@@ -63,14 +65,6 @@ class SchubertExpansion:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def json_obj(self):
-        return {
-            "degree": self.degree,
-            "terms": [
-                {"r": c.r, "i": c.i, "coeff": v} for c, v in self.items()
-            ],
-        }
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -78,13 +72,6 @@ class SchubertExpansion:
 
 
 # ------------------------------------------------------------- subwords
-
-
-def _first_sign_negative(vec) -> bool:
-    for x in vec:
-        if x:
-            return x < 0
-    return False
 
 
 def _subword_solutions(lie_type, letters, target_rows, k):
@@ -109,7 +96,7 @@ def _subword_solutions(lie_type, letters, target_rows, k):
             return
         for p in range(pos, m - need + 1):
             j0 = letters[p] - 1
-            if not _first_sign_negative(rows[j0]):
+            if not _is_neg(rows[j0]):
                 rec(p + 1, right_multiply_rows(rows, j0, pairs), chosen + (p,), need - 1)
 
     rec(0, identity, (), k)
@@ -152,15 +139,26 @@ def _value_from_solutions(lie_type, letters, solution_lists):
     return evaluate_exponents(cartan_matrix_of_word(lie_type, letters), poly)
 
 
-def _characteristic_on_word(table, letters, factor_classes):
-    elements = [table.element(f.r, f.i) for f in factor_classes]
+def _characteristic_on_word(lie_type, letters, factors):
+    """The formula along `letters` for the factor elements (0 without a subword)."""
     solution_lists = []
-    for f, el in zip(factor_classes, elements):
-        sols = _subword_solutions(table.lie_type, letters, el.root_rows, f.r)
+    for u in factors:
+        sols = _subword_solutions(lie_type, letters, u.root_rows, u.length())
         if not sols:
             return 0
         solution_lists.append(sols)
-    return _value_from_solutions(table.lie_type, letters, solution_lists)
+    return _value_from_solutions(lie_type, letters, solution_lists)
+
+
+def _sweep(table: CosetTable, r: int, factors):
+    """{(r, i): coefficient} of the product of the factor elements on level r."""
+    lt = table.lie_type
+    out = {}
+    for i, w in enumerate(table.levels[r], start=1):
+        val = _characteristic_on_word(lt, w.word, factors)
+        if val:
+            out[(r, i)] = val
+    return out
 
 
 def characteristic(table: CosetTable, w: SchubertClass, factors) -> int:
@@ -176,25 +174,10 @@ def characteristic(table: CosetTable, w: SchubertClass, factors) -> int:
             f"degree mismatch: target has length {w.r}, factors sum to {total}"
         )
     target = table.element(w.r, w.i)
+    elements = [table.element(f.r, f.i) for f in factors]
     if len(factors) == 1:
         return 1 if factors[0] == w else 0
-    return _characteristic_on_word(table, target.word, factors)
-
-
-def characteristic_with_word(table: CosetTable, word, factors) -> int:
-    """Same as `characteristic`, but along an explicit reduced word of the target.
-
-    The value does not depend on which reduced word is chosen; tests
-    exercise that invariance directly through this entry point.
-    """
-    word = tuple(word)
-    target = WeylElement.from_word(table.lie_type, word)
-    if target.length() != len(word):
-        raise ValueError(f"{word} is not a reduced word")
-    factors = list(factors)
-    if sum(f.r for f in factors) != len(word):
-        raise ValueError("degree mismatch between word and factors")
-    return _characteristic_on_word(table, word, factors)
+    return _characteristic_on_word(table.lie_type, target.word, elements)
 
 
 def expand_product(table: CosetTable, factors) -> SchubertExpansion:
@@ -205,23 +188,15 @@ def expand_product(table: CosetTable, factors) -> SchubertExpansion:
     """
     factors = [f if isinstance(f, SchubertClass) else SchubertClass(*f) for f in factors]
     degree = sum(f.r for f in factors)
-    for f in factors:
-        table.element(f.r, f.i)  # validates membership
+    elements = [table.element(f.r, f.i) for f in factors]  # validates membership
     if degree > table.lmax:
         if table.complete:
             return SchubertExpansion(degree, {})
         raise ValueError(
             f"degree {degree} exceeds the truncated table (max length {table.lmax})"
         )
-    if not factors:
-        return SchubertExpansion(0, {SchubertClass(0, 1): 1})
-    coeffs = {}
-    for i in range(1, table.beta(degree) + 1):
-        target = SchubertClass(degree, i)
-        val = characteristic(table, target, factors)
-        if val:
-            coeffs[target] = val
-    return SchubertExpansion(degree, coeffs)
+    coeffs = _sweep(table, degree, elements)
+    return SchubertExpansion(degree, {SchubertClass(*k): v for k, v in coeffs.items()})
 
 
 # ---------------------------------------------------- cached fast paths
@@ -313,23 +288,11 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
     if cached is not None:
         return cached
     r = a[0] + b[0]
-    result = {}
     if r <= table.lmax:
-        ua = table.element(*a)
-        ub = table.element(*b)
-        lt = table.lie_type
-        for idx, w in enumerate(table.levels[r]):
-            letters = w.word
-            sols_a = _subword_solutions(lt, letters, ua.root_rows, a[0])
-            if not sols_a:
-                continue
-            sols_b = _subword_solutions(lt, letters, ub.root_rows, b[0])
-            if not sols_b:
-                continue
-            val = _value_from_solutions(lt, letters, [sols_a, sols_b])
-            if val:
-                result[(r, idx + 1)] = val
-    elif not table.complete:
+        result = _sweep(table, r, [table.element(*a), table.element(*b)])
+    elif table.complete:
+        result = {}
+    else:
         raise ValueError(f"degree {r} exceeds the truncated table")
     table._cache[key] = result
     return result

@@ -3,8 +3,8 @@
 Schubert classes are addressed either by minimized word ("3,2,1"), by a
 length.index pair ("4.2"), or by "wN" as shorthand for the one-letter word
 (N,).  Exit codes: 1 = could not parse the invocation, 2 = a mathematical
-precondition failed (bad node, degree mismatch, class not in the table),
-3 = a resource cap was exceeded.
+precondition failed (bad node, degree mismatch, class not in the table) or
+the cache path is unusable, 3 = a resource cap was exceeded.
 
 Coset tables are cached under --cache-dir, or under the directory named by
 the SCHUBERT_CACHE_DIR environment variable when the flag is absent; with
@@ -21,7 +21,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cartan import LieType
@@ -325,6 +325,9 @@ def run(spec: JobSpec, out=None) -> int:
     except (ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"domain error: {msg}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:  # args[0] is only the errno; str names the path
+        print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if spec.fmt == "json":
         out.write(json.dumps(result, indent=1, sort_keys=True) + "\n")

@@ -114,9 +114,6 @@ class GeneratorSet:
             [Generator(name, 2 * len(word), tuple(word)) for name, word in pairs],
         )
 
-    def class_of(self, name: str) -> SchubertClass:
-        return self._classes[name]
-
     def expand_exponents(self, exponents) -> dict:
         """Schubert expansion vector of the monomial with these exponents."""
         classes = []
@@ -265,12 +262,6 @@ class Presentation:
 
     def words(self) -> dict:
         return {g.name: g.word for g in self.generators}
-
-    def json_obj(self):
-        return {
-            "generators": [{"name": g.name, "degree": g.degree} for g in self.generators],
-            "relations": [str(r) for r in self.relations],
-        }
 
     def text(self) -> str:
         names = ", ".join(g.name for g in self.generators)

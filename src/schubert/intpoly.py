@@ -91,11 +91,6 @@ def _monomial_exponents(degrees, m):
     return tuple(out)
 
 
-def monomial_basis(ring: PolyRing, m: int) -> list["IntPolynomial"]:
-    """The monomials of weighted degree m, as polynomials, descending lex."""
-    return [ring.monomial(exp) for exp in monomial_exponents(ring, m)]
-
-
 class IntPolynomial:
     """Sparse integer polynomial over a PolyRing; zero coefficients never stored."""
 
@@ -192,15 +187,6 @@ class IntPolynomial:
         degs = {self.ring.monomial_degree(e) for e in self.terms}
         return len(degs) <= 1
 
-    def graded_piece(self, m: int) -> "IntPolynomial":
-        return IntPolynomial(
-            self.ring,
-            {e: c for e, c in self.terms.items() if self.ring.monomial_degree(e) == m},
-        )
-
-    def coefficient(self, exponents) -> int:
-        return self.terms.get(tuple(exponents), 0)
-
     # -- substitution ----------------------------------------------------
 
     def substitute(self, mapping, target_ring: PolyRing | None = None) -> "IntPolynomial":
@@ -247,9 +233,6 @@ class IntPolynomial:
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
-
     def __str__(self):
         # render terms with the fewest factors first (then descending lex),
         # so a relation such as 2*y3 - w1^3 leads with its solved generator
@@ -281,21 +264,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({self})"
-
-    # -- serialization -------------------------------------------------------
-
-    def json_obj(self):
-        return {
-            "vars": [[n, d] for n, d in zip(self.ring.names, self.ring.degrees)],
-            "terms": [[list(e), c] for e, c in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "IntPolynomial":
-        names = tuple(n for n, _ in obj["vars"])
-        degrees = tuple(d for _, d in obj["vars"])
-        ring = PolyRing(names, degrees)
-        return cls(ring, {tuple(e): c for e, c in obj["terms"]})
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")

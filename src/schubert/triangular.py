@@ -49,12 +49,6 @@ class StrictUpperMatrix:
             raise ValueError("rows must form a strict upper triangle")
 
     @classmethod
-    def from_dense(cls, matrix) -> "StrictUpperMatrix":
-        size = len(matrix)
-        rows = tuple(tuple(matrix[i][j] for j in range(i + 1, size)) for i in range(size))
-        return cls(size, rows)
-
-    @classmethod
     def from_entry_fn(cls, size, fn) -> "StrictUpperMatrix":
         rows = tuple(
             tuple(fn(i, j) for j in range(i + 1, size)) for i in range(size)

@@ -138,20 +138,6 @@ class WeylElement:
         inv = right_multiply_rows(self.inv_root_rows, i0, reflection_pairs(lt))
         return WeylElement(lt, root, inv)
 
-    def multiply(self, other: "WeylElement") -> "WeylElement":
-        """self * other (apply other first, then self)."""
-        if self.lie_type != other.lie_type:
-            raise ValueError("cannot multiply elements of different Lie types")
-        root = _mat_compose(self.root_rows, other.root_rows)
-        inv = _mat_compose(other.inv_root_rows, self.inv_root_rows)
-        return WeylElement(self.lie_type, root, inv)
-
-    __mul__ = multiply
-
-    def inverse(self) -> "WeylElement":
-        word = tuple(reversed(self.word))
-        return WeylElement.from_word(self.lie_type, word)
-
     # -- actions ------------------------------------------------------
 
     def apply_to_root(self, r) -> tuple[int, ...]:
@@ -185,21 +171,6 @@ class WeylElement:
         """True iff l(sigma_i w) < l(w), i.e. w^{-1}(alpha_i) < 0."""
         return _is_neg(self.inv_root_rows[i - 1])
 
-    def reduced_word(self) -> tuple[int, ...]:
-        """A deterministic reduced word (strips the smallest right descent)."""
-        n = self.lie_type.rank
-        u = self
-        suffix = []
-        while True:
-            for j in range(1, n + 1):
-                if u.has_right_descent(j):
-                    suffix.append(j)
-                    u = u.right_mul_simple(j)
-                    break
-            else:
-                break
-        return tuple(reversed(suffix))
-
     def minimized_word(self) -> tuple[int, ...]:
         """The lexicographically smallest reduced word.
 
@@ -226,18 +197,6 @@ class WeylElement:
         if self._word is None:
             self._word = self.minimized_word()
         return self._word
-
-    def all_reduced_words(self):
-        """Every reduced word of this element (exponential; small lengths only)."""
-        if self.is_identity():
-            return [()]
-        out = []
-        n = self.lie_type.rank
-        for i in range(1, n + 1):
-            if self.has_left_descent(i):
-                for tail in self.left_mul_simple(i).all_reduced_words():
-                    out.append((i,) + tail)
-        return out
 
     def is_minimal_rep(self, K) -> bool:
         """Minimal length in the coset w * W_P, W_P = <sigma_j : j not in K>."""
@@ -275,21 +234,6 @@ def _reflect_root_rows(rows, i0, c):
             yield tuple(new)
         else:
             yield row
-
-
-def _mat_compose(outer, inner):
-    """Rows of (outer o inner): row k = sum_t inner[k][t] * outer[t]."""
-    n = len(inner)
-    out = []
-    for row in inner:
-        acc = [0] * n
-        for t, x in enumerate(row):
-            if x:
-                orow = outer[t]
-                for s in range(n):
-                    acc[s] += x * orow[s]
-        out.append(tuple(acc))
-    return tuple(out)
 
 
 def _is_int(x) -> bool:

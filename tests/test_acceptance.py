@@ -18,13 +18,13 @@ from time import perf_counter
 import pytest
 
 import presentation_data as data
+from along_word import characteristic_with_word
 from grassmannian import partition_class_maps
 from lr_oracle import schur_product_in_box
 from schubert.cartan import LieType
 from schubert.characteristics import (
     SchubertClass,
     characteristic,
-    characteristic_with_word,
     expand_product,
 )
 from schubert.cohomology import (

@@ -13,7 +13,6 @@ from schubert.characteristics import (
     SchubertClass,
     _cover_data,
     characteristic,
-    characteristic_with_word,
     expand_class_monomial,
     expand_pair,
     expand_product,
@@ -21,6 +20,8 @@ from schubert.characteristics import (
     subwords_equal_to,
 )
 
+from along_word import characteristic_with_word
+from brute_weyl import brute_all_reduced_words, brute_matrix
 from lr_oracle import lr_coefficient, schur_product_in_box
 
 A2 = LieType.parse("A2")
@@ -72,6 +73,8 @@ def test_characteristic_single_factor_is_delta(f4_p1):
     b = SchubertClass(4, 2)
     assert characteristic(f4_p1, a, [a]) == 1
     assert characteristic(f4_p1, a, [b]) == 0
+    with pytest.raises(KeyError):
+        characteristic(f4_p1, a, [SchubertClass(4, 99)])
 
 
 def test_characteristic_degree_mismatch(f4_p1):
@@ -95,17 +98,12 @@ def test_characteristic_word_invariance(f4_full):
     ]:
         w = WeylElement.from_word(F4, letters)
         assert w.length() == len(letters)
-        words = w.all_reduced_words()
+        words = brute_all_reduced_words(F4, brute_matrix(F4, letters))
         assert len(words) > 1
         values = {
             characteristic_with_word(f4_full, word, factors) for word in words
         }
         assert len(values) == 1, (letters, values)
-
-
-def test_characteristic_with_word_rejects_nonreduced(f4_full):
-    with pytest.raises(ValueError, match="reduced"):
-        characteristic_with_word(f4_full, (1, 1), [SchubertClass(1, 1), SchubertClass(1, 1)])
 
 
 # ------------------------------------------------------------- expansion
@@ -141,29 +139,81 @@ def test_expand_identity_and_empty(f4_p1):
     assert exp2.coeffs == {w1: 1}
 
 
+def _extra_tables(f4_p1):
+    """G2/T, C3/T, D4/T and F4/P1: the further types of the product checks."""
+    full = [LieType.parse(name) for name in ("G2", "C3", "D4")]
+    return [enumerate_cosets(lt, range(1, lt.rank + 1)) for lt in full] + [f4_p1]
+
+
 def test_expand_commutative(f4_p1):
     u, v = SchubertClass(3, 1), SchubertClass(4, 2)
     assert expand_product(f4_p1, [u, v]).coeffs == expand_product(f4_p1, [v, u]).coeffs
+    rng = random.Random(3)
+    for table in _extra_tables(f4_p1):
+        for _ in range(6):
+            r = rng.randint(1, table.lmax // 2)
+            s = rng.randint(1, table.lmax - r)
+            u = SchubertClass(r, rng.randint(1, table.beta(r)))
+            v = SchubertClass(s, rng.randint(1, table.beta(s)))
+            uv = expand_product(table, [u, v]).coeffs
+            assert uv == expand_product(table, [v, u]).coeffs, (table.lie_type, u, v)
 
 
-def test_associativity_via_vectors(b3_full):
-    rng = random.Random(5)
-    classes = [
-        SchubertClass(r, i)
-        for r in range(1, 4)
-        for i in range(1, b3_full.beta(r) + 1)
-    ]
-    for _ in range(6):
-        a, b, c = rng.sample(classes, 3)
-        direct = expand_product(b3_full, [a, b, c]).coeffs
-        # fold pairwise: (a*b)*c
-        vec = expand_pair(b3_full, a, b)
-        folded = {}
-        for ukey, cu in vec.items():
-            for t, av in expand_pair(b3_full, SchubertClass(*ukey), c).items():
-                folded[t] = folded.get(t, 0) + cu * av
-        folded = {SchubertClass(*t): v for t, v in folded.items() if v}
-        assert folded == direct
+def test_associativity_via_vectors(b3_full, f4_p1):
+    for table in [b3_full] + _extra_tables(f4_p1):
+        rng = random.Random(5)
+        top = min(3, table.lmax // 3)
+        classes = [
+            SchubertClass(r, i)
+            for r in range(1, top + 1)
+            for i in range(1, table.beta(r) + 1)
+        ]
+        for _ in range(6):
+            a, b, c = rng.sample(classes, 3)
+            direct = expand_product(table, [a, b, c]).coeffs
+            # fold pairwise: (a*b)*c
+            vec = expand_pair(table, a, b)
+            folded = {}
+            for ukey, cu in vec.items():
+                for t, av in expand_pair(table, SchubertClass(*ukey), c).items():
+                    folded[t] = folded.get(t, 0) + cu * av
+            folded = {SchubertClass(*t): v for t, v in folded.items() if v}
+            assert folded == direct, (table.lie_type, a, b, c)
+
+
+DUALITY_TABLES = [
+    ("G2", (1, 2), None),
+    ("A3", (1, 2, 3), None),
+    ("B3", (1, 2, 3), None),
+    ("C3", (1, 2, 3), None),
+    ("D4", (1, 2, 3, 4), 3),
+    ("F4", (1,), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "lie, K, last",
+    DUALITY_TABLES,
+    ids=[f"{lie}-K{''.join(map(str, K))}" for lie, K, _ in DUALITY_TABLES],
+)
+def test_poincare_duality(lie, K, last):
+    # the top-class coefficient pairs level r with level lmax - r by a
+    # permutation matrix; `last` bounds the rows checked on larger tables
+    table = enumerate_cosets(LieType.parse(lie), set(K))
+    top = table.lmax
+    for r in range(0, (top if last is None else last) + 1):
+        n = table.beta(r)
+        assert table.beta(top - r) == n
+        pairing = [
+            [
+                expand_pair(table, SchubertClass(r, i), SchubertClass(top - r, j)).get((top, 1), 0)
+                for j in range(1, n + 1)
+            ]
+            for i in range(1, n + 1)
+        ]
+        assert all(x in (0, 1) for row in pairing for x in row), r
+        assert all(sum(row) == 1 for row in pairing), r
+        assert all(sum(col) == 1 for col in zip(*pairing)), r
 
 
 def test_fast_paths_match_expand_product(a3_full, f4_p1):

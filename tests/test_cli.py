@@ -199,6 +199,32 @@ def test_corrupt_cache_is_domain_error(capsys, tmp_path, case):
     assert out == ""
 
 
+def _cache_dir_is_a_file(tmp_path):
+    path = tmp_path / "F"
+    path.write_text("")
+    return path, path
+
+
+def _cache_file_is_a_directory(tmp_path):
+    path = tmp_path / "A2-K1_2.json"
+    path.mkdir()
+    return tmp_path, path
+
+
+@pytest.mark.parametrize(
+    "make", [_cache_dir_is_a_file, _cache_file_is_a_directory],
+    ids=["cache-dir-is-a-file", "cache-file-is-a-dir"],
+)
+def test_unusable_cache_path_is_domain_error(capsys, tmp_path, make):
+    cache_dir, named = make(tmp_path)
+    code, out, err = run_cli(capsys, "enumerate", "A2", "--cache-dir", str(cache_dir))
+    assert code == EXIT_DOMAIN
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert str(named) in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_multiply_uses_cache(capsys, tmp_path):
     run_cli(capsys, "enumerate", "F4", "--K", "1", "--cache-dir", str(tmp_path))
     obj = run_json(

@@ -2,10 +2,13 @@
 relation selection, Giambelli inversion, Gysin tables, orbit invariants,
 full-flag assembly, and the even-spin relation families."""
 
+import json
+
 import pytest
 
 import presentation_data as data
 from schubert.cartan import LieType
+from schubert.cli import main
 from schubert.cohomology import (
     Generator,
     GeneratorSet,
@@ -29,7 +32,6 @@ from schubert.cohomology import (
     structure_matrix,
     symplectic_forms,
     weight_orbit,
-    weight_polynomial,
     weight_ring,
     weyl_orbit_invariants,
 )
@@ -206,11 +208,17 @@ def test_hilbert_consistency(f4_p1, f4_gens):
         assert b - span.rank == f4_p1.beta(m)
 
 
-def test_presentation_export(f4_p1, f4_gens):
+def test_presentation_export(capsys, f4_p1, f4_gens):
+    # the CLI's JSON is the one export format of a presentation
     pres = minimal_relations(f4_p1, f4_gens, 8)
-    obj = pres.json_obj()
-    assert obj["generators"][0] == {"name": "w1", "degree": 2}
-    assert len(obj["relations"]) == len(pres.relations)
+    assert main(["presentation", "F4", "--K", "1", "--degree", "8"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["generators"][0] == {"name": "w1", "degree": 2, "word": [1]}
+    assert [(g["name"], tuple(g["word"])) for g in obj["generators"]] == [
+        (g.name, g.word) for g in pres.generators
+    ]
+    assert obj["relations"] == [str(r) for r in pres.relations]
+    assert obj["relation_degrees"] == list(pres.relation_degrees())
     assert "relations" in pres.text()
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from schubert.intpoly import (
     IntPolynomial,
     PolyRing,
-    monomial_basis,
     monomial_exponents,
     parse_polynomial,
 )
@@ -30,7 +29,9 @@ def test_ring_validation():
 def test_monomial_basis_example():
     # degrees (2, 4), total degree 8: y1^4, y1^2*y2, y2^2 in that order
     assert monomial_exponents(R2, 8) == [(4, 0), (2, 1), (0, 2)]
-    assert [str(p) for p in monomial_basis(R2, 8)] == ["y1^4", "y1^2*y2", "y2^2"]
+    assert [str(R2.monomial(e)) for e in monomial_exponents(R2, 8)] == [
+        "y1^4", "y1^2*y2", "y2^2",
+    ]
     assert monomial_exponents(R2, 0) == [(0, 0)]
     assert monomial_exponents(R2, 3) == []
     assert monomial_exponents(R2, -2) == []
@@ -68,9 +69,8 @@ def test_degree_and_graded_piece():
     assert p.is_homogeneous()
     q = p + w
     assert not q.is_homogeneous()
-    assert q.graded_piece(2) == w
-    assert q.graded_piece(6) == p
-    assert q.graded_piece(4).is_zero()
+    assert q.degree() == 6
+    assert sorted(RW.monomial_degree(e) for e in q.terms) == [2, 6, 6]
     assert RW.zero().degree() is None
 
 
@@ -126,14 +126,6 @@ def test_rename_into():
     assert str(p) == "2*y3 - w1^3"
 
 
-def test_json_roundtrip():
-    w, y = RW.variable("w1"), RW.variable("y3")
-    p = 2 * y - w**3
-    obj = p.json_obj()
-    assert obj["vars"] == [["w1", 2], ["y3", 6]]
-    assert IntPolynomial.from_json_obj(obj) == p
-
-
 @st.composite
 def polys(draw):
     nterms = draw(st.integers(0, 5))
@@ -161,21 +153,3 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=60)
 def test_render_parse_roundtrip_random(p):
     assert parse_polynomial(RX, str(p)) == p
-
-
-@given(p=polys())
-@settings(max_examples=60)
-def test_json_roundtrip_random(p):
-    assert IntPolynomial.from_json_obj(p.json_obj()) == p
-
-
-@given(p=polys())
-@settings(max_examples=60)
-def test_graded_pieces_sum_to_whole(p):
-    degs = {RX.monomial_degree(e) for e in p.terms}
-    total = RX.zero()
-    for m in degs:
-        piece = p.graded_piece(m)
-        assert piece.is_homogeneous()
-        total = total + piece
-    assert total == p

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert.cartan import LieType
-from schubert.intpoly import IntPolynomial, PolyRing
+from schubert.intpoly import PolyRing
 from schubert.triangular import (
     StrictUpperMatrix,
     cartan_matrix_of_word,
@@ -34,7 +34,8 @@ def random_matrix(m, rng):
 
 
 def test_strict_upper_matrix_shape():
-    a = StrictUpperMatrix.from_dense([[0, 5, 7], [0, 0, -2], [0, 0, 0]])
+    dense = [[0, 5, 7], [0, 0, -2], [0, 0, 0]]
+    a = StrictUpperMatrix.from_entry_fn(3, lambda i, j: dense[i][j])
     assert a.size == 3
     assert a.entry(0, 1) == 5
     assert a.entry(0, 2) == 7
