@@ -1,4 +1,4 @@
-"""Cartan matrices, simple reflections, and root systems for the simple Lie types.
+"""Cartan matrices and simple reflections for the simple Lie types.
 
 Everything in this package is exact integer arithmetic over two coordinate
 systems attached to a rank-n simple Lie type:
@@ -133,39 +133,3 @@ def reflect_root(lie_type: LieType, i: int, r: tuple[int, ...]) -> tuple[int, ..
     out = list(r)
     out[i - 1] -= s
     return tuple(out)
-
-
-def is_positive_root_vector(r: tuple[int, ...]) -> bool:
-    """True when the root-coordinate vector has all entries >= 0.
-
-    Every root has either all coordinates >= 0 or all <= 0, so this
-    classifies roots as positive or negative.
-    """
-    return all(x >= 0 for x in r)
-
-
-@lru_cache(maxsize=None)
-def all_roots(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
-    """All roots of the system, as the closure of the simple roots under
-    the simple reflections (in root coordinates, deterministic order).
-    """
-    n = lie_type.rank
-    simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    seen = dict.fromkeys(simple)
-    frontier = simple
-    while frontier:
-        new = []
-        for r in frontier:
-            for i in range(1, n + 1):
-                img = reflect_root(lie_type, i, r)
-                if img not in seen:
-                    seen[img] = None
-                    new.append(img)
-        frontier = new
-    return tuple(seen)
-
-
-@lru_cache(maxsize=None)
-def positive_roots(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
-    """The positive roots, in the discovery order of `all_roots`."""
-    return tuple(r for r in all_roots(lie_type) if is_positive_root_vector(r))

@@ -103,6 +103,20 @@ def _subword_solutions(lie_type, letters, target_rows, k):
     return out
 
 
+def _root_matrix(lie_type, word):
+    """The root matrix of sigma_word: row k is sigma_word(alpha_{k+1})."""
+    pairs = reflection_pairs(lie_type)
+    rows = _identity_rows(lie_type.rank)
+    for i in word:
+        rows = right_multiply_rows(rows, i - 1, pairs)
+    return rows
+
+
+def _targets(lie_type, factors):
+    """(root matrix, length) of each factor element, from its word."""
+    return [(_root_matrix(lie_type, u.word), len(u.word)) for u in factors]
+
+
 def subwords_equal_to(word, target: WeylElement):
     """All 1-based position sets I of `word` with sigma_I = target, |I| = l(target).
 
@@ -112,9 +126,9 @@ def subwords_equal_to(word, target: WeylElement):
     >>> subwords_equal_to((1, 2, 1), s1)
     [(1,), (3,)]
     """
-    sols = _subword_solutions(
-        target.lie_type, tuple(word), target.root_rows, target.length()
-    )
+    lt = target.lie_type
+    rows = _root_matrix(lt, target.word)
+    sols = _subword_solutions(lt, tuple(word), rows, target.length())
     return sorted(tuple(p + 1 for p in sol) for sol in sols)
 
 
@@ -139,11 +153,11 @@ def _value_from_solutions(lie_type, letters, solution_lists):
     return evaluate_exponents(cartan_matrix_of_word(lie_type, letters), poly)
 
 
-def _characteristic_on_word(lie_type, letters, factors):
-    """The formula along `letters` for the factor elements (0 without a subword)."""
+def _characteristic_on_word(lie_type, letters, targets):
+    """The formula along `letters` for the factor `_targets` (0 without a subword)."""
     solution_lists = []
-    for u in factors:
-        sols = _subword_solutions(lie_type, letters, u.root_rows, u.length())
+    for rows, k in targets:
+        sols = _subword_solutions(lie_type, letters, rows, k)
         if not sols:
             return 0
         solution_lists.append(sols)
@@ -153,9 +167,10 @@ def _characteristic_on_word(lie_type, letters, factors):
 def _sweep(table: CosetTable, r: int, factors):
     """{(r, i): coefficient} of the product of the factor elements on level r."""
     lt = table.lie_type
+    targets = _targets(lt, factors)
     out = {}
     for i, w in enumerate(table.levels[r], start=1):
-        val = _characteristic_on_word(lt, w.word, factors)
+        val = _characteristic_on_word(lt, w.word, targets)
         if val:
             out[(r, i)] = val
     return out
@@ -177,7 +192,8 @@ def characteristic(table: CosetTable, w: SchubertClass, factors) -> int:
     elements = [table.element(f.r, f.i) for f in factors]
     if len(factors) == 1:
         return 1 if factors[0] == w else 0
-    return _characteristic_on_word(table.lie_type, target.word, elements)
+    lt = table.lie_type
+    return _characteristic_on_word(lt, target.word, _targets(lt, elements))
 
 
 def expand_product(table: CosetTable, factors) -> SchubertExpansion:
@@ -213,9 +229,10 @@ def _cover_data(table: CosetTable, r: int):
     alpha_l^vee-coordinate of beta^vee, so the entry stores beta^vee for
     each position, and the key of u (None when u is not a class of the
     table).  One walk from the right end of the word carries the images of
-    the simple coroots under s_{i_m}...s_{i_{p+1}}; one walk from the left
-    carries gamma = s_{i_1}...s_{i_{p-1}}(alpha_{i_p}) = -w(beta), so that
-    u(alpha_k) = w(alpha_k) + <alpha_k, beta^vee> * gamma.
+    the simple roots and of the simple coroots under s_{i_m}...s_{i_{p+1}},
+    which gives beta and beta^vee.  Classes are keyed by the root matrix of
+    their inverse, and u^{-1} = s_beta * w^{-1}, so the key of u has rows
+    u^{-1}(alpha_k) = w^{-1}(alpha_k) - <w^{-1}(alpha_k), beta^vee> * beta.
     """
     key = ("cover", r)
     cached = table._cache.get(key)
@@ -229,27 +246,28 @@ def _cover_data(table: CosetTable, r: int):
     copairs = tuple(
         tuple((k, c[j][k]) for k in range(n) if c[j][k]) for j in range(n)
     )
+    columns = tuple(zip(*c))
     identity = _identity_rows(n)
     entries = []
     for w in table.levels[r]:
         letters = w.word
+        inv = w.inv_root_rows
+        # row k: <w^{-1}(alpha_k), alpha_l^vee> for each l
+        pairings = [tuple(sum(map(mul, row, col)) for col in columns) for row in inv]
+        cand = [None] * r
         coroots = [None] * r
-        images = identity
+        roots = coroot_images = identity
         for p in range(r - 1, -1, -1):
             j0 = letters[p] - 1
-            coroots[p] = images[j0]
-            images = right_multiply_rows(images, j0, copairs)
-        cand = []
-        prefix = identity
-        for p, beta in enumerate(coroots):
-            j0 = letters[p] - 1
-            gamma = prefix[j0]
-            prefix = right_multiply_rows(prefix, j0, pairs)
+            beta = roots[j0]
+            coroots[p] = coroot = coroot_images[j0]
             rows = []
-            for ck, row in zip(c, w.root_rows):
-                pk = sum(map(mul, ck, beta))
-                rows.append(tuple(x + pk * g for x, g in zip(row, gamma)) if pk else row)
-            cand.append(table.index_of_root_rows(tuple(rows)))
+            for row, pairing in zip(inv, pairings):
+                pk = sum(map(mul, pairing, coroot))
+                rows.append(tuple(x - pk * b for x, b in zip(row, beta)) if pk else row)
+            cand[p] = table.index_of_inv_root_rows(tuple(rows))
+            roots = right_multiply_rows(roots, j0, pairs)
+            coroot_images = right_multiply_rows(coroot_images, j0, copairs)
         entries.append((tuple(cand), tuple(coroots)))
     table._cache[key] = entries
     return entries

@@ -9,7 +9,8 @@ the cache path is unusable, 3 = a resource cap was exceeded.
 Coset tables are cached under --cache-dir, or under the directory named by
 the SCHUBERT_CACHE_DIR environment variable when the flag is absent; with
 neither set, nothing is persisted.  A cache file holds the table's
-`enumerate` JSON object, and a corrupt one is a domain error.  All output is
+`enumerate` JSON object of a full enumeration, and a corrupt or truncated
+one is a domain error.  All output is
 deterministic for fixed inputs, so repeated runs (cached or not) emit
 byte-identical JSON.
 """
@@ -152,6 +153,9 @@ def load_table(spec: JobSpec) -> CosetTable:
         path = _cache_path(spec.cache_dir, spec.lie_type, spec.K)
         if path.exists():
             table = CosetTable.load_binary(path)
+            # only full enumerations are written, so a truncated one is corrupt
+            if not table.complete or table.max_length is not None:
+                raise ValueError(f"{path}: corrupt coset-table cache (marked truncated)")
             if table.lie_type != spec.lie_type or set(table.K) != set(spec.K):
                 raise ValueError(
                     f"cache file {path} holds {table.lie_type} K={sorted(table.K)}, "

@@ -1,25 +1,30 @@
 """Weyl groups, reduced words, and length-graded minimal coset representatives.
 
-A Weyl group element is stored as two integer matrices (tuples of rows):
+A Weyl group element w is stored as one integer matrix (a tuple of rows),
+``inv_root_rows``: row k is w^{-1}(alpha_{k+1}) in simple-root coordinates.
+W acts faithfully on the root lattice, so this matrix is the element's key
+(equality and hash).  Row signs give left descents: l(sigma_i w) < l(w) iff
+w^{-1}(alpha_i) < 0.  Left multiplication sigma_i * w is right
+multiplication of w^{-1} by sigma_i, which changes only the rows of node i
+and its neighbours in the Dynkin diagram, in O(n) each.  Peeling off the least
+left descent gives the lexicographically smallest reduced word, whose
+length is l(w).
 
-* ``root_rows``: row k is w(alpha_{k+1}) in simple-root coordinates.  Row
-  signs give right descents: l(w sigma_j) < l(w) iff w(alpha_j) < 0.  This
-  is the canonical key: W acts faithfully on the root lattice, so two
-  elements are equal iff these agree.
-* ``inv_root_rows``: the root matrix of w^{-1}.  Row signs give left
-  descents: l(sigma_i w) < l(w) iff w^{-1}(alpha_i) < 0.
+``enumerate_cosets`` grades the minimal length representatives W^P of the
+left cosets w * W_P, where W_P is generated by the simple reflections *not*
+in K.  Their lex-least words form a tree: the word of w in W^P is its least
+left descent i followed by the word of sigma_i * w, which is again in W^P.
+So level r+1 is built from level r by one step, u -> sigma_i * u, taken when
 
-Multiplying by a simple reflection on either side touches each matrix in
-O(n) per row, so group operations stay cheap and exact.
+* i is not a left descent of u, so the product is longer;
+* u^{-1}(alpha_i) is not a simple root alpha_j with j not in K.  By
+  Deodhar's lemma this is exactly when sigma_i * u = u * sigma_j leaves W^P;
+* no b < i is a left descent of sigma_i * u, so i starts its lex-least word.
 
-``enumerate_cosets`` grades the minimal length representatives of the left
-cosets w * W_P, where W_P is generated by the simple reflections *not* in K,
-by length:  W^{r+1} is obtained from W^r by left multiplication w' =
-sigma_i * u with l(w') = l(u) + 1, keeping the representatives that stay
-minimal and deduplicating by canonical form.  (Minimal representatives are
-closed under removing left descents, so every representative is reached
-this way; the stored word (i,) + word(u) is the lexicographically smallest
-reduced word of w'.)
+Each class is reached once, from its parent, and looping over i and then
+over the parent level in order lists each level in lexicographic order of
+the words.  ``CosetTable.load_binary`` rebuilds a cached table by the same
+step.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import os
 from functools import lru_cache
 from pathlib import Path
 
-from .cartan import LieType, cartan_matrix, positive_roots
+from .cartan import LieType, cartan_matrix
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -76,37 +81,29 @@ def right_multiply_rows(rows, j, pairs):
 
 
 class WeylElement:
-    """An element of the Weyl group of `lie_type` (exact matrix form)."""
+    """An element of the Weyl group of `lie_type`, keyed by the root matrix of w^{-1}."""
 
-    __slots__ = ("lie_type", "root_rows", "inv_root_rows", "_word", "_length", "_hash")
+    __slots__ = ("lie_type", "inv_root_rows", "_word", "_hash")
 
-    def __init__(self, lie_type, root_rows, inv_root_rows, word=None):
+    def __init__(self, lie_type, inv_root_rows, word=None):
         self.lie_type = lie_type
-        self.root_rows = root_rows
         self.inv_root_rows = inv_root_rows
         self._word = word
-        self._length = None
-        self._hash = hash((lie_type, root_rows))
+        self._hash = hash((lie_type, inv_root_rows))
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def identity(cls, lie_type: LieType) -> "WeylElement":
-        e = _identity_rows(lie_type.rank)
-        return cls(lie_type, e, e, word=())
+        return cls(lie_type, _identity_rows(lie_type.rank), word=())
 
     @classmethod
     def simple_reflection(cls, lie_type: LieType, i: int) -> "WeylElement":
         n = lie_type.rank
         if not 1 <= i <= n:
             raise ValueError(f"reflection index {i} out of range 1..{n}")
-        c = cartan_matrix(lie_type)
-        i0 = i - 1
-        root = tuple(
-            tuple(int(k == j) - (c[k][i0] if j == i0 else 0) for j in range(n))
-            for k in range(n)
-        )
-        return cls(lie_type, root, root, word=(i,))
+        rows = right_multiply_rows(_identity_rows(n), i - 1, reflection_pairs(lie_type))
+        return cls(lie_type, rows, word=(i,))
 
     @classmethod
     def from_word(cls, lie_type: LieType, word) -> "WeylElement":
@@ -115,57 +112,24 @@ class WeylElement:
         if word and not (1 <= min(word) and max(word) <= n):
             raise ValueError(f"word {list(word)} has a letter outside 1..{n}")
         w = cls.identity(lie_type)
-        for i in word:
-            w = w.right_mul_simple(i)
+        for i in reversed(word):
+            w = w.left_mul_simple(i)
         return w
 
-    # -- group operations --------------------------------------------
-
-    def right_mul_simple(self, j: int) -> "WeylElement":
-        """self * sigma_j."""
-        lt = self.lie_type
-        j0 = j - 1
-        root = right_multiply_rows(self.root_rows, j0, reflection_pairs(lt))
-        # (w sigma_j)^{-1} = sigma_j w^{-1}: left-reflect every row of inv
-        inv = tuple(_reflect_root_rows(self.inv_root_rows, j0, cartan_matrix(lt)))
-        return WeylElement(lt, root, inv)
-
     def left_mul_simple(self, i: int) -> "WeylElement":
-        """sigma_i * self."""
+        """sigma_i * self, whose inverse is self^{-1} * sigma_i."""
         lt = self.lie_type
-        i0 = i - 1
-        root = tuple(_reflect_root_rows(self.root_rows, i0, cartan_matrix(lt)))
-        inv = right_multiply_rows(self.inv_root_rows, i0, reflection_pairs(lt))
-        return WeylElement(lt, root, inv)
-
-    # -- actions ------------------------------------------------------
-
-    def apply_to_root(self, r) -> tuple[int, ...]:
-        n = self.lie_type.rank
-        out = [0] * n
-        for k, rk in enumerate(r):
-            if rk:
-                row = self.root_rows[k]
-                for s in range(n):
-                    out[s] += rk * row[s]
-        return tuple(out)
+        return WeylElement(
+            lt, right_multiply_rows(self.inv_root_rows, i - 1, reflection_pairs(lt))
+        )
 
     # -- length, descents, words --------------------------------------
 
     def length(self) -> int:
-        """Number of positive roots sent negative."""
-        if self._length is None:
-            self._length = sum(
-                1 for r in positive_roots(self.lie_type) if _is_neg(self.apply_to_root(r))
-            )
-        return self._length
+        return len(self.word)
 
     def is_identity(self) -> bool:
-        return self.root_rows == _identity_rows(self.lie_type.rank)
-
-    def has_right_descent(self, j: int) -> bool:
-        """True iff l(w sigma_j) < l(w), i.e. w(alpha_j) < 0."""
-        return _is_neg(self.root_rows[j - 1])
+        return self.inv_root_rows == _identity_rows(self.lie_type.rank)
 
     def has_left_descent(self, i: int) -> bool:
         """True iff l(sigma_i w) < l(w), i.e. w^{-1}(alpha_i) < 0."""
@@ -198,20 +162,13 @@ class WeylElement:
             self._word = self.minimized_word()
         return self._word
 
-    def is_minimal_rep(self, K) -> bool:
-        """Minimal length in the coset w * W_P, W_P = <sigma_j : j not in K>."""
-        n = self.lie_type.rank
-        return all(
-            j in K or not self.has_right_descent(j) for j in range(1, n + 1)
-        )
-
     # -- plumbing ------------------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
             and self.lie_type == other.lie_type
-            and self.root_rows == other.root_rows
+            and self.inv_root_rows == other.inv_root_rows
         )
 
     def __hash__(self):
@@ -221,35 +178,26 @@ class WeylElement:
         return f"WeylElement({self.lie_type}, word={list(self.word)})"
 
 
-def _reflect_root_rows(rows, i0, c):
-    # apply sigma_{i0+1} (on the left) to every row, in root coordinates
-    for row in rows:
-        s = 0
-        for t, x in enumerate(row):
-            if x:
-                s += x * c[t][i0]
-        if s:
-            new = list(row)
-            new[i0] -= s
-            yield tuple(new)
-        else:
-            yield row
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _left_step(u: WeylElement, i: int, K) -> WeylElement | None:
-    """sigma_i * u if it is longer than u and still minimal for K, else None.
+    """The child sigma_i * u of u in the tree of W^P, or None.
 
-    This is the one step of ``enumerate_cosets``; ``CosetTable.load_binary``
-    checks each cached class against it.
+    The child is longer than u, still minimal for K and has i as its least
+    left descent, so (i,) + u.word is its lex-least reduced word (see the
+    module docstring).  ``enumerate_cosets`` takes this step and
+    ``CosetTable.load_binary`` checks each cached class by it.
     """
-    if _is_neg(u.inv_root_rows[i - 1]):
+    row = u.inv_root_rows[i - 1]
+    # a positive root of height 1 is a simple root alpha_j
+    if _is_neg(row) or (sum(row) == 1 and row.index(1) + 1 not in K):
         return None
-    w = u.left_mul_simple(i)
-    return w if w.is_minimal_rep(K) else None
+    inv = right_multiply_rows(u.inv_root_rows, i - 1, reflection_pairs(u.lie_type))
+    if any(_is_neg(inv[b]) for b in range(i - 1)):
+        return None
+    return WeylElement(u.lie_type, inv, (i,) + u.word)
 
 
 def _check_K(lie_type: LieType, K) -> frozenset:
@@ -275,10 +223,10 @@ class CosetTable:
         self.levels = levels
         self.complete = complete
         self.max_length = max_length
-        self._root_index = {}
+        self._index = {}
         for r, level in enumerate(levels):
             for i, w in enumerate(level):
-                self._root_index[w.root_rows] = (r, i + 1)
+                self._index[w.inv_root_rows] = (r, i + 1)
         self._cache = {}
 
     # -- queries -------------------------------------------------------
@@ -307,12 +255,12 @@ class CosetTable:
 
     def index_of(self, w: WeylElement) -> tuple[int, int]:
         try:
-            return self._root_index[w.root_rows]
+            return self._index[w.inv_root_rows]
         except KeyError:
             raise KeyError(f"{w!r} is not a representative in this table") from None
 
-    def index_of_root_rows(self, rows):
-        return self._root_index.get(rows)
+    def index_of_inv_root_rows(self, rows):
+        return self._index.get(rows)
 
     def class_of_word(self, word) -> tuple[int, int]:
         return self.index_of(WeylElement.from_word(self.lie_type, word))
@@ -365,11 +313,11 @@ class CosetTable:
         """Read a table written by ``save_binary``, re-checking every class.
 
         Each class is rebuilt from its parent in the previous level by the
-        enumeration step, so a file that does not describe minimal
-        representatives with their minimized words raises ValueError.  A
-        table marked complete must also end in one class that no letter
-        extends and have palindromic level sizes, so a file with its top
-        levels cut off is rejected too.
+        enumeration step, which also checks that the word is the lex-least
+        reduced word of a minimal representative, so any other file raises
+        ValueError.  A table marked complete must also end in one class that
+        no letter extends and have palindromic level sizes, so a file with
+        its top levels cut off is rejected too.
         """
         try:
             return cls._from_json_obj(json.loads(Path(path).read_bytes()))
@@ -430,14 +378,14 @@ class CosetTable:
                     raise ValueError(f"{list(word)}: letter {a} outside 1..{n}")
                 w = _left_step(u, a, K)
                 if w is None:
-                    raise ValueError(f"{list(word)}: not a reduced minimal representative")
-                if any(w.has_left_descent(b) for b in range(1, a)):
-                    raise ValueError(f"{list(word)}: not the minimized word")
-                w._word = word
+                    raise ValueError(
+                        f"{list(word)}: not the minimized word of a minimal representative"
+                    )
                 level.append(w)
             levels.append(level)
         if complete:
-            # a complete table ends in the single longest representative,
+            # a complete table ends in the single longest representative (a
+            # longer class would be the child of a class on the top level),
             # and Poincare duality makes its level sizes palindromic
             top = levels[-1]
             if len(top) != 1 or any(
@@ -478,16 +426,14 @@ def enumerate_cosets(
             levels = levels[: max_length + 1]
             break
         prev = levels[-1]
-        new = {}
+        level = []
         for i in range(1, n + 1):
             for u in prev:
                 w = _left_step(u, i, K)
-                if w is not None and w.root_rows not in new:
-                    w._word = (i,) + u.word
-                    new[w.root_rows] = w
-        if not new:
+                if w is not None:
+                    level.append(w)
+        if not level:
             break
-        level = sorted(new.values(), key=lambda w: w._word)
         count += len(level)
         if count > max_elements:
             raise EnumerationLimit(

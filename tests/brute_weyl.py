@@ -3,13 +3,16 @@
 Elements are represented only by their weight-coordinate matrices (tuple of
 rows, row k = image of omega_{k+1}), generated by plain matrix closure.
 Lengths come from BFS distance in the Cayley graph, not from root counting,
-so agreement with the package is a genuine cross-check.
+so agreement with the package is a genuine cross-check.  Only
+`weight_matrix` and `inverse_weight_matrix` read package elements, to
+translate them into these terms.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from schubert.cartan import LieType, cartan_matrix
+from schubert.cartan import LieType, cartan_matrix, reflect_root
+from schubert.characteristics import _root_matrix
 
 
 def _matmul(inner, outer):
@@ -35,6 +38,31 @@ def _generator_matrices(lie_type):
             )
         )
     return gens
+
+
+@lru_cache(maxsize=None)
+def all_roots(lie_type: LieType):
+    """All roots, as the closure of the simple roots under the simple
+    reflections (in root coordinates, deterministic order)."""
+    n = lie_type.rank
+    simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    seen = dict.fromkeys(simple)
+    frontier = simple
+    while frontier:
+        new = []
+        for r in frontier:
+            for i in range(1, n + 1):
+                img = reflect_root(lie_type, i, r)
+                if img not in seen:
+                    seen[img] = None
+                    new.append(img)
+        frontier = new
+    return tuple(seen)
+
+
+def positive_roots(lie_type: LieType):
+    """The roots with no negative coordinate, in the order of `all_roots`."""
+    return tuple(r for r in all_roots(lie_type) if all(x >= 0 for x in r))
 
 
 @lru_cache(maxsize=None)
@@ -96,24 +124,29 @@ def brute_all_reduced_words(lie_type, mat):
     return rec(mat)
 
 
+def brute_right_descents(lie_type, word):
+    """The j with l(w sigma_j) < l(w) for w = sigma_word, from BFS distances."""
+    n = lie_type.rank
+    length = brute_length(lie_type, word)
+    return {j for j in range(1, n + 1) if brute_length(lie_type, tuple(word) + (j,)) < length}
+
+
 def brute_minimal_reps(lie_type, K):
-    """dict length -> sorted list of shortest-coset-rep words, brute force."""
+    """dict length -> sorted lex-least reduced words of the minimal coset reps.
+
+    A representative is minimal when it has no right descent outside K, and
+    its word is the least of all its reduced words.
+    """
     group = brute_group(lie_type)
     gens = _generator_matrices(lie_type)
     n = lie_type.rank
     out = {}
     for mat, (length, _) in group.items():
-        minimal = True
-        for j in range(1, n + 1):
-            if j in K:
-                continue
-            longer = _matmul(gens[j - 1], mat)  # mat * sigma_j
-            if group[longer][0] < length:
-                minimal = False
-                break
-        if minimal:
-            out.setdefault(length, []).append(mat)
-    return {r: len(mats) for r, mats in out.items()}
+        # _matmul(gens[j - 1], mat) is mat * sigma_j
+        if all(j in K or group[_matmul(gens[j - 1], mat)][0] > length
+               for j in range(1, n + 1)):
+            out.setdefault(length, []).append(min(brute_all_reduced_words(lie_type, mat)))
+    return {r: sorted(words) for r, words in sorted(out.items())}
 
 
 @lru_cache(maxsize=None)
@@ -135,16 +168,30 @@ def _inverse_cartan(lie_type):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def weight_matrix(w):
-    """The weight matrix of a package element: C^-1 . root_rows . C.
+def _root_to_weight(lie_type, root_rows):
+    """C^-1 . root_rows . C, integrality checked.
 
-    Row k of root_rows is w(alpha_{k+1}) in root coordinates and
-    alpha_t = sum_s C[t][s] omega_s, so C . W = root_rows . C for the
-    weight matrix W (row k = w(omega_{k+1}) in weight coordinates).
+    Row k of a root matrix is the image of alpha_{k+1} in root coordinates
+    and alpha_t = sum_s C[t][s] omega_s, so C . W = root_rows . C for the
+    weight matrix W (row k = image of omega_{k+1} in weight coordinates).
     """
     # _matmul(a, b) is the ordinary product a . b
-    rc = _matmul(w.root_rows, cartan_matrix(w.lie_type))
-    mat = _matmul(_inverse_cartan(w.lie_type), rc)
+    rc = _matmul(root_rows, cartan_matrix(lie_type))
+    mat = _matmul(_inverse_cartan(lie_type), rc)
     if any(x.denominator != 1 for row in mat for x in row):
-        raise ValueError(f"non-integral weight matrix for {w!r}")
+        raise ValueError(f"non-integral weight matrix for {root_rows}")
     return tuple(tuple(int(x) for x in row) for row in mat)
+
+
+def weight_matrix(w):
+    """The weight matrix of a package element, from its stored word.
+
+    The root matrix of w is folded from ``w.word`` by the package's
+    ``_root_matrix``, the helper that gives the subword search its targets.
+    """
+    return _root_to_weight(w.lie_type, _root_matrix(w.lie_type, w.word))
+
+
+def inverse_weight_matrix(w):
+    """The weight matrix of w^-1, from the element's stored ``inv_root_rows``."""
+    return _root_to_weight(w.lie_type, w.inv_root_rows)

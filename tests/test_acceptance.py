@@ -19,6 +19,7 @@ import pytest
 
 import presentation_data as data
 from along_word import characteristic_with_word
+from brute_weyl import brute_right_descents
 from grassmannian import partition_class_maps
 from lr_oracle import schur_product_in_box
 from schubert.cartan import LieType
@@ -46,7 +47,7 @@ from schubert.cohomology import (
 )
 from schubert.intpoly import PolyRing, monomial_exponents, parse_polynomial
 from schubert.triangular import StrictUpperMatrix, evaluate_exponents
-from schubert.weyl import enumerate_cosets
+from schubert.weyl import WeylElement, enumerate_cosets
 
 EXTENDED = pytest.mark.skipif(
     not os.environ.get("SCHUBERT_EXTENDED"),
@@ -310,9 +311,11 @@ def test_criterion_7_positivity_and_symmetry(acceptance_record):
             rng.shuffle(shuffled)
             assert characteristic(table, target, shuffled) == a
             element = table.element(target.r, target.i)
-            for i in rng.sample(range(1, table.lie_type.rank + 1), table.lie_type.rank):
-                lower = element.right_mul_simple(i)
-                if lower.length() < r:
+            lt = table.lie_type
+            descents = brute_right_descents(lt, element.word)
+            for i in rng.sample(range(1, lt.rank + 1), lt.rank):
+                if i in descents:
+                    lower = WeylElement.from_word(lt, element.word + (i,))
                     assert characteristic_with_word(
                         table, lower.word + (i,), factors
                     ) == a

@@ -160,6 +160,11 @@ def _drop_top_level(obj):
     obj["beta"].pop()
 
 
+def _mark_truncated(obj):
+    _drop_top_level(obj)
+    obj["complete"] = False
+
+
 def _duplicate_level_1(obj):
     obj["elements"].insert(2, {"r": 1, "i": 2, "word": [1]})
     obj["beta"] = [1, 2, 1]
@@ -182,6 +187,7 @@ CORRUPT_CACHES = {
     "duplicate-class": ("1", _edit(_duplicate_level_1)),
     "beta-mismatch": ("1", _edit(lambda obj: obj.update(beta=[1, 1, 2]))),
     "top-level-dropped": ("1", _edit(_drop_top_level)),
+    "marked-truncated": ("1", _edit(_mark_truncated)),
 }
 
 

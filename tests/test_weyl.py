@@ -5,11 +5,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubert.cartan import LieType, positive_roots
+from schubert.cartan import LieType
+from schubert.characteristics import _root_matrix
 from schubert.weyl import (
     CosetTable,
     EnumerationLimit,
     WeylElement,
+    _left_step,
     enumerate_cosets,
 )
 
@@ -19,6 +21,9 @@ from brute_weyl import (
     brute_length,
     brute_matrix,
     brute_minimal_reps,
+    brute_right_descents,
+    inverse_weight_matrix,
+    positive_roots,
     weight_matrix,
 )
 
@@ -54,15 +59,16 @@ def test_length_matches_cayley_distance(lt):
     for mat, (dist, word) in brute_group(lt).items():
         w = WeylElement.from_word(lt, word)
         assert weight_matrix(w) == mat
+        assert inverse_weight_matrix(w) == brute_matrix(lt, word[::-1])
         assert w.length() == dist
 
 
 @pytest.mark.parametrize("lt", [A3, B3, G2, F4])
-def test_root_rows_key_is_faithful(lt):
+def test_inverse_key_is_faithful(lt):
     # the brute group is generated on weights; distinct elements there must
-    # have distinct root matrices, or root_rows could not be the key
+    # have distinct inverse root matrices, or inv_root_rows could not be the key
     group = brute_group(lt)
-    keys = {WeylElement.from_word(lt, word).root_rows for _, word in group.values()}
+    keys = {WeylElement.from_word(lt, word).inv_root_rows for _, word in group.values()}
     assert len(keys) == len(group)
 
 
@@ -72,10 +78,11 @@ def test_identity_basics():
     assert e.is_identity()
     assert e.minimized_word() == ()
     s1 = WeylElement.simple_reflection(A2, 1)
-    assert e.right_mul_simple(1) == s1
+    assert WeylElement.from_word(A2, (1,)) == s1
     assert e.left_mul_simple(1) == s1
-    assert s1.right_mul_simple(1) == e
-    assert s1.inv_root_rows == s1.root_rows
+    assert s1.left_mul_simple(1) == e
+    # sigma_1 is its own inverse
+    assert inverse_weight_matrix(s1) == weight_matrix(s1) == brute_matrix(A2, (1,))
 
 
 def test_longest_element_length():
@@ -104,11 +111,11 @@ def test_minimized_word_examples():
 
 def test_apply_actions_match_matrices():
     w = wd(F4, 3, 2, 1)
-    for k in range(4):
-        unit = tuple(int(j == k) for j in range(4))
-        assert w.apply_to_root(unit) == w.root_rows[k]
     assert weight_matrix(w) == brute_matrix(F4, (3, 2, 1))
-    winv = WeylElement(F4, w.inv_root_rows, w.root_rows)
+    assert inverse_weight_matrix(w) == brute_matrix(F4, (1, 2, 3))
+    # the element keyed by the root matrix of w is w^-1
+    winv = WeylElement(F4, _root_matrix(F4, w.word))
+    assert winv == wd(F4, 1, 2, 3)
     assert weight_matrix(winv) == brute_matrix(F4, (1, 2, 3))
 
 
@@ -126,13 +133,15 @@ def test_word_properties(lt, data):
     mw = w.minimized_word()
     assert len(mw) == w.length()
     assert WeylElement.from_word(lt, mw) == w
-    # w^-1 swaps the two matrices; the brute model applies the reversed word
-    winv = WeylElement(lt, w.inv_root_rows, w.root_rows)
-    assert weight_matrix(winv) == brute_matrix(lt, tuple(reversed(word)))
+    assert weight_matrix(w) == brute_matrix(lt, word)
+    # the stored matrix is that of w^-1: the brute model of the reversed word
+    assert inverse_weight_matrix(w) == brute_matrix(lt, word[::-1])
+    winv = WeylElement(lt, _root_matrix(lt, w.word))
+    assert winv == WeylElement.from_word(lt, word[::-1])
     assert winv.length() == w.length()
-    # one-sided simple steps agree with the brute model of the longer word
+    # simple steps on either side agree with the brute model of the longer word
     i = data.draw(st.integers(1, n))
-    assert weight_matrix(w.right_mul_simple(i)) == brute_matrix(lt, word + (i,))
+    assert weight_matrix(WeylElement.from_word(lt, word + (i,))) == brute_matrix(lt, word + (i,))
     assert weight_matrix(w.left_mul_simple(i)) == brute_matrix(lt, (i,) + word)
 
 
@@ -149,7 +158,7 @@ def test_triangle_inequality(lt, data):
 
 def test_descents():
     w = wd(A2, 1, 2)  # sigma_1 sigma_2
-    assert w.has_right_descent(2) and not w.has_right_descent(1)
+    assert brute_right_descents(A2, w.word) == {2}
     assert w.has_left_descent(1) and not w.has_left_descent(2)
 
 
@@ -180,7 +189,7 @@ def test_enumerate_f4_p1():
     for r, i, w in table:
         assert w.word == w.minimized_word()
         assert w.length() == r
-        assert w.is_minimal_rep({1})
+        assert brute_right_descents(F4, w.word) <= {1}
     # words at each level are lexicographically sorted
     for level in table.levels:
         words = [w.word for w in level]
@@ -196,20 +205,44 @@ def test_enumerate_e6_p2():
 
 @pytest.mark.parametrize(
     "lt,K",
-    [(A3, {2}), (B3, {1}), (B3, {3}), (C3, {1}), (G2, {1}), (G2, {2}), (D4, {2})],
+    [
+        (A3, {2}), (B3, {1}), (B3, {3}), (C3, {1}), (G2, {1}), (G2, {2}), (D4, {2}),
+        (A3, {1, 2, 3}), (B3, {1, 2, 3}), (G2, {1, 2}),
+    ],
 )
 def test_enumerate_matches_brute_minimal_reps(lt, K):
+    # each level lists the lex-least reduced words of the brute minimal
+    # representatives of that length, in order
     table = enumerate_cosets(lt, K)
     brute = brute_minimal_reps(lt, K)
-    assert {r: table.beta(r) for r in range(table.lmax + 1)} == brute
+    assert {r: [w.word for w in level] for r, level in enumerate(table.levels)} == brute
+
+
+@pytest.mark.parametrize("lt,K", [(A3, {2}), (B3, {3}), (G2, {1, 2}), (D4, {2})])
+def test_left_step_matches_brute(lt, K):
+    # sigma_i * u is a child exactly when it is longer, minimal and has
+    # (i,) + word(u) as its lex-least reduced word
+    for level in enumerate_cosets(lt, K).levels:
+        for u in level:
+            for i in range(1, lt.rank + 1):
+                word = (i,) + u.word
+                child = brute_length(lt, word) == len(word) and (
+                    brute_right_descents(lt, word) <= K
+                ) and min(brute_all_reduced_words(lt, brute_matrix(lt, word))) == word
+                w = _left_step(u, i, K)
+                assert (w is not None) == child, (u.word, i)
+                if child:
+                    assert w.word == word and weight_matrix(w) == brute_matrix(lt, word)
 
 
 def test_minimal_rep_examples():
-    s1 = WeylElement.simple_reflection(F4, 1)
-    s2 = WeylElement.simple_reflection(F4, 2)
-    assert s1.is_minimal_rep({1})
-    assert not s2.is_minimal_rep({1})
-    assert WeylElement.identity(F4).is_minimal_rep(set())
+    e = WeylElement.identity(F4)
+    # sigma_1 is minimal for K={1}; sigma_2 lies in W_P
+    assert _left_step(e, 1, {1}) == WeylElement.simple_reflection(F4, 1)
+    assert _left_step(e, 2, {1}) is None
+    assert brute_right_descents(F4, (1,)) <= {1}
+    assert not brute_right_descents(F4, (2,)) <= {1}
+    assert enumerate_cosets(F4, set()).levels == [[e]]
 
 
 def test_poincare_duality_full_flag():
@@ -277,7 +310,7 @@ def test_binary_cache_roundtrip(tmp_path):
         assert loaded.complete == table.complete
         for r, i, w in table:
             got = loaded.element(r, i)
-            assert (got.root_rows, got.inv_root_rows) == (w.root_rows, w.inv_root_rows)
+            assert (got.word, got.inv_root_rows) == (w.word, w.inv_root_rows)
         assert not list(tmp_path.glob(".*.tmp"))
 
 
