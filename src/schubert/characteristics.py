@@ -31,6 +31,7 @@ from .weyl import (
     WeylElement,
     _identity_rows,
     _is_neg,
+    _root_matrix,
     reflection_pairs,
     right_multiply_rows,
 )
@@ -101,15 +102,6 @@ def _subword_solutions(lie_type, letters, target_rows, k):
 
     rec(0, identity, (), k)
     return out
-
-
-def _root_matrix(lie_type, word):
-    """The root matrix of sigma_word: row k is sigma_word(alpha_{k+1})."""
-    pairs = reflection_pairs(lie_type)
-    rows = _identity_rows(lie_type.rank)
-    for i in word:
-        rows = right_multiply_rows(rows, i - 1, pairs)
-    return rows
 
 
 def _targets(lie_type, factors):

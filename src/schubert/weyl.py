@@ -80,6 +80,15 @@ def right_multiply_rows(rows, j, pairs):
     return tuple(out)
 
 
+def _root_matrix(lie_type, word):
+    """The root matrix of sigma_word: row k is sigma_word(alpha_{k+1})."""
+    pairs = reflection_pairs(lie_type)
+    rows = _identity_rows(lie_type.rank)
+    for i in word:
+        rows = right_multiply_rows(rows, i - 1, pairs)
+    return rows
+
+
 class WeylElement:
     """An element of the Weyl group of `lie_type`, keyed by the root matrix of w^{-1}."""
 
@@ -102,8 +111,7 @@ class WeylElement:
         n = lie_type.rank
         if not 1 <= i <= n:
             raise ValueError(f"reflection index {i} out of range 1..{n}")
-        rows = right_multiply_rows(_identity_rows(n), i - 1, reflection_pairs(lie_type))
-        return cls(lie_type, rows, word=(i,))
+        return cls(lie_type, _root_matrix(lie_type, (i,)), word=(i,))
 
     @classmethod
     def from_word(cls, lie_type: LieType, word) -> "WeylElement":
@@ -111,10 +119,7 @@ class WeylElement:
         n = lie_type.rank
         if word and not (1 <= min(word) and max(word) <= n):
             raise ValueError(f"word {list(word)} has a letter outside 1..{n}")
-        w = cls.identity(lie_type)
-        for i in reversed(word):
-            w = w.left_mul_simple(i)
-        return w
+        return cls(lie_type, _root_matrix(lie_type, reversed(word)))
 
     def left_mul_simple(self, i: int) -> "WeylElement":
         """sigma_i * self, whose inverse is self^{-1} * sigma_i."""
@@ -182,6 +187,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _lengthens(u: WeylElement, i: int, K) -> bool:
+    """True iff sigma_i * u is longer than u and, for u in W^P, still in W^P."""
+    row = u.inv_root_rows[i - 1]
+    # a positive root of height 1 is a simple root alpha_j
+    return not (_is_neg(row) or (sum(row) == 1 and row.index(1) + 1 not in K))
+
+
 def _left_step(u: WeylElement, i: int, K) -> WeylElement | None:
     """The child sigma_i * u of u in the tree of W^P, or None.
 
@@ -190,9 +202,7 @@ def _left_step(u: WeylElement, i: int, K) -> WeylElement | None:
     module docstring).  ``enumerate_cosets`` takes this step and
     ``CosetTable.load_binary`` checks each cached class by it.
     """
-    row = u.inv_root_rows[i - 1]
-    # a positive root of height 1 is a simple root alpha_j
-    if _is_neg(row) or (sum(row) == 1 and row.index(1) + 1 not in K):
+    if not _lengthens(u, i, K):
         return None
     inv = right_multiply_rows(u.inv_root_rows, i - 1, reflection_pairs(u.lie_type))
     if any(_is_neg(inv[b]) for b in range(i - 1)):
@@ -316,8 +326,8 @@ class CosetTable:
         enumeration step, which also checks that the word is the lex-least
         reduced word of a minimal representative, so any other file raises
         ValueError.  A table marked complete must also end in one class that
-        no letter extends and have palindromic level sizes, so a file with
-        its top levels cut off is rejected too.
+        no letter lengthens within W^P and have palindromic level sizes, so
+        a file with its top levels cut off is rejected too.
         """
         try:
             return cls._from_json_obj(json.loads(Path(path).read_bytes()))
@@ -384,13 +394,12 @@ class CosetTable:
                 level.append(w)
             levels.append(level)
         if complete:
-            # a complete table ends in the single longest representative (a
-            # longer class would be the child of a class on the top level),
-            # and Poincare duality makes its level sizes palindromic
+            # a complete table ends in the single longest representative:
+            # W^P is the interval [e, w_0^P] of left weak order, so only
+            # w_0^P has no letter that lengthens it within W^P.  Poincare
+            # duality makes the level sizes palindromic.
             top = levels[-1]
-            if len(top) != 1 or any(
-                _left_step(top[0], a, K) is not None for a in range(1, n + 1)
-            ):
+            if len(top) != 1 or any(_lengthens(top[0], a, K) for a in range(1, n + 1)):
                 raise ValueError(f"marked complete, but level {len(levels) - 1} is not the top")
             if beta != beta[::-1]:
                 raise ValueError(f"marked complete, but beta {beta} is not palindromic")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from schubert.cartan import LieType, cartan_matrix, reflect_root
-from schubert.characteristics import _root_matrix
+from schubert.weyl import _root_matrix
 
 
 def _matmul(inner, outer):
@@ -187,7 +187,8 @@ def weight_matrix(w):
     """The weight matrix of a package element, from its stored word.
 
     The root matrix of w is folded from ``w.word`` by the package's
-    ``_root_matrix``, the helper that gives the subword search its targets.
+    ``_root_matrix``, the fold behind ``from_word`` and the subword search's
+    targets.
     """
     return _root_to_weight(w.lie_type, _root_matrix(w.lie_type, w.word))
 

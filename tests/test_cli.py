@@ -165,6 +165,13 @@ def _mark_truncated(obj):
     obj["complete"] = False
 
 
+def _top_not_longest(obj):
+    # full flag: keep [], [1], [2], [1,2]; the top class [1,2] has no tree
+    # child, but sigma_2 lengthens it to [1,2,1]
+    del obj["elements"][4:]
+    obj["beta"] = [1, 2, 1]
+
+
 def _duplicate_level_1(obj):
     obj["elements"].insert(2, {"r": 1, "i": 2, "word": [1]})
     obj["beta"] = [1, 2, 1]
@@ -188,6 +195,7 @@ CORRUPT_CACHES = {
     "beta-mismatch": ("1", _edit(lambda obj: obj.update(beta=[1, 1, 2]))),
     "top-level-dropped": ("1", _edit(_drop_top_level)),
     "marked-truncated": ("1", _edit(_mark_truncated)),
+    "top-not-longest": ("1,2", _edit(_top_not_longest)),
 }
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert.cartan import LieType
-from schubert.characteristics import _root_matrix
 from schubert.weyl import (
     CosetTable,
     EnumerationLimit,
     WeylElement,
     _left_step,
+    _root_matrix,
     enumerate_cosets,
 )
 
@@ -232,7 +232,9 @@ def test_left_step_matches_brute(lt, K):
                 w = _left_step(u, i, K)
                 assert (w is not None) == child, (u.word, i)
                 if child:
-                    assert w.word == word and weight_matrix(w) == brute_matrix(lt, word)
+                    # the matrix the step stores is that of w^-1
+                    assert w.word == word
+                    assert inverse_weight_matrix(w) == brute_matrix(lt, word[::-1])
 
 
 def test_minimal_rep_examples():
