@@ -13,7 +13,7 @@ matrix:
   presentation from a fibration.
 """
 
-from .cartan import LieType, cartan_matrix, reflect_root, reflect_weight
+from .cartan import LieType, cartan_matrix, reflect_weight
 from .characteristics import (
     SchubertClass,
     SchubertExpansion,
@@ -38,7 +38,6 @@ from .cohomology import (
     invariant_on_parabolic,
     minimal_generators,
     minimal_relations,
-    polynomial_expands_to_zero,
     relation_kernel,
     restrict_to_parabolic,
     rewrite_in_generators,
@@ -128,8 +127,6 @@ __all__ = [
     "monomial_exponents",
     "multiply_vec_by_class",
     "parse_polynomial",
-    "polynomial_expands_to_zero",
-    "reflect_root",
     "reflect_weight",
     "relation_kernel",
     "restrict_to_parabolic",

@@ -118,18 +118,3 @@ def reflect_weight(lie_type: LieType, i: int, v: tuple[int, ...]) -> tuple[int, 
     if ci == 0:
         return tuple(v)
     return tuple(v[k] - ci * row[k] for k in range(len(v)))
-
-
-def reflect_root(lie_type: LieType, i: int, r: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply sigma_i to a vector in simple-root coordinates.
-
-    >>> reflect_root(LieType.parse("A2"), 1, (0, 1))
-    (1, 1)
-    """
-    col = [row[i - 1] for row in cartan_matrix(lie_type)]
-    s = sum(rk * ck for rk, ck in zip(r, col))
-    if s == 0:
-        return tuple(r)
-    out = list(r)
-    out[i - 1] -= s
-    return tuple(out)

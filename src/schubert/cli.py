@@ -216,13 +216,8 @@ def _run_multiply(spec: JobSpec, table: CosetTable):
     return str(exp)
 
 
-def _generators_for(spec: JobSpec, table: CosetTable):
-    up_to = spec.degree if not table.complete else None
-    return minimal_generators(table, up_to=up_to)
-
-
 def _run_giambelli(spec: JobSpec, table: CosetTable):
-    gens = _generators_for(spec, table)
+    gens = minimal_generators(table)
     polys = giambelli(table, gens, spec.degree)
     entries = [
         {**_class_obj(table, SchubertClass(spec.degree, j)), "polynomial": str(p)}

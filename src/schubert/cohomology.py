@@ -40,6 +40,7 @@ from .intlinalg import (
     SparseIntLattice,
     cokernel_structure,
     diagonalize_with_unit_minor,
+    hermite_with_transform,
     kernel_basis,
     smith_with_transforms,
     solve_left,
@@ -214,19 +215,25 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
 def relation_kernel(table: CosetTable, gens: GeneratorSet, m: int):
     """Basis of the degree-m kernel of monomial evaluation, as polynomials.
 
-    Raises if the generators do not span degree m over Z (the kernel of a
-    non-surjective map would not capture all relations).
+    One Hermite form H = U * M of the structure matrix gives both answers.
+    The kernel is the rows of U facing zero rows of H.  The generators span
+    degree m over Z exactly when the nonzero rows of H form the beta x beta
+    identity, as the Hermite form of a lattice equal to Z^beta is the
+    identity.  Raises otherwise (the kernel of a non-surjective map would
+    not capture all relations).
     """
     bundle = structure_matrix(table, gens, m)
-    coker = cokernel_structure(bundle.matrix)
-    if not coker.is_trivial():
-        raise ValueError(
-            f"generators do not span degree {m}: cokernel {coker}"
-        )
+    beta = table.beta(m)
+    h, u = hermite_with_transform(bundle.matrix)
+    unit = [[int(i == j) for j in range(beta)] for i in range(beta)]
+    if [row for row in h if any(row)] != unit:
+        coker = cokernel_structure(bundle.matrix or [[0] * beta])
+        raise ValueError(f"generators do not span degree {m}: cokernel {coker}")
     out = []
-    for row in kernel_basis(bundle.matrix):
-        terms = {e: c for e, c in zip(bundle.exponents, row) if c}
-        out.append(IntPolynomial(gens.ring, terms))
+    for row, image in zip(u, h):
+        if not any(image):
+            terms = {e: c for e, c in zip(bundle.exponents, row) if c}
+            out.append(IntPolynomial(gens.ring, terms))
     return out
 
 
@@ -291,8 +298,7 @@ def _fresh_generators(basis, inside):
         return []
     if not inside:
         return [list(row) for row in basis]
-    coords = [solve_left(basis, row) for row in inside]
-    _, diag, q = smith_with_transforms(coords)
+    _, diag, q = smith_with_transforms(solve_left(basis, inside))
     qinv = unimodular_inverse(q)
     cols = len(basis[0])
     out = []
@@ -632,10 +638,6 @@ def expand_polynomial(table: CosetTable, poly: IntPolynomial, words) -> dict:
             elif key in out:
                 del out[key]
     return out
-
-
-def polynomial_expands_to_zero(table: CosetTable, poly: IntPolynomial, words) -> bool:
-    return not expand_polynomial(table, poly, words)
 
 
 def restrict_to_parabolic(full_table: CosetTable, sub_table: CosetTable, vec) -> dict:

@@ -13,6 +13,8 @@ Conventions:
   of U facing zero rows of H.
 * `smith_with_transforms(M)` returns (P, D, Q) with P * M * Q = D diagonal,
   positive invariant factors in a divisibility chain.
+* `solve_left(M, targets)` solves x * M = t over Z for every target row t
+  against one Hermite form of M.
 * `cokernel_structure(M)` describes Z^cols / (row span of M).
 * `SparseIntLattice` maintains an integer row span of sparse vectors
   incrementally (membership is divisibility-aware, so it is genuine
@@ -153,32 +155,34 @@ def kernel_basis(M):
     return [list(u[r]) for r in range(rows) if not any(h[r])]
 
 
-def solve_left(M, target):
-    """Integer row vector x with x * M = target.
+def solve_left(M, targets):
+    """Integer rows X with X * M = targets, one row per target row.
 
-    Raises ValueError when no integer solution exists (target outside the
-    integer row span of M).
+    Every target is solved against one Hermite form of M.  Raises
+    ValueError when some target has no integer solution (it lies outside
+    the integer row span of M).
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    if len(target) != cols:
+    if any(len(t) != cols for t in targets):
         raise ValueError("target length does not match matrix columns")
     h, u = hermite_with_transform(M)
-    t = list(target)
-    y = [0] * rows
-    for r in range(rows):
-        j = next((c for c in range(cols) if h[r][c]), None)
-        if j is None:
-            break
-        q, rem = divmod(t[j], h[r][j])
-        if rem:
-            raise ValueError("no integer solution: pivot does not divide")
-        if q:
-            y[r] = q
-            t = [a - q * b for a, b in zip(t, h[r])]
-    if any(t):
-        raise ValueError("no integer solution: target outside row span")
-    return [sum(y[r] * u[r][i] for r in range(rows)) for i in range(rows)]
+    pivots = [(r, next(c for c in range(cols) if h[r][c])) for r in range(rows) if any(h[r])]
+    out = []
+    for target in targets:
+        t = list(target)
+        y = [0] * rows
+        for r, j in pivots:
+            q, rem = divmod(t[j], h[r][j])
+            if rem:
+                raise ValueError("no integer solution: pivot does not divide")
+            if q:
+                y[r] = q
+                t = [a - q * b for a, b in zip(t, h[r])]
+        if any(t):
+            raise ValueError("no integer solution: target outside row span")
+        out.append([sum(y[r] * u[r][i] for r in range(rows)) for i in range(rows)])
+    return out
 
 
 def unimodular_inverse(M):
@@ -395,14 +399,7 @@ class SparseIntLattice:
         return changed
 
     def __contains__(self, vec) -> bool:
-        v = {k: c for k, c in vec.items() if c}
-        while v:
-            p = min(v)
-            row = self.pivots.get(p)
-            if row is None or v[p] % row[p]:
-                return False
-            v = self._combine(1, v, -(v[p] // row[p]), row)
-        return True
+        return not self.reduce(vec)
 
     def reduce(self, vec) -> dict:
         """Floor-reduce a vector at every pivot; residue of its coset."""
@@ -426,23 +423,16 @@ class SparseIntLattice:
         return len(self.pivots)
 
     def canonical_basis(self):
-        """Fully reduced rows as sorted item tuples; equal lattices agree."""
+        """Fully reduced rows as sorted item tuples; equal lattices agree.
+
+        Each row keeps its pivot entry and reduces the rest, whose keys all
+        lie above the pivot, at every other pivot.
+        """
         out = []
         for p in sorted(self.pivots):
-            v = dict(self.pivots[p])
-            res = {}
-            while v:
-                q = min(v)
-                row = self.pivots.get(q)
-                if q != p and row is not None:
-                    k = v[q] // row[q]
-                    if k:
-                        v = self._combine(1, v, -k, row)
-                if v.get(q):
-                    res[q] = v.pop(q)
-                else:
-                    v.pop(q, None)
-            out.append(tuple(sorted(res.items())))
+            row = self.pivots[p]
+            rest = self.reduce({k: c for k, c in row.items() if k != p})
+            out.append(((p, row[p]),) + tuple(sorted(rest.items())))
         return tuple(out)
 
     def copy(self) -> "SparseIntLattice":

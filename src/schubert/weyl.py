@@ -359,7 +359,8 @@ class CosetTable:
             if not isinstance(e, dict):
                 raise ValueError("an element is not an object")
             r, i, word = e.get("r"), e.get("i"), e.get("word")
-            if not (isinstance(word, list) and all(_is_int(a) for a in word)):
+            # one C-level type check per word; JSON true and 1.0 are not int
+            if not (isinstance(word, list) and set(map(type, word)) <= {int}):
                 raise ValueError(f"class ({r}, {i}): word is not a list of integers")
             if r == len(words):
                 words.append([])

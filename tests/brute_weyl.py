@@ -11,7 +11,7 @@ translate them into these terms.
 from fractions import Fraction
 from functools import lru_cache
 
-from schubert.cartan import LieType, cartan_matrix, reflect_root
+from schubert.cartan import LieType, cartan_matrix
 from schubert.weyl import _root_matrix
 
 
@@ -38,6 +38,17 @@ def _generator_matrices(lie_type):
             )
         )
     return gens
+
+
+def reflect_root(lie_type: LieType, i: int, r: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply sigma_i to a vector in simple-root coordinates."""
+    col = [row[i - 1] for row in cartan_matrix(lie_type)]
+    s = sum(rk * ck for rk, ck in zip(r, col))
+    if s == 0:
+        return tuple(r)
+    out = list(r)
+    out[i - 1] -= s
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

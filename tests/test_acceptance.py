@@ -37,7 +37,6 @@ from schubert.cohomology import (
     invariant_on_parabolic,
     minimal_generators,
     minimal_relations,
-    polynomial_expands_to_zero,
     rewrite_in_generators,
     special_unitary_forms,
     spin_relations_reduced,
@@ -117,7 +116,7 @@ def test_criterion_3_f4_base_presentation(f4_p1, acceptance_record):
         gens = GeneratorSet.from_words(f4_p1, data.F4_WORDS)
         for text in data.F4_BASE_RELATIONS:
             rel = parse_polynomial(gens.ring, text)
-            assert polynomial_expands_to_zero(f4_p1, rel, data.F4_WORDS), text
+            assert not expand_polynomial(f4_p1, rel, data.F4_WORDS), text
         pres = minimal_relations(f4_p1, gens, 12)
         assert pres.relation_degrees() == (3, 6, 8, 12)
 
@@ -244,7 +243,7 @@ def test_criterion_6_e6_base_relations(e6_p2, acceptance_record):
         gens = GeneratorSet.from_words(e6_p2, data.E6_WORDS)
         for text in data.E6_BASE_RELATIONS:
             rel = parse_polynomial(gens.ring, text)
-            assert polynomial_expands_to_zero(e6_p2, rel, data.E6_WORDS), text
+            assert not expand_polynomial(e6_p2, rel, data.E6_WORDS), text
 
 
 def test_criterion_6_e7_base_relations(e7_p2, acceptance_record):
@@ -252,7 +251,7 @@ def test_criterion_6_e7_base_relations(e7_p2, acceptance_record):
         gens = GeneratorSet.from_words(e7_p2, data.E7_WORDS)
         for text in data.E7_BASE_RELATIONS:
             rel = parse_polynomial(gens.ring, text)
-            assert polynomial_expands_to_zero(e7_p2, rel, data.E7_WORDS), text
+            assert not expand_polynomial(e7_p2, rel, data.E7_WORDS), text
 
 
 @EXTENDED
@@ -356,4 +355,4 @@ def test_criterion_9_spin8_relations(acceptance_record):
     with criterion(acceptance_record, "Spin(8)/T reduced relations vanish", 300.0):
         _, relations, words = spin_relations_reduced(4)
         for k, rel in enumerate(relations, start=1):
-            assert polynomial_expands_to_zero(table, rel, words), (k, str(rel))
+            assert not expand_polynomial(table, rel, words), (k, str(rel))

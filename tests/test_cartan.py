@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from schubert.cartan import LieType, cartan_matrix, reflect_root, reflect_weight
+from schubert.cartan import LieType, cartan_matrix, reflect_weight
 
-from brute_weyl import all_roots, positive_roots
+from brute_weyl import all_roots, positive_roots, reflect_root
 
 SMALL_TYPES = [
     LieType.parse(s)

@@ -185,6 +185,9 @@ CORRUPT_CACHES = {
     "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}'),
     "letter-0": ("1", _set_word(1, [0])),
     "letter-rank+1": ("1", _set_word(1, [3])),
+    # true and 1.0 compare equal to 1; (1.0,) would find the parent (1,)
+    "letter-true": ("1", _set_word(1, [True])),
+    "tail-letter-float": ("1", _set_word(2, [2, 1.0])),
     "not-reduced": ("1", _set_word(2, [1, 1])),
     "not-minimal": ("1", _set_word(1, [2])),
     "tail-not-a-class": ("1", _set_word(2, [1, 2])),

@@ -22,7 +22,6 @@ from schubert.cohomology import (
     invariant_on_parabolic,
     minimal_generators,
     minimal_relations,
-    polynomial_expands_to_zero,
     relation_kernel,
     rewrite_in_generators,
     special_unitary_forms,
@@ -149,10 +148,22 @@ def test_relation_kernel_degree_one_empty(f4_p1, f4_gens):
     assert relation_kernel(f4_p1, f4_gens, 1) == []
 
 
-def test_relation_kernel_requires_surjectivity(f4_p1):
-    gens = GeneratorSet.from_words(f4_p1, [("w1", (1,))])
-    with pytest.raises(ValueError, match="degree 3"):
-        relation_kernel(f4_p1, gens, 3)
+@pytest.mark.parametrize(
+    "gen,m,coker",
+    [
+        (("w1", (1,)), 3, "Z/2"),
+        # no monomial in y3 reaches degree 1: an empty structure matrix
+        (("y3", (3, 2, 1)), 1, "Z"),
+    ],
+    ids=["w1-degree-3", "y3-degree-1"],
+)
+def test_relation_kernel_requires_surjectivity(f4_p1, gen, m, coker):
+    gens = GeneratorSet.from_words(f4_p1, [gen])
+    message = f"^generators do not span degree {m}: cokernel {coker}$"
+    with pytest.raises(ValueError, match=message):
+        relation_kernel(f4_p1, gens, m)
+    with pytest.raises(ValueError, match=message):
+        minimal_relations(f4_p1, gens, m + 1)
 
 
 def test_minimal_relations_f4(f4_p1, f4_gens):
@@ -162,7 +173,7 @@ def test_minimal_relations_f4(f4_p1, f4_gens):
         rel = parse_polynomial(f4_gens.ring, text)
         span = graded_ideal_span(f4_gens.ring, pres.relations, rel.degree())
         assert rel.terms in span
-        assert polynomial_expands_to_zero(f4_p1, rel, data.F4_WORDS)
+        assert not expand_polynomial(f4_p1, rel, data.F4_WORDS)
 
 
 def test_minimal_relations_e6(e6_p2, e6_gens):
@@ -383,7 +394,7 @@ def test_assemble_f4_full_flag(f4_full):
     words.update({f"w{i}": (i,) for i in (2, 3, 4)})
     for rel in pres.relations:
         if rel.degree() <= 4:
-            assert polynomial_expands_to_zero(f4_full, rel, words)
+            assert not expand_polynomial(f4_full, rel, words)
 
 
 def test_assemble_rejects_unmatched_glue():

@@ -1,17 +1,37 @@
-"""Source hygiene: no module imports a name it never uses, and no private
-helper in `src/` is left without a caller.
+"""Source hygiene: no module imports a name it never uses, no private
+helper in `src/` is left without a caller, and no exported name is used
+only by tests.
 
 No lint tool is part of the test dependencies, so these AST scans are what
-keep orphaned imports out of `src/`, `tests/` and `scripts/`, and orphaned
-module-level `_name` definitions out of `src/schubert/`.  Package
-`__init__.py` files re-export names and `from __future__` imports are
-directives, so both are exempt from the import scan.
+keep orphaned imports out of `src/`, `tests/` and `scripts/`, orphaned
+module-level `_name` definitions out of `src/schubert/`, and test-only
+code out of `schubert.__all__`.  Package `__init__.py` files re-export
+names and `from __future__` imports are directives, so both are exempt
+from the import scan.
 """
 
 import ast
 from pathlib import Path
 
+import schubert
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# Exported names that nothing outside the tests uses, kept on purpose:
+# `evaluate` (the triangular operator on one reduced word) and
+# `subwords_equal_to` (the subword search on its own) are kept by ROADMAP
+# item 4, and the three form families are the data of acceptance criteria
+# 8 and 9; `characteristic` is README's library example, and
+# `parse_polynomial` reads back the polynomial text format of README.
+EXPORTED_FOR_TESTS = {
+    "characteristic",
+    "evaluate",
+    "parse_polynomial",
+    "special_unitary_forms",
+    "spin_relations_reduced",
+    "subwords_equal_to",
+    "symplectic_forms",
+}
 
 
 def _imported_names(tree):
@@ -32,8 +52,11 @@ def unused_imports(path):
     return [(line, name) for line, name in _imported_names(tree) if name not in used]
 
 
-def _private_definitions(tree):
-    """Module-level functions, classes and assignments named `_x` (not dunder)."""
+def _definitions(tree):
+    """(name, body) of module-level functions, classes and assignments.
+
+    The body is None for an assignment.
+    """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [(node.name, node)]
@@ -42,9 +65,7 @@ def _private_definitions(tree):
             targets = [(t.id, None) for t in found if isinstance(t, ast.Name)]
         else:
             continue
-        for name, body in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, body
+        yield from targets
 
 
 def _references(tree):
@@ -59,24 +80,56 @@ def _references(tree):
                 yield alias.name
 
 
+def _parse(paths):
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def _reference_counts(trees):
+    counts = {}
+    for tree in trees:
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _own_references(name, body):
+    """References a function or class makes to itself, inside its own body."""
+    return sum(1 for ref in _references(body) if ref == name) if body else 0
+
+
 def orphaned_private_helpers(paths):
     """(path, name) of each private definition that nothing else references.
 
     A function's or class's references to itself, inside its own body,
     do not count.
     """
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
-    counts = {}
-    for tree in trees.values():
-        for name in _references(tree):
-            counts[name] = counts.get(name, 0) + 1
+    trees = _parse(paths)
+    counts = _reference_counts(trees.values())
     found = []
     for path, tree in trees.items():
-        for name, body in _private_definitions(tree):
-            own = sum(1 for ref in _references(body) if ref == name) if body else 0
-            if counts.get(name, 0) <= own:
+        for name, body in _definitions(tree):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and counts.get(name, 0) <= _own_references(name, body):
                 found.append((path, name))
     return found
+
+
+def exported_without_use(exported, modules, others):
+    """Names in `exported` that no module and no other file references.
+
+    `modules` are the package's files that define the names (without its
+    `__init__.py`), `others` the files that may use them.  A definition's
+    references to itself, inside its own body, do not count, and neither
+    does a mention in a string such as a doctest.
+    """
+    trees = _parse(modules)
+    counts = _reference_counts([*trees.values(), *_parse(others).values()])
+    own = {
+        name: _own_references(name, body)
+        for tree in trees.values()
+        for name, body in _definitions(tree)
+    }
+    return [name for name in exported if counts.get(name, 0) <= own.get(name, 0)]
 
 
 def test_no_orphaned_private_helpers():
@@ -106,6 +159,41 @@ def test_scan_finds_orphaned_helpers(tmp_path):
     b.write_text("from a import _Helper\n")
     found = orphaned_private_helpers([a, b])
     assert [name for _, name in found] == ["_recursive", "_orphan"]
+
+
+def test_exported_names_have_a_use_outside_tests():
+    package = ROOT / "src" / "schubert"
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    others = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    found = exported_without_use(schubert.__all__, modules, others)
+    assert sorted(found) == sorted(EXPORTED_FOR_TESTS), (
+        "exported names only tests use (move them to tests/ or onto the "
+        f"allow-list): {sorted(set(found) - EXPORTED_FOR_TESTS)}; allow-listed "
+        f"names now in use: {sorted(EXPORTED_FOR_TESTS - set(found))}"
+    )
+
+
+def test_scan_finds_exported_names_without_use(tmp_path):
+    lib = tmp_path / "lib.py"
+    app = tmp_path / "app.py"
+    lib.write_text(
+        "def used(x):\n"
+        "    return x\n"
+        "def recursive(x):\n"
+        "    return recursive(x - 1) if x else 0\n"
+        "def documented():\n"
+        "    \"\"\">>> documented()\"\"\"\n"
+        "class Helper:\n"
+        "    def copy(self):\n"
+        "        return Helper()\n"
+        "def via_attribute():\n"
+        "    pass\n"
+    )
+    app.write_text("import lib\nfrom lib import used\nlib.via_attribute()\n")
+    exported = ["used", "recursive", "documented", "Helper", "via_attribute"]
+    assert exported_without_use(exported, [lib], [app]) == [
+        "recursive", "documented", "Helper",
+    ]
 
 
 def test_no_unused_imports():

@@ -360,20 +360,33 @@ def test_lattice_dimension_check():
 # -- sparse lattices ----------------------------------------------------------
 
 
+def _sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
 def test_sparse_lattice_matches_dense():
     from schubert.intlinalg import SparseIntLattice
 
     rng = random.Random(13)
+    seen = set()
     for _ in range(40):
         dim = rng.randint(2, 5)
         vecs = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(rng.randint(1, 4))]
         dense = IntLattice(dim, vecs)
-        sparse = SparseIntLattice({i: x for i, x in enumerate(v) if x} for v in vecs)
+        sparse = SparseIntLattice(_sparse(v) for v in vecs)
         assert sparse.rank == dense.rank
+        assert sparse.canonical_basis() == tuple(
+            tuple(_sparse(row).items()) for row in dense.canonical_basis()
+        )
         for _ in range(10):
             probe = [rng.randint(-8, 8) for _ in range(dim)]
-            sp = {i: x for i, x in enumerate(probe) if x}
-            assert (sp in sparse) == (probe in dense)
+            coeffs = [rng.randint(-3, 3) for _ in vecs]
+            member = [sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(dim)]
+            for vec in (probe, member):
+                assert (_sparse(vec) in sparse) == (vec in dense)
+                assert sparse.reduce(_sparse(vec)) == _sparse(dense.reduce(vec))
+                seen.add(vec in dense)
+    assert seen == {True, False}
 
 
 def test_sparse_lattice_tuple_keys():
@@ -414,21 +427,22 @@ def test_solve_left_roundtrip(M, seed):
     from schubert.intlinalg import solve_left
 
     rng = random.Random(seed)
-    coeffs = [rng.randint(-4, 4) for _ in M]
-    target = [sum(c * row[j] for c, row in zip(coeffs, M)) for j in range(len(M[0]))]
-    x = solve_left(M, target)
-    assert [sum(xi * row[j] for xi, row in zip(x, M)) for j in range(len(M[0]))] == target
+    coeffs = [[rng.randint(-4, 4) for _ in M] for _ in range(rng.randint(0, 4))]
+    targets = mat_mul(coeffs, M)
+    x = solve_left(M, targets)
+    assert len(x) == len(targets)
+    assert mat_mul(x, M) == targets
 
 
 def test_solve_left_rejects_fractional_and_outside():
     from schubert.intlinalg import solve_left
 
-    with pytest.raises(ValueError):
-        solve_left([[2, 0]], [1, 0])  # needs coefficient 1/2
-    with pytest.raises(ValueError):
-        solve_left([[1, 0]], [0, 1])  # outside the row span
-    with pytest.raises(ValueError):
-        solve_left([[1, 0]], [0, 0, 1])  # length mismatch
+    with pytest.raises(ValueError, match="pivot does not divide"):
+        solve_left([[2, 0]], [[2, 0], [1, 0], [4, 0]])  # [1, 0] needs 1/2
+    with pytest.raises(ValueError, match="outside row span"):
+        solve_left([[1, 0]], [[3, 0], [0, 1]])
+    with pytest.raises(ValueError, match="length"):
+        solve_left([[1, 0]], [[1, 0], [0, 0, 1]])
 
 
 @given(matrices)
