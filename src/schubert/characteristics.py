@@ -6,9 +6,11 @@ over the size-l(u_t) position sets I whose increasing subword product
 equals u_t; the structure constant is the triangular operator of the word's
 Cartan matrix applied to the product of these sums.
 
-Because a product of q reflections can only have length q when every
-prefix increases length, subword search is a depth-first walk that extends
-a partial product w' by position p exactly when w'(alpha_{letter p}) > 0.
+By the exchange property a word of l(u) letters multiplies to u exactly
+when each letter, read from the left, is a left descent of what is left of
+u.  So subword search is a depth-first walk down from u: it takes position
+p exactly when the remainder v has v^{-1}(alpha_{letter p}) < 0, peels that
+letter off, and reaches the identity after l(u) steps.
 
 One sweep evaluates this over every target of a level: `expand_product`
 (any number of factors) and `expand_pair` (two factors, cached per
@@ -31,7 +33,6 @@ from .weyl import (
     WeylElement,
     _identity_rows,
     _is_neg,
-    _root_matrix,
     reflection_pairs,
     right_multiply_rows,
 )
@@ -75,38 +76,31 @@ class SchubertExpansion:
 # ------------------------------------------------------------- subwords
 
 
-def _subword_solutions(lie_type, letters, target_rows, k):
-    """0-based position tuples I with |I| = k whose product equals the target.
+def _subword_solutions(lie_type, letters, inv_rows, k):
+    """0-based position tuples I with |I| = k whose product equals u.
 
-    Only stepwise length-increasing walks can reach length k in k steps, so
-    branches extend by position p exactly when the partial product keeps
-    alpha_{letters[p]} positive.
+    `inv_rows` is u's ``inv_root_rows`` and k = l(u).  A branch takes
+    position p exactly when letters[p] is a left descent of the remainder,
+    and right-multiplies the remainder's inverse by that reflection; after k
+    steps the remainder is the identity.
     """
     m = len(letters)
     if k > m:
         return []
-    n = len(target_rows)
     pairs = reflection_pairs(lie_type)
-    identity = _identity_rows(n)
     out = []
 
     def rec(pos, rows, chosen, need):
         if need == 0:
-            if rows == target_rows:
-                out.append(chosen)
+            out.append(chosen)
             return
         for p in range(pos, m - need + 1):
             j0 = letters[p] - 1
-            if not _is_neg(rows[j0]):
+            if _is_neg(rows[j0]):
                 rec(p + 1, right_multiply_rows(rows, j0, pairs), chosen + (p,), need - 1)
 
-    rec(0, identity, (), k)
+    rec(0, inv_rows, (), k)
     return out
-
-
-def _targets(lie_type, factors):
-    """(root matrix, length) of each factor element, from its word."""
-    return [(_root_matrix(lie_type, u.word), len(u.word)) for u in factors]
 
 
 def subwords_equal_to(word, target: WeylElement):
@@ -118,9 +112,9 @@ def subwords_equal_to(word, target: WeylElement):
     >>> subwords_equal_to((1, 2, 1), s1)
     [(1,), (3,)]
     """
-    lt = target.lie_type
-    rows = _root_matrix(lt, target.word)
-    sols = _subword_solutions(lt, tuple(word), rows, target.length())
+    sols = _subword_solutions(
+        target.lie_type, tuple(word), target.inv_root_rows, target.length()
+    )
     return sorted(tuple(p + 1 for p in sol) for sol in sols)
 
 
@@ -145,11 +139,11 @@ def _value_from_solutions(lie_type, letters, solution_lists):
     return evaluate_exponents(cartan_matrix_of_word(lie_type, letters), poly)
 
 
-def _characteristic_on_word(lie_type, letters, targets):
-    """The formula along `letters` for the factor `_targets` (0 without a subword)."""
+def _characteristic_on_word(lie_type, letters, factors):
+    """The formula along `letters` for the factor elements (0 without a subword)."""
     solution_lists = []
-    for rows, k in targets:
-        sols = _subword_solutions(lie_type, letters, rows, k)
+    for u in factors:
+        sols = _subword_solutions(lie_type, letters, u.inv_root_rows, len(u.word))
         if not sols:
             return 0
         solution_lists.append(sols)
@@ -158,11 +152,9 @@ def _characteristic_on_word(lie_type, letters, targets):
 
 def _sweep(table: CosetTable, r: int, factors):
     """{(r, i): coefficient} of the product of the factor elements on level r."""
-    lt = table.lie_type
-    targets = _targets(lt, factors)
     out = {}
     for i, w in enumerate(table.levels[r], start=1):
-        val = _characteristic_on_word(lt, w.word, targets)
+        val = _characteristic_on_word(table.lie_type, w.word, factors)
         if val:
             out[(r, i)] = val
     return out
@@ -184,8 +176,7 @@ def characteristic(table: CosetTable, w: SchubertClass, factors) -> int:
     elements = [table.element(f.r, f.i) for f in factors]
     if len(factors) == 1:
         return 1 if factors[0] == w else 0
-    lt = table.lie_type
-    return _characteristic_on_word(lt, target.word, _targets(lt, elements))
+    return _characteristic_on_word(table.lie_type, target.word, elements)
 
 
 def expand_product(table: CosetTable, factors) -> SchubertExpansion:

@@ -217,7 +217,7 @@ def _run_multiply(spec: JobSpec, table: CosetTable):
 
 
 def _run_giambelli(spec: JobSpec, table: CosetTable):
-    gens = minimal_generators(table)
+    gens = minimal_generators(table, up_to=spec.degree)
     polys = giambelli(table, gens, spec.degree)
     entries = [
         {**_class_obj(table, SchubertClass(spec.degree, j)), "polynomial": str(p)}

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .cartan import LieType, reflect_weight
@@ -106,15 +105,6 @@ class GeneratorSet:
                     f"generator {g.name}: word {g.word} is not a class of the table"
                 ) from None
 
-    @classmethod
-    def from_words(cls, table: CosetTable, named_words) -> "GeneratorSet":
-        """Build from {name: word} or an iterable of (name, word) pairs."""
-        pairs = named_words.items() if isinstance(named_words, Mapping) else named_words
-        return cls(
-            table,
-            [Generator(name, 2 * len(word), tuple(word)) for name, word in pairs],
-        )
-
     def expand_exponents(self, exponents) -> dict:
         """Schubert expansion vector of the monomial with these exponents."""
         classes = []
@@ -163,8 +153,9 @@ def _covers_everything(lat: SparseIntLattice, beta: int) -> bool:
 def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
     """Select a minimal set of Schubert classes generating the ring.
 
-    Degree by degree, products of at least two previously chosen
-    generators span a sublattice of the degree's classes; whenever that
+    Degree by degree, the monomials in the previously chosen generators
+    (each a product of at least two, as every generator has lower degree)
+    span a sublattice of the degree's classes; whenever that
     sublattice is proper, the smallest set of classes completing it is
     added (ties broken by lowest class index).  Weight classes are named
     w<letter>, higher generators y<degree>.
@@ -182,9 +173,8 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
         lat = SparseIntLattice()
         if probe is not None:
             for e in monomial_exponents(probe.ring, m):
-                if sum(e) >= 2:
-                    vec = probe.expand_exponents(e)
-                    lat.add({j: c for (_, j), c in vec.items()})
+                vec = probe.expand_exponents(e)
+                lat.add({j: c for (_, j), c in vec.items()})
         if _covers_everything(lat, beta):
             continue
         need_at_least = max(1, beta - lat.rank)

@@ -34,7 +34,7 @@ class StrictUpperMatrix:
     """Integer matrix with entries only strictly above the diagonal.
 
     ``rows[i]`` holds (a_{i,i+1}, ..., a_{i,size-1}) in 0-based indexing,
-    so ``entry(i, j)`` is defined for 0 <= i < j < size.
+    so a_{ij} is ``rows[i][j - i - 1]`` for 0 <= i < j < size.
     """
 
     size: int
@@ -54,11 +54,6 @@ class StrictUpperMatrix:
             tuple(fn(i, j) for j in range(i + 1, size)) for i in range(size)
         )
         return cls(size, rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= i < j < self.size:
-            raise IndexError(f"({i}, {j}) is not a strict upper position")
-        return self.rows[i][j - i - 1]
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries a_{0j}..a_{j-1,j} above position j."""

@@ -121,24 +121,10 @@ class WeylElement:
             raise ValueError(f"word {list(word)} has a letter outside 1..{n}")
         return cls(lie_type, _root_matrix(lie_type, reversed(word)))
 
-    def left_mul_simple(self, i: int) -> "WeylElement":
-        """sigma_i * self, whose inverse is self^{-1} * sigma_i."""
-        lt = self.lie_type
-        return WeylElement(
-            lt, right_multiply_rows(self.inv_root_rows, i - 1, reflection_pairs(lt))
-        )
-
     # -- length, descents, words --------------------------------------
 
     def length(self) -> int:
         return len(self.word)
-
-    def is_identity(self) -> bool:
-        return self.inv_root_rows == _identity_rows(self.lie_type.rank)
-
-    def has_left_descent(self, i: int) -> bool:
-        """True iff l(sigma_i w) < l(w), i.e. w^{-1}(alpha_i) < 0."""
-        return _is_neg(self.inv_root_rows[i - 1])
 
     def minimized_word(self) -> tuple[int, ...]:
         """The lexicographically smallest reduced word.
@@ -147,18 +133,17 @@ class WeylElement:
         left descent starts one, so the lex-least word begins with the
         smallest left descent and recurses.
         """
-        n = self.lie_type.rank
-        u = self
+        pairs = reflection_pairs(self.lie_type)
+        rows = self.inv_root_rows
         letters = []
         while True:
-            for i in range(1, n + 1):
-                if u.has_left_descent(i):
-                    letters.append(i)
-                    u = u.left_mul_simple(i)
+            for j, row in enumerate(rows):
+                if _is_neg(row):
+                    letters.append(j + 1)
+                    rows = right_multiply_rows(rows, j, pairs)
                     break
             else:
-                break
-        return tuple(letters)
+                return tuple(letters)
 
     @property
     def word(self) -> tuple[int, ...]:

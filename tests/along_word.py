@@ -4,7 +4,7 @@ The package evaluates a target only along its minimized word.  The value
 must not depend on that choice, and the tests check it through this helper.
 """
 
-from schubert.characteristics import _characteristic_on_word, _targets
+from schubert.characteristics import _characteristic_on_word
 from schubert.weyl import WeylElement
 
 
@@ -16,6 +16,4 @@ def characteristic_with_word(table, word, factors):
     if sum(f.r for f in factors) != len(word):
         raise ValueError("degree mismatch between word and factors")
     elements = [table.element(f.r, f.i) for f in factors]
-    return _characteristic_on_word(
-        table.lie_type, word, _targets(table.lie_type, elements)
-    )
+    return _characteristic_on_word(table.lie_type, word, elements)

@@ -5,14 +5,22 @@ rows, row k = image of omega_{k+1}), generated by plain matrix closure.
 Lengths come from BFS distance in the Cayley graph, not from root counting,
 so agreement with the package is a genuine cross-check.  Only
 `weight_matrix` and `inverse_weight_matrix` read package elements, to
-translate them into these terms.
+translate them into these terms, and `ascending_subword_solutions` keeps
+the package's earlier subword search, on its root matrices, as an oracle
+for the one it has now.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from schubert.cartan import LieType, cartan_matrix
-from schubert.weyl import _root_matrix
+from schubert.weyl import (
+    _identity_rows,
+    _is_neg,
+    _root_matrix,
+    reflection_pairs,
+    right_multiply_rows,
+)
 
 
 def _matmul(inner, outer):
@@ -198,8 +206,7 @@ def weight_matrix(w):
     """The weight matrix of a package element, from its stored word.
 
     The root matrix of w is folded from ``w.word`` by the package's
-    ``_root_matrix``, the fold behind ``from_word`` and the subword search's
-    targets.
+    ``_root_matrix``, the fold behind ``from_word``.
     """
     return _root_to_weight(w.lie_type, _root_matrix(w.lie_type, w.word))
 
@@ -207,3 +214,31 @@ def weight_matrix(w):
 def inverse_weight_matrix(w):
     """The weight matrix of w^-1, from the element's stored ``inv_root_rows``."""
     return _root_to_weight(w.lie_type, w.inv_root_rows)
+
+
+def ascending_subword_solutions(lie_type, letters, u):
+    """0-based position tuples I, |I| = l(u), whose subword of `letters` is u.
+
+    The walk starts at the identity and extends a partial product w' by
+    position p exactly when w'(alpha_{letters[p]}) > 0, since only stepwise
+    length-increasing products reach length l(u) in l(u) steps; each leaf is
+    compared with the root matrix of u folded from its word.
+    """
+    target = _root_matrix(lie_type, u.word)
+    k = len(u.word)
+    m = len(letters)
+    pairs = reflection_pairs(lie_type)
+    out = []
+
+    def rec(pos, rows, chosen, need):
+        if need == 0:
+            if rows == target:
+                out.append(chosen)
+            return
+        for p in range(pos, m - need + 1):
+            j0 = letters[p] - 1
+            if not _is_neg(rows[j0]):
+                rec(p + 1, right_multiply_rows(rows, j0, pairs), chosen + (p,), need - 1)
+
+    rec(0, _identity_rows(lie_type.rank), (), k)
+    return out

@@ -6,8 +6,20 @@ and the simplified full-flag relations.  Base relations are parseable
 strings over the named generators; full-flag relations are builders that
 receive a dict with the generator variables and the invariant
 polynomials c2..cn (as produced by `weyl_orbit_invariants`) and return
-the relation polynomial.
+the relation polynomial.  `generator_set` binds named generator words to
+the classes of a coset table.
 """
+
+from schubert.cohomology import Generator, GeneratorSet
+
+
+def generator_set(table, named_words):
+    """A GeneratorSet from {name: word} or an iterable of (name, word) pairs."""
+    pairs = named_words.items() if isinstance(named_words, dict) else named_words
+    return GeneratorSet(
+        table, [Generator(name, 2 * len(word), tuple(word)) for name, word in pairs]
+    )
+
 
 # Generator words on the parabolic quotient (and their pullbacks on G/T).
 F4_WORDS = {

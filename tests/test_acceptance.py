@@ -29,7 +29,6 @@ from schubert.characteristics import (
     expand_product,
 )
 from schubert.cohomology import (
-    GeneratorSet,
     elementary_symmetric,
     expand_polynomial,
     graded_ideal_span,
@@ -113,7 +112,7 @@ def test_criterion_2_grassmannian_oracle(acceptance_record):
 
 def test_criterion_3_f4_base_presentation(f4_p1, acceptance_record):
     with criterion(acceptance_record, "F4/P1 relations vanish + minimal degrees {3,6,8,12}", 60.0):
-        gens = GeneratorSet.from_words(f4_p1, data.F4_WORDS)
+        gens = data.generator_set(f4_p1, data.F4_WORDS)
         for text in data.F4_BASE_RELATIONS:
             rel = parse_polynomial(gens.ring, text)
             assert not expand_polynomial(f4_p1, rel, data.F4_WORDS), text
@@ -192,7 +191,7 @@ def test_criterion_5_orbits_and_glue(acceptance_record):
         for lt_name, node, words, r, expected_text in data.GLUE_CHECKS:
             lt = LieType.parse(lt_name)
             table = enumerate_cosets(lt, {node})
-            gens = GeneratorSet.from_words(table, words)
+            gens = data.generator_set(table, words)
             c_r = weyl_orbit_invariants(lt, {node}, GLUE_SEEDS[lt_name])[r - 1]
             vec = invariant_on_parabolic(table, c_r)
             g = rewrite_in_generators(table, gens, vec)
@@ -240,7 +239,7 @@ def test_criterion_6_f4_whole_flag_relations(f4_full, acceptance_record):
 
 def test_criterion_6_e6_base_relations(e6_p2, acceptance_record):
     with criterion(acceptance_record, "E6/P2: base relations vanish (72 classes)", 900.0):
-        gens = GeneratorSet.from_words(e6_p2, data.E6_WORDS)
+        gens = data.generator_set(e6_p2, data.E6_WORDS)
         for text in data.E6_BASE_RELATIONS:
             rel = parse_polynomial(gens.ring, text)
             assert not expand_polynomial(e6_p2, rel, data.E6_WORDS), text
@@ -248,7 +247,7 @@ def test_criterion_6_e6_base_relations(e6_p2, acceptance_record):
 
 def test_criterion_6_e7_base_relations(e7_p2, acceptance_record):
     with criterion(acceptance_record, "E7/P2: base relations vanish (576 classes)", 900.0):
-        gens = GeneratorSet.from_words(e7_p2, data.E7_WORDS)
+        gens = data.generator_set(e7_p2, data.E7_WORDS)
         for text in data.E7_BASE_RELATIONS:
             rel = parse_polynomial(gens.ring, text)
             assert not expand_polynomial(e7_p2, rel, data.E7_WORDS), text

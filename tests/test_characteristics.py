@@ -1,8 +1,10 @@
 """Tests for Schubert structure constants and product expansion."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubert.cartan import LieType
 from schubert.weyl import WeylElement, enumerate_cosets
@@ -21,11 +23,21 @@ from schubert.characteristics import (
 )
 
 from along_word import characteristic_with_word
-from brute_weyl import brute_all_reduced_words, brute_matrix
+from brute_weyl import (
+    ascending_subword_solutions,
+    brute_all_reduced_words,
+    brute_length,
+    brute_matrix,
+)
+from presentation_data import E6_WORDS
 from lr_oracle import lr_coefficient, schur_product_in_box
 
 A2 = LieType.parse("A2")
 A3 = LieType.parse("A3")
+B3 = LieType.parse("B3")
+C3 = LieType.parse("C3")
+D4 = LieType.parse("D4")
+G2 = LieType.parse("G2")
 F4 = LieType.parse("F4")
 
 
@@ -56,6 +68,51 @@ def test_subwords_longer():
     assert subwords_equal_to((1, 2, 1), u) == [(1, 2)]
     v = WeylElement.from_word(A2, (2, 1))
     assert subwords_equal_to((1, 2, 1), v) == [(2, 3)]
+
+
+def test_subword_search_matches_oracle(f4_p1, b3_full, e6_p2):
+    # the walk down from u against the walk up from the identity: every
+    # (target, class) pair on F4/P1 and B3/T, the generators on E6/P2
+    def elements(table):
+        return [w for _, _, w in table]
+
+    e6_classes = [e6_p2.element(*e6_p2.class_of_word(w)) for w in E6_WORDS.values()]
+    found = 0
+    for table, classes in [
+        (f4_p1, elements(f4_p1)), (b3_full, elements(b3_full)), (e6_p2, e6_classes),
+    ]:
+        lt = table.lie_type
+        for w in elements(table):
+            for u in classes:
+                if u.length() > w.length():
+                    continue
+                sols = characteristics._subword_solutions(
+                    lt, w.word, u.inv_root_rows, u.length()
+                )
+                assert sols == ascending_subword_solutions(lt, w.word, u), (lt, w, u)
+                found += len(sols)
+    assert found > 0
+
+
+@given(lt=st.sampled_from([A3, B3, C3, G2, D4]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_subwords_match_brute_enumeration(lt, data):
+    # any word, reduced or not, and any u no longer than it
+    n = lt.rank
+    word = tuple(data.draw(st.lists(st.integers(1, n), max_size=8)))
+    if data.draw(st.booleans()):
+        u_word = tuple(a for a in word if data.draw(st.booleans()))
+    else:
+        u_word = tuple(data.draw(st.lists(st.integers(1, n), max_size=len(word))))
+    u = WeylElement.from_word(lt, u_word)
+    k = brute_length(lt, u_word)
+    target = brute_matrix(lt, u_word)
+    expected = []
+    for subset in itertools.combinations(range(len(word)), k):
+        sub = [word[p] for p in subset]
+        if brute_matrix(lt, sub) == target and brute_length(lt, sub) == len(subset):
+            expected.append(tuple(p + 1 for p in subset))
+    assert subwords_equal_to(word, u) == expected
 
 
 # ------------------------------------------------------------- characteristic

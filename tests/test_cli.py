@@ -282,6 +282,23 @@ def test_giambelli_json(capsys):
     assert [e["polynomial"] for e in obj["classes"]] == ["-2*y4 + w1*y3", "y4"]
 
 
+def test_giambelli_finds_generators_only_through_its_degree(capsys, monkeypatch):
+    import schubert.cli as cli
+
+    bounds = []
+    real = cli.minimal_generators
+
+    def spy(table, up_to=None):
+        bounds.append(up_to)
+        return real(table, up_to=up_to)
+
+    monkeypatch.setattr(cli, "minimal_generators", spy)
+    obj = run_json(capsys, "giambelli", "F4", "--K", "1", "--degree", "4")
+    assert bounds == [4]
+    assert [g["name"] for g in obj["generators"]] == ["w1", "y3", "y4"]
+    assert [e["polynomial"] for e in obj["classes"]] == ["-2*y4 + w1*y3", "y4"]
+
+
 def test_jobspec_validates_eagerly():
     from schubert.cartan import LieType
     from schubert.cli import CliParseError

@@ -11,7 +11,6 @@ from schubert.cartan import LieType
 from schubert.cli import main
 from schubert.cohomology import (
     Generator,
-    GeneratorSet,
     Presentation,
     assemble_full_flag,
     elementary_symmetric,
@@ -45,12 +44,12 @@ E6 = LieType.parse("E6")
 
 @pytest.fixture(scope="module")
 def f4_gens(f4_p1):
-    return GeneratorSet.from_words(f4_p1, sorted(data.F4_WORDS.items()))
+    return data.generator_set(f4_p1, sorted(data.F4_WORDS.items()))
 
 
 @pytest.fixture(scope="module")
 def e6_gens(e6_p2):
-    return GeneratorSet.from_words(e6_p2, sorted(data.E6_WORDS.items()))
+    return data.generator_set(e6_p2, sorted(data.E6_WORDS.items()))
 
 
 # -- generator sets ---------------------------------------------------------
@@ -63,16 +62,16 @@ def test_generator_degree_must_match_word():
 
 def test_generator_set_rejects_duplicates(f4_p1):
     with pytest.raises(ValueError, match="duplicate"):
-        GeneratorSet.from_words(f4_p1, [("w1", (1,)), ("w1", (1,))])
+        data.generator_set(f4_p1, [("w1", (1,)), ("w1", (1,))])
 
 
 def test_generator_set_rejects_foreign_word(f4_p1):
     with pytest.raises(ValueError, match="not a class"):
-        GeneratorSet.from_words(f4_p1, [("w2", (2,))])  # not a minimal rep
+        data.generator_set(f4_p1, [("w2", (2,))])  # not a minimal rep
 
 
 def test_generator_set_orders_by_degree(f4_p1):
-    gens = GeneratorSet.from_words(
+    gens = data.generator_set(
         f4_p1, [("y6", data.F4_WORDS["y6"]), ("w1", (1,)), ("y3", data.F4_WORDS["y3"])]
     )
     assert [g.name for g in gens] == ["w1", "y3", "y6"]
@@ -96,7 +95,7 @@ def test_structure_matrix_degree_zero(f4_p1, f4_gens):
 
 
 def test_structure_matrix_no_monomials(f4_p1):
-    gens = GeneratorSet.from_words(f4_p1, [("y3", data.F4_WORDS["y3"])])
+    gens = data.generator_set(f4_p1, [("y3", data.F4_WORDS["y3"])])
     bundle = structure_matrix(f4_p1, gens, 2)
     assert bundle.matrix == []
 
@@ -158,7 +157,7 @@ def test_relation_kernel_degree_one_empty(f4_p1, f4_gens):
     ids=["w1-degree-3", "y3-degree-1"],
 )
 def test_relation_kernel_requires_surjectivity(f4_p1, gen, m, coker):
-    gens = GeneratorSet.from_words(f4_p1, [gen])
+    gens = data.generator_set(f4_p1, [gen])
     message = f"^generators do not span degree {m}: cokernel {coker}$"
     with pytest.raises(ValueError, match=message):
         relation_kernel(f4_p1, gens, m)
@@ -245,7 +244,7 @@ def test_giambelli_delta_property(f4_p1, f4_gens, m):
 
 
 def test_giambelli_needs_surjectivity(f4_p1):
-    gens = GeneratorSet.from_words(f4_p1, [("w1", (1,))])
+    gens = data.generator_set(f4_p1, [("w1", (1,))])
     with pytest.raises(ValueError, match="degree 3"):
         giambelli(f4_p1, gens, 3)
 

@@ -1,13 +1,13 @@
 """Source hygiene: no module imports a name it never uses, no private
-helper in `src/` is left without a caller, and no exported name is used
-only by tests.
+helper in `src/` is left without a caller, and no exported name or public
+method of an exported class is used only by tests.
 
 No lint tool is part of the test dependencies, so these AST scans are what
 keep orphaned imports out of `src/`, `tests/` and `scripts/`, orphaned
 module-level `_name` definitions out of `src/schubert/`, and test-only
-code out of `schubert.__all__`.  Package `__init__.py` files re-export
-names and `from __future__` imports are directives, so both are exempt
-from the import scan.
+code out of `schubert.__all__` and its classes.  Package `__init__.py`
+files re-export names and `from __future__` imports are directives, so
+both are exempt from the import scan.
 """
 
 import ast
@@ -32,6 +32,10 @@ EXPORTED_FOR_TESTS = {
     "subwords_equal_to",
     "symplectic_forms",
 }
+
+# Public methods of exported classes that nothing outside the tests calls,
+# kept on purpose: `WeylElement.simple_reflection` is kept by ROADMAP item 4.
+METHODS_FOR_TESTS = {"WeylElement.simple_reflection"}
 
 
 def _imported_names(tree):
@@ -132,6 +136,37 @@ def exported_without_use(exported, modules, others):
     return [name for name in exported if counts.get(name, 0) <= own.get(name, 0)]
 
 
+def _public_methods(tree, classes):
+    """(Class.method, method, body) of the public methods of the named classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name, item
+
+
+def methods_without_use(classes, modules, others):
+    """Public methods of `classes` that no module and no other file references.
+
+    `modules` are the package's files, `others` the files that may use
+    them.  A method's references to its own name, inside its own body, do
+    not count.
+    """
+    trees = _parse(modules)
+    counts = _reference_counts([*trees.values(), *_parse(others).values()])
+    return [
+        qualname
+        for tree in trees.values()
+        for qualname, name, body in _public_methods(tree, classes)
+        if counts.get(name, 0) <= _own_references(name, body)
+    ]
+
+
+def _outside_package():
+    return sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+
+
 def test_no_orphaned_private_helpers():
     paths = sorted((ROOT / "src" / "schubert").glob("*.py"))
     found = [
@@ -164,8 +199,7 @@ def test_scan_finds_orphaned_helpers(tmp_path):
 def test_exported_names_have_a_use_outside_tests():
     package = ROOT / "src" / "schubert"
     modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    others = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    found = exported_without_use(schubert.__all__, modules, others)
+    found = exported_without_use(schubert.__all__, modules, _outside_package())
     assert sorted(found) == sorted(EXPORTED_FOR_TESTS), (
         "exported names only tests use (move them to tests/ or onto the "
         f"allow-list): {sorted(set(found) - EXPORTED_FOR_TESTS)}; allow-listed "
@@ -194,6 +228,43 @@ def test_scan_finds_exported_names_without_use(tmp_path):
     assert exported_without_use(exported, [lib], [app]) == [
         "recursive", "documented", "Helper",
     ]
+
+
+def test_exported_classes_have_no_test_only_methods():
+    classes = {name for name in schubert.__all__ if isinstance(getattr(schubert, name), type)}
+    modules = sorted((ROOT / "src" / "schubert").glob("*.py"))
+    found = methods_without_use(classes, modules, _outside_package())
+    assert sorted(found) == sorted(METHODS_FOR_TESTS), (
+        "public methods only tests use (move them to tests/ or onto the "
+        f"allow-list): {sorted(set(found) - METHODS_FOR_TESTS)}; allow-listed "
+        f"methods now in use: {sorted(METHODS_FOR_TESTS - set(found))}"
+    )
+
+
+def test_scan_finds_methods_without_use(tmp_path):
+    lib = tmp_path / "lib.py"
+    app = tmp_path / "app.py"
+    lib.write_text(
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return 1\n"
+        "    def grow(self, n):\n"
+        "        return self.grow(n - 1) if n else self\n"
+        "    def _helper(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    @classmethod\n"
+        "    def unit(cls):\n"
+        "        return cls()\n"
+        "    def drawn(self):\n"
+        "        return self.area()\n"
+        "class Hidden:\n"
+        "    def unused(self):\n"
+        "        pass\n"
+    )
+    app.write_text("from lib import Shape\nShape.unit().drawn()\n")
+    assert methods_without_use({"Shape"}, [lib], [app]) == ["Shape.grow"]
 
 
 def test_no_unused_imports():

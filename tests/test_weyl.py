@@ -75,12 +75,11 @@ def test_inverse_key_is_faithful(lt):
 def test_identity_basics():
     e = WeylElement.identity(A2)
     assert e.length() == 0
-    assert e.is_identity()
+    assert e.inv_root_rows == ((1, 0), (0, 1))
     assert e.minimized_word() == ()
     s1 = WeylElement.simple_reflection(A2, 1)
     assert WeylElement.from_word(A2, (1,)) == s1
-    assert e.left_mul_simple(1) == s1
-    assert s1.left_mul_simple(1) == e
+    assert WeylElement.from_word(A2, (1, 1)) == e
     # sigma_1 is its own inverse
     assert inverse_weight_matrix(s1) == weight_matrix(s1) == brute_matrix(A2, (1,))
 
@@ -142,7 +141,12 @@ def test_word_properties(lt, data):
     # simple steps on either side agree with the brute model of the longer word
     i = data.draw(st.integers(1, n))
     assert weight_matrix(WeylElement.from_word(lt, word + (i,))) == brute_matrix(lt, word + (i,))
-    assert weight_matrix(w.left_mul_simple(i)) == brute_matrix(lt, (i,) + word)
+    assert weight_matrix(WeylElement.from_word(lt, (i,) + word)) == brute_matrix(lt, (i,) + word)
+    # row j of inv_root_rows is negative exactly when j is a left descent
+    length = brute_length(lt, word)
+    assert [min(row) < 0 for row in w.inv_root_rows] == [
+        brute_length(lt, (j,) + word) < length for j in range(1, n + 1)
+    ]
 
 
 @given(lt=st.sampled_from([A3, B3]), data=st.data())
@@ -159,7 +163,8 @@ def test_triangle_inequality(lt, data):
 def test_descents():
     w = wd(A2, 1, 2)  # sigma_1 sigma_2
     assert brute_right_descents(A2, w.word) == {2}
-    assert w.has_left_descent(1) and not w.has_left_descent(2)
+    # w^-1 = sigma_2 sigma_1 sends alpha_1 to -(alpha_1 + alpha_2), alpha_2 to alpha_1
+    assert w.inv_root_rows == ((-1, -1), (1, 0))
 
 
 # ---------------------------------------------------------------- cosets
@@ -177,7 +182,7 @@ def test_enumerate_full_flag_a2():
 def test_enumerate_trivial_k():
     table = enumerate_cosets(F4, set())
     assert table.betti == (1,)
-    assert table.element(0, 1).is_identity()
+    assert table.element(0, 1) == WeylElement.identity(F4)
 
 
 def test_enumerate_f4_p1():
