@@ -135,11 +135,14 @@ def parse_class_token(table: CosetTable, token: str) -> SchubertClass:
     if bad:
         raise ValueError(f"{token!r}: letter {bad[0]} outside 1..{rank}")
     try:
-        return SchubertClass(*table.class_of_word(word))
+        r, i = table.class_of_word(word)
     except KeyError:
         raise ValueError(
             f"{token!r}: word {list(word)} is not a minimal representative of the table"
         ) from None
+    if len(word) != r:
+        raise ValueError(f"{token!r}: word {list(word)} is not reduced")
+    return SchubertClass(r, i)
 
 
 def _cache_path(cache_dir: Path, lie_type: LieType, K) -> Path:

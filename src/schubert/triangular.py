@@ -19,6 +19,14 @@ exponent r of x_m, each slice is multiplied by the (r-1)-st power of the
 substituted linear form, and the merged result recurses once.  Merging
 collapses common subexpressions across the whole polynomial, which is what
 makes repeated evaluation cheap.
+
+Exponent vectors are packed into single ints, B = m.bit_length() bits per
+variable with x_1 lowest, so 2^B > m.  A form of degree d in d variables
+has every exponent at most d, and each level step lowers the degree and the
+number of variables by one, so every exponent stays at most m and below
+2^B: adding two packed vectors whose sum is such a vector never carries
+from one field into the next.  Reading the exponent of x_d is then one
+shift, dropping it one mask, and multiplying monomials one int addition.
 """
 
 from __future__ import annotations
@@ -79,40 +87,49 @@ def evaluate_exponents(A: StrictUpperMatrix, terms) -> int:
     """T_A on a sparse {exponent tuple: coefficient} map (degree == size).
 
     This is the computational core used by the characteristics layer; the
-    polynomial-level wrapper below validates and delegates here.
+    polynomial-level wrapper below checks the ring and homogeneity and
+    delegates here.  Each exponent tuple must have A.size entries, none
+    negative, summing to A.size (ValueError otherwise).  The tuples are
+    packed into ints of B = A.size.bit_length() bits per variable; see the
+    module docstring for why no field ever carries into the next.
     """
     m = A.size
-    cur = terms
+    bits = m.bit_length()
+    cur = {}
+    for exp, c in terms.items():
+        # explicit raises, not asserts: an exponent above m would carry
+        if len(exp) != m:
+            raise ValueError(f"exponent {exp} has {len(exp)} variables, matrix has size {m}")
+        if min(exp) < 0:
+            raise ValueError(f"exponent {exp} has a negative entry")
+        if sum(exp) != m:
+            raise ValueError(f"exponent {exp} has degree {sum(exp)}, expected {m}")
+        cur[sum(e << bits * k for k, e in enumerate(exp))] = c
     while m > 1:
-        col = A.column(m - 1)
-        lf = {k: a for k, a in enumerate(col) if a}
-        # powers of the substituted linear form, built on demand
-        zero = (0,) * (m - 1)
-        pows = [{zero: 1}]
-
-        def lf_pow(r):
-            while len(pows) <= r:
-                prev = pows[-1]
-                nxt = {}
-                for e, c in prev.items():
-                    for k, a in lf.items():
-                        key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                        nxt[key] = nxt.get(key, 0) + c * a
-                pows.append(nxt)
-            return pows[r]
-
+        shift = bits * (m - 1)
+        mask = (1 << shift) - 1
+        # the substituted linear form sum_k a_{km} x_k as (unit of x_k, a_{km})
+        lf = [(1 << bits * k, a) for k, a in enumerate(A.column(m - 1)) if a]
+        pows = [{0: 1}]  # powers of the linear form, built on demand
         merged = {}
-        for exp, c in cur.items():
-            r = exp[m - 1]
-            if r == 0:
+        for key, c in cur.items():
+            r = key >> shift
+            if r == 0 or c == 0:  # 2 in 5 merged terms cancel on E6/P2
                 continue
-            base = exp[: m - 1]
-            for e2, c2 in lf_pow(r - 1).items():
-                key = tuple(a + b for a, b in zip(base, e2))
-                merged[key] = merged.get(key, 0) + c * c2
+            while len(pows) < r:
+                nxt = {}
+                for e, c0 in pows[-1].items():
+                    for unit, a in lf:
+                        k2 = e + unit
+                        nxt[k2] = nxt.get(k2, 0) + c0 * a
+                pows.append(nxt)
+            base = key & mask
+            for e2, c2 in pows[r - 1].items():
+                k2 = base + e2
+                merged[k2] = merged.get(k2, 0) + c * c2
         cur = merged
         m -= 1
-    return cur.get((1,), 0)
+    return cur.get(1, 0)
 
 
 def evaluate(A: StrictUpperMatrix, h: IntPolynomial) -> int:
@@ -124,6 +141,4 @@ def evaluate(A: StrictUpperMatrix, h: IntPolynomial) -> int:
         raise ValueError("the operator acts on rings of degree-1 variables")
     if not h.is_homogeneous():
         raise ValueError("the operator is defined on homogeneous forms only")
-    if h.terms and h.degree() != A.size:
-        raise ValueError(f"form has degree {h.degree()}, expected {A.size}")
     return evaluate_exponents(A, h.terms)

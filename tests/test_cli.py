@@ -99,6 +99,21 @@ def test_domain_errors_exit_2(capsys, argv):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("token", ["1,2,2", "1,1"])  # s1 and the identity
+def test_non_reduced_word_is_domain_error(capsys, token):
+    code, out, err = run_cli(capsys, "multiply", "F4", "--K", "1", token, "w1")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    word = [int(p) for p in token.split(",")]
+    assert err == f"domain error: '{token}': word {word} is not reduced\n"
+
+
+def test_reduced_word_need_not_be_lex_least(capsys):
+    # 2,1,2 and 1,2,1 are reduced words of the same element of A3
+    assert run_json(capsys, "multiply", "A3", "2,1,2", "w1") == run_json(
+        capsys, "multiply", "A3", "1,2,1", "w1"
+    )
+
+
 def test_resource_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, "enumerate", "E6", "--max-elements", "10")
     assert code == EXIT_RESOURCE
