@@ -12,15 +12,15 @@ u.  So subword search is a depth-first walk down from u: it takes position
 p exactly when the remainder v has v^{-1}(alpha_{letter p}) < 0, peels that
 letter off, and reaches the identity after l(u) steps.
 
-One sweep evaluates this over every target of a level: `expand_product`
-(any number of factors) and `expand_pair` (two factors, cached per
-unordered pair for the cohomology layer) both call it, and
-`characteristic` evaluates a single target.  Multiplication by a
-degree-one class skips the operator: by Chevalley's formula, for each
-target w and each position p whose drop leaves a class u, the coroot
-beta^vee of the reflection with w = u * s_beta is precomputed ("cover
-data") by one walk along the word, and the coefficient of s_w in
-omega_l * s_u is its alpha_l^vee-coordinate.
+`characteristic` evaluates this for a single target, and `expand_pair`
+sweeps it over every target of a level for two factors, cached per
+unordered pair.  Every product expansion, `expand_product` included,
+folds one factor at a time through `expand_class_monomial`.  A factor of
+degree one skips the operator: by Chevalley's formula, for each target w
+and each position p whose drop leaves a class u, the coroot beta^vee of
+the reflection with w = u * s_beta is precomputed ("cover data") by one
+walk along the word, and the coefficient of s_w in omega_l * s_u is its
+alpha_l^vee-coordinate.  Any other factor goes through `expand_pair`.
 """
 
 from __future__ import annotations
@@ -150,16 +150,6 @@ def _characteristic_on_word(lie_type, letters, factors):
     return _value_from_solutions(lie_type, letters, solution_lists)
 
 
-def _sweep(table: CosetTable, r: int, factors):
-    """{(r, i): coefficient} of the product of the factor elements on level r."""
-    out = {}
-    for i, w in enumerate(table.levels[r], start=1):
-        val = _characteristic_on_word(table.lie_type, w.word, factors)
-        if val:
-            out[(r, i)] = val
-    return out
-
-
 def characteristic(table: CosetTable, w: SchubertClass, factors) -> int:
     """The coefficient of s_w in the product of the factor classes.
 
@@ -187,14 +177,15 @@ def expand_product(table: CosetTable, factors) -> SchubertExpansion:
     """
     factors = [f if isinstance(f, SchubertClass) else SchubertClass(*f) for f in factors]
     degree = sum(f.r for f in factors)
-    elements = [table.element(f.r, f.i) for f in factors]  # validates membership
+    for f in factors:
+        table.element(f.r, f.i)  # validates membership
     if degree > table.lmax:
         if table.complete:
             return SchubertExpansion(degree, {})
         raise ValueError(
             f"degree {degree} exceeds the truncated table (max length {table.lmax})"
         )
-    coeffs = _sweep(table, degree, elements)
+    coeffs = expand_class_monomial(table, factors)
     return SchubertExpansion(degree, {SchubertClass(*k): v for k, v in coeffs.items()})
 
 
@@ -290,7 +281,9 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
         return cached
     r = a[0] + b[0]
     if r <= table.lmax:
-        result = _sweep(table, r, [table.element(*a), table.element(*b)])
+        pair = [table.element(*a), table.element(*b)]
+        values = (_characteristic_on_word(table.lie_type, w.word, pair) for w in table.levels[r])
+        result = {(r, i): val for i, val in enumerate(values, start=1) if val}
     elif table.complete:
         result = {}
     else:
@@ -328,23 +321,22 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
 
 
 def expand_class_monomial(table: CosetTable, classes):
-    """Expansion vector of a product of classes (sorted internally, cached)."""
+    """Expansion vector of a product of classes (sorted internally, cached).
+
+    The sorted classes fold from the right, one factor at a time, caching
+    each suffix product; the fold resumes from the longest cached suffix.
+    """
     classes = tuple(sorted(c.key() if isinstance(c, SchubertClass) else tuple(c) for c in classes))
-    return _expand_class_monomial(table, classes)
-
-
-def _expand_class_monomial(table, classes):
     if not classes:
         return {(0, 1): 1}
-    if len(classes) == 1:
-        table.element(*classes[0])  # validates membership
-        return {classes[0]: 1}
-    key = ("mono", classes)
-    cached = table._cache.get(key)
-    if cached is not None:
-        return cached
-    head, rest = classes[0], classes[1:]
-    vec = _expand_class_monomial(table, rest)
-    out = multiply_vec_by_class(table, vec, SchubertClass(*head))
-    table._cache[key] = out
-    return out
+    table.element(*classes[-1])  # validates membership
+    start, vec = len(classes) - 1, {classes[-1]: 1}
+    for j in range(start):
+        cached = table._cache.get(("mono", classes[j:]))
+        if cached is not None:
+            start, vec = j, cached
+            break
+    for j in range(start - 1, -1, -1):
+        vec = multiply_vec_by_class(table, vec, SchubertClass(*classes[j]))
+        table._cache[("mono", classes[j:])] = vec
+    return vec

@@ -164,6 +164,8 @@ def load_table(spec: JobSpec) -> CosetTable:
                     f"cache file {path} holds {table.lie_type} K={sorted(table.K)}, "
                     f"not {spec.lie_type} K={sorted(spec.K)}"
                 )
+            if table.total > spec.max_elements:
+                raise EnumerationLimit(spec.lie_type, spec.K, spec.max_elements)
             return table
     table = enumerate_cosets(spec.lie_type, spec.K, max_elements=spec.max_elements)
     if path is not None:

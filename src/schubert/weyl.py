@@ -42,6 +42,12 @@ DEFAULT_MAX_ELEMENTS = 5_000_000
 class EnumerationLimit(RuntimeError):
     """Raised when a coset enumeration would exceed its element budget."""
 
+    def __init__(self, lie_type, K, max_elements):
+        super().__init__(
+            f"enumeration of {lie_type} with K={sorted(K)} exceeds "
+            f"{max_elements} representatives"
+        )
+
 
 @lru_cache(maxsize=None)
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
@@ -431,9 +437,6 @@ def enumerate_cosets(
             break
         count += len(level)
         if count > max_elements:
-            raise EnumerationLimit(
-                f"enumeration of {lie_type} with K={sorted(K)} exceeds "
-                f"{max_elements} representatives"
-            )
+            raise EnumerationLimit(lie_type, K, max_elements)
         levels.append(level)
     return CosetTable(lie_type, K, levels, complete, max_length)

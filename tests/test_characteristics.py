@@ -1,5 +1,6 @@
 """Tests for Schubert structure constants and product expansion."""
 
+import functools
 import itertools
 import random
 
@@ -273,22 +274,49 @@ def test_poincare_duality(lie, K, last):
         assert all(sum(col) == 1 for col in zip(*pairing)), r
 
 
-def test_fast_paths_match_expand_product(a3_full, f4_p1):
-    rng = random.Random(11)
-    for table in (a3_full, f4_p1):
-        classes = [
-            SchubertClass(r, i)
-            for r in range(1, 5)
-            for i in range(1, table.beta(r) + 1)
-        ]
-        for _ in range(8):
-            k = rng.randint(2, 3)
-            mono = [rng.choice(classes) for _ in range(k)]
-            if sum(c.r for c in mono) > table.lmax:
-                continue
-            direct = expand_product(table, mono).coeffs
-            fast = expand_class_monomial(table, mono)
-            assert {SchubertClass(*t): v for t, v in fast.items()} == direct
+@functools.lru_cache(maxsize=None)
+def _full_flag(lie_type):
+    return enumerate_cosets(lie_type, range(1, lie_type.rank + 1))
+
+
+def _matches_characteristics(table, factors):
+    """expand_product against the per-target formula on every class of its level."""
+    degree = sum(f.r for f in factors)
+    expected = {}
+    for i in range(1, table.beta(degree) + 1):
+        value = characteristic(table, SchubertClass(degree, i), factors)
+        if value:
+            expected[SchubertClass(degree, i)] = value
+    return expand_product(table, factors).coeffs == expected
+
+
+@given(name=st.sampled_from(["A3", "B3", "C3", "G2", "D4", "F4/P1"]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_fast_paths_match_expand_product(f4_p1, name, data):
+    # the fold (Chevalley's walk for degree one, pair products otherwise)
+    # against the k-factor sweep of `characteristic`, one target at a time
+    table = f4_p1 if name == "F4/P1" else _full_flag(LieType.parse(name))
+    k = data.draw(st.integers(2, 4), label="k")
+    factors, budget = [], 6
+    for t in range(k):
+        r = data.draw(st.integers(0, budget - (k - 1 - t)), label="r")
+        i = data.draw(st.integers(1, table.beta(r)), label="i")
+        factors.append(SchubertClass(r, i))
+        budget -= r
+    assert _matches_characteristics(table, factors)
+
+
+def test_four_factors_on_f4_full_flag_match_characteristics(f4_full):
+    factors = [SchubertClass(2, 1), SchubertClass(2, 2), SchubertClass(2, 3), SchubertClass(2, 1)]
+    assert _matches_characteristics(f4_full, factors)
+
+
+def test_deep_fold_needs_no_recursion(f4_p1):
+    w1 = SchubertClass(1, 1)
+    assert expand_class_monomial(f4_p1, [w1] * 1200) == {}
+    part = enumerate_cosets(F4, {1}, max_length=5)
+    with pytest.raises(ValueError, match="truncated"):
+        expand_class_monomial(part, [w1] * 1200)
 
 
 def test_multiply_vec_by_class_linear(f4_p1):

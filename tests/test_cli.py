@@ -114,10 +114,18 @@ def test_reduced_word_need_not_be_lex_least(capsys):
     )
 
 
-def test_resource_cap_exits_3(capsys):
+def test_resource_cap_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "enumerate", "E6", "--max-elements", "10")
     assert code == EXIT_RESOURCE
     assert "resource limit" in err
+    # a table read from a warm cache is held to the same cap
+    cold = run_cli(capsys, "enumerate", "F4", "--max-elements", "10")
+    assert cold[0] == EXIT_RESOURCE
+    run_cli(capsys, "enumerate", "F4", "--cache-dir", str(tmp_path))
+    warm = run_cli(
+        capsys, "enumerate", "F4", "--cache-dir", str(tmp_path), "--max-elements", "10"
+    )
+    assert warm == cold
 
 
 # -- caching --------------------------------------------------------------------
@@ -281,6 +289,43 @@ def test_table_and_text_formats(capsys):
         capsys, "presentation", "F4", "--K", "1", "--format", "text"
     )
     assert "Z[w1, y3, y4, y6]" in out
+
+
+# Text output of products of three and four factors, byte for byte; the
+# strings come from the k-factor level sweep, a route independent of the fold.
+PINNED_PRODUCTS = [
+    (["E6", "--K", "2", "6.1", "6.1", "6.1"], "3*s[18,1] + 3*s[18,2]"),
+    (
+        ["F4", "2.1", "2.2", "2.3", "2.1"],
+        "2*s[8,2] + 2*s[8,3] + 6*s[8,6] + 2*s[8,8] + 6*s[8,11] + 10*s[8,13]"
+        " + 6*s[8,19] + 12*s[8,24] + 8*s[8,30] + 8*s[8,33] + 4*s[8,35]"
+        " + 4*s[8,37] + 8*s[8,39] + 4*s[8,41] + 4*s[8,43] + 4*s[8,44]"
+        " + 4*s[8,45] + 4*s[8,46] + 4*s[8,47] + 12*s[8,48] + 4*s[8,49]"
+        " + 20*s[8,54] + 4*s[8,56] + 12*s[8,57] + 12*s[8,60] + 8*s[8,62]"
+        " + 12*s[8,66] + 8*s[8,68] + 8*s[8,69] + 8*s[8,70] + 8*s[8,71]",
+    ),
+    (["F4", "--K", "1", "w1", "w1", "w1"], "2*s[3,1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text", PINNED_PRODUCTS, ids=["e6p2-cube", "f4t-four", "f4p1-cube"]
+)
+def test_multiply_text_output_pinned(capsys, argv, text):
+    assert run_cli(capsys, "multiply", *argv, "--format", "text") == (
+        EXIT_OK, text + "\n", ""
+    )
+
+
+def test_multiply_1200_factors(capsys):
+    # far above the top degree of F4/P1, so the product is zero
+    argv = ["multiply", "F4", "--K", "1"] + ["w1"] * 1200
+    assert run_cli(capsys, *argv, "--format", "text") == (EXIT_OK, "0\n", "")
+    obj = run_json(capsys, *argv)
+    w1 = {"r": 1, "i": 1, "word": [1]}
+    assert obj == {
+        "lie_type": "F4", "K": [1], "factors": [w1] * 1200, "degree": 1200, "terms": [],
+    }
 
 
 def test_gysin_groups_json(capsys):
