@@ -323,10 +323,18 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
 def expand_class_monomial(table: CosetTable, classes):
     """Expansion vector of a product of classes (sorted internally, cached).
 
-    The sorted classes fold from the right, one factor at a time, caching
-    each suffix product; the fold resumes from the longest cached suffix.
+    Identity factors are checked and dropped.  The sorted classes fold
+    from the right, one factor at a time, caching each nonzero suffix
+    product; the fold resumes from the longest cached suffix and stops at
+    the first zero product, which is cached under the whole key.  A nonzero
+    suffix has at most ``table.lmax`` factors, so one call adds at most
+    ``table.lmax`` keys.
     """
-    classes = tuple(sorted(c.key() if isinstance(c, SchubertClass) else tuple(c) for c in classes))
+    keys = sorted(c.key() if isinstance(c, SchubertClass) else tuple(c) for c in classes)
+    for key in keys:
+        if key[0] == 0:
+            table.element(*key)  # validates membership
+    classes = tuple(key for key in keys if key[0] != 0)
     if not classes:
         return {(0, 1): 1}
     table.element(*classes[-1])  # validates membership
@@ -338,5 +346,8 @@ def expand_class_monomial(table: CosetTable, classes):
             break
     for j in range(start - 1, -1, -1):
         vec = multiply_vec_by_class(table, vec, SchubertClass(*classes[j]))
+        if not vec:
+            table._cache[("mono", classes)] = vec
+            break
         table._cache[("mono", classes[j:])] = vec
     return vec

@@ -12,7 +12,8 @@ neither set, nothing is persisted.  A cache file holds the table's
 `enumerate` JSON object of a full enumeration, and a corrupt or truncated
 one is a domain error.  All output is
 deterministic for fixed inputs, so repeated runs (cached or not) emit
-byte-identical JSON.
+byte-identical JSON.  JSON output is ``json.dumps(result, indent=1,
+sort_keys=True)`` to the byte, written by ``_dumps``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cartan import LieType
@@ -305,6 +307,39 @@ def _columns(header, rows) -> str:
     return "\n".join(out)
 
 
+def _dumps(obj, indent="") -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True)``, byte for byte.
+
+    The standard encoder drops to its pure-Python path whenever ``indent``
+    is set and yields one chunk per token; this writer joins a list of
+    plain ints in one call, which is most of an ``enumerate`` listing.
+    Dict keys must be ``str``; any other key raises ``TypeError``.
+    """
+    if type(obj) is int:
+        return str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a str")
+        inner = indent + " "
+        body = (",\n" + inner).join(
+            [encode_basestring_ascii(key) + ": " + _dumps(obj[key], inner) for key in sorted(obj)]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        if set(map(type, obj)) == {int}:
+            body = (",\n" + inner).join(map(str, obj))
+        else:
+            body = (",\n" + inner).join([_dumps(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 _RUNNERS = {
     "enumerate": _run_enumerate,
     "multiply": _run_multiply,
@@ -334,7 +369,7 @@ def run(spec: JobSpec, out=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if spec.fmt == "json":
-        out.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
+        out.write(_dumps(result) + "\n")
     else:
         out.write(str(result) + "\n")
     return EXIT_OK

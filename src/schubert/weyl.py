@@ -25,6 +25,12 @@ Each class is reached once, from its parent, and looping over i and then
 over the parent level in order lists each level in lexicographic order of
 the words.  ``CosetTable.load_binary`` rebuilds a cached table by the same
 step.
+
+Most candidate steps fail the third test, so ``_left_step`` decides it on
+u's own rows before it builds the child's matrix.  Left multiplication by
+sigma_i adds a nonnegative multiple of the positive root u^{-1}(alpha_i) to
+the rows of i's neighbours and leaves the others alone, so only a negative
+neighbour row b < i can change sign, and only that one row is computed.
 """
 
 from __future__ import annotations
@@ -192,13 +198,28 @@ def _left_step(u: WeylElement, i: int, K) -> WeylElement | None:
     left descent, so (i,) + u.word is its lex-least reduced word (see the
     module docstring).  ``enumerate_cosets`` takes this step and
     ``CosetTable.load_binary`` checks each cached class by it.
+
+    Most candidates fail the least-descent test, so it is decided on u's
+    own rows before the child's matrix is built.  Row b of the child is
+    u's row b plus |C[b][i-1]| * u^{-1}(alpha_i) (0-based b), and
+    u^{-1}(alpha_i) > 0 once ``_lengthens`` holds.  So a row b < i-1 that
+    is not a neighbour of node i is unchanged, a positive row stays
+    positive, and only a negative neighbour row needs its one updated row.
     """
     if not _lengthens(u, i, K):
         return None
-    inv = right_multiply_rows(u.inv_root_rows, i - 1, reflection_pairs(u.lie_type))
-    if any(_is_neg(inv[b]) for b in range(i - 1)):
-        return None
-    return WeylElement(u.lie_type, inv, (i,) + u.word)
+    rows = u.inv_root_rows
+    j = i - 1
+    pairs = reflection_pairs(u.lie_type)
+    coeffs = dict(pairs[j])
+    rj = rows[j]
+    for b in range(j):
+        row = rows[b]
+        if _is_neg(row):
+            c = coeffs.get(b)
+            if c is None or _is_neg(tuple(a - c * x for a, x in zip(row, rj))):
+                return None
+    return WeylElement(u.lie_type, right_multiply_rows(rows, j, pairs), (i,) + u.word)
 
 
 def _check_K(lie_type: LieType, K) -> frozenset:

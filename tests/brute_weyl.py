@@ -15,8 +15,10 @@ from functools import lru_cache
 
 from schubert.cartan import LieType, cartan_matrix
 from schubert.weyl import (
+    WeylElement,
     _identity_rows,
     _is_neg,
+    _lengthens,
     _root_matrix,
     reflection_pairs,
     right_multiply_rows,
@@ -242,3 +244,17 @@ def ascending_subword_solutions(lie_type, letters, u):
 
     rec(0, _identity_rows(lie_type.rank), (), k)
     return out
+
+
+def built_left_step(u, i, K):
+    """The child sigma_i * u of u in the tree of W^P, or None.
+
+    Builds the candidate's root matrix first, then asks whether some
+    b < i is a left descent of it.
+    """
+    if not _lengthens(u, i, K):
+        return None
+    inv = right_multiply_rows(u.inv_root_rows, i - 1, reflection_pairs(u.lie_type))
+    if any(_is_neg(inv[b]) for b in range(i - 1)):
+        return None
+    return WeylElement(u.lie_type, inv, (i,) + u.word)

@@ -319,6 +319,27 @@ def test_deep_fold_needs_no_recursion(f4_p1):
         expand_class_monomial(part, [w1] * 1200)
 
 
+@pytest.mark.parametrize(
+    "factors, expected",
+    [
+        ([(1, 1)] * 1200, {}),  # zero from the 16th factor on
+        ([(0, 1)] * 300 + [(1, 1)], {(1, 1): 1}),  # identity factors are units
+        ([(0, 1)] * 3, {(0, 1): 1}),
+    ],
+    ids=["w1^1200", "identity^300-w1", "identity^3"],
+)
+def test_monomial_cache_stays_within_lmax(factors, expected):
+    # a nonzero suffix has at most lmax factors, and a zero product is
+    # cached once, under its whole key
+    table = enumerate_cosets(F4, {1})
+    assert expand_class_monomial(table, factors) == expected
+    mono = [key for key in table._cache if key[0] == "mono"]
+    assert len(mono) <= table.lmax + 1
+    assert expand_class_monomial(table, factors) == expected
+    with pytest.raises(KeyError):
+        expand_class_monomial(table, [(0, 2), (1, 1)])
+
+
 def test_multiply_vec_by_class_linear(f4_p1):
     w1 = SchubertClass(1, 1)
     y3 = SchubertClass(3, 1)

@@ -4,11 +4,13 @@ Commands run in-process through main(argv) with captured stdout; one
 subprocess test covers the installed console entry point.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from schubert.cli import (
     EXIT_DOMAIN,
@@ -16,6 +18,7 @@ from schubert.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     JobSpec,
+    _dumps,
     main,
 )
 
@@ -315,6 +318,75 @@ def test_multiply_text_output_pinned(capsys, argv, text):
     assert run_cli(capsys, "multiply", *argv, "--format", "text") == (
         EXIT_OK, text + "\n", ""
     )
+
+
+# sha256 of stdout, JSON and text, captured before JSON got its own writer
+# and the enumeration step its row test; any change to an output byte fails.
+PINNED_DIGESTS = [
+    (["enumerate", "F4"],
+     "f32cd24b6bdde9b5ce522871f9c10ffb98f99dca83ae4e94bd6f93daadbdc580",
+     "2498100c3cf0299c9edf6405e363f8c0a4730ecd0d2b72988fa81caf4c2b15a6"),
+    (["enumerate", "E6", "--K", "2"],
+     "7918fb7955c0b68be78b2c15c1a5b44497f204725cf0f2b1b2670babf43d6dd6",
+     "51f5c2a15486b328ed9163b292596be756b258f0fc521b8ddaf107023bbdde73"),
+    (["presentation", "F4", "--K", "1"],
+     "39b518aba5ca46345478111da8594162a5583d8a5add0d11d1d60c6579bf7ea9",
+     "4ea10d1244e54f71cb8f704071902904fe78994ba547a6ba85b2b3e8ad74939f"),
+    (["giambelli", "F4", "--K", "1", "--degree", "4"],
+     "fc9da8cde60212772dab8326e10fe23ffb8d9a68362022e0e19ee3ffd9699606",
+     "150564298ba91f74c450035b251ffedc85274d96a845aa3071a1c85a46a536e7"),
+    (["gysin", "E6", "--K", "2", "--degree", "12"],
+     "0e4be0ae3f555590419cfbc36cb1164e1efa29cd4753e0ac619d272943a909a6",
+     "1019397afe809b05ae312289a30e1a10ba733943d28b2fb52cfde2b50268d7ce"),
+    (["multiply", "E6", "--K", "2", "3.1", "4.2", "2.1"],
+     "dcd1f9eca78f3f871cd1fe555877023a00a8b6ae07398489eddedc8655a8f572",
+     "4bf0c2ea844ac46e0932b62037a967ea3a39c8a4076e8bd7e337c83abb654eda"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, json_digest, text_digest", PINNED_DIGESTS,
+    ids=[" ".join(argv) for argv, _, _ in PINNED_DIGESTS],
+)
+def test_stdout_digests_pinned(capsys, argv, json_digest, text_digest):
+    for fmt, digest in (("json", json_digest), ("text", text_digest)):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.text()
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(_VALUES)
+@example({"\u00e9\n\"\\": [-1, 2**100, True, None], "": ((), [], {}), "a\x00": 1.5})
+@example([1, True, 2])
+@example([[1, 2], (3,), [], -7])
+def test_dumps_matches_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1,)])
+def test_dumps_rejects_non_str_keys(key):
+    with pytest.raises(TypeError):
+        _dumps({"a": [{key: 1}]})
 
 
 def test_multiply_1200_factors(capsys):

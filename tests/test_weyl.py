@@ -22,6 +22,7 @@ from brute_weyl import (
     brute_matrix,
     brute_minimal_reps,
     brute_right_descents,
+    built_left_step,
     inverse_weight_matrix,
     positive_roots,
     weight_matrix,
@@ -240,6 +241,27 @@ def test_left_step_matches_brute(lt, K):
                     # the matrix the step stores is that of w^-1
                     assert w.word == word
                     assert inverse_weight_matrix(w) == brute_matrix(lt, word[::-1])
+
+
+@pytest.mark.parametrize(
+    "lt,K",
+    [(B3, {1, 2, 3}), (C3, {1, 2, 3}), (G2, {1, 2}), (F4, {1, 2, 3, 4}), (E6, {2})],
+    ids=["B3/T", "C3/T", "G2/T", "F4/T", "E6/P2"],
+)
+def test_left_step_matches_built_step(lt, K):
+    # the step that tests u's rows before building agrees with the one that
+    # builds every candidate first, on every class and letter
+    def key(w):
+        return None if w is None else (w.inv_root_rows, w.word)
+
+    table = enumerate_cosets(lt, K)
+    children = 0
+    for _, _, u in table:
+        for i in range(1, lt.rank + 1):
+            expected = key(built_left_step(u, i, K))
+            assert key(_left_step(u, i, K)) == expected, (u.word, i)
+            children += expected is not None
+    assert children == table.total - 1
 
 
 def test_minimal_rep_examples():
