@@ -32,9 +32,9 @@ from .weyl import (
     CosetTable,
     WeylElement,
     _identity_rows,
-    _is_neg,
     reflection_pairs,
     right_multiply_rows,
+    unpack_root,
 )
 from .cartan import cartan_matrix
 from .triangular import cartan_matrix_of_word, evaluate_exponents
@@ -79,10 +79,11 @@ class SchubertExpansion:
 def _subword_solutions(lie_type, letters, inv_rows, k):
     """0-based position tuples I with |I| = k whose product equals u.
 
-    `inv_rows` is u's ``inv_root_rows`` and k = l(u).  A branch takes
-    position p exactly when letters[p] is a left descent of the remainder,
-    and right-multiplies the remainder's inverse by that reflection; after k
-    steps the remainder is the identity.
+    `inv_rows` is u's packed ``inv_root_rows`` and k = l(u).  A branch
+    takes position p exactly when letters[p] is a left descent of the
+    remainder (its packed row is negative), and right-multiplies the
+    remainder's inverse by that reflection; after k steps the remainder is
+    the identity.
     """
     m = len(letters)
     if k > m:
@@ -96,7 +97,7 @@ def _subword_solutions(lie_type, letters, inv_rows, k):
             return
         for p in range(pos, m - need + 1):
             j0 = letters[p] - 1
-            if _is_neg(rows[j0]):
+            if rows[j0] < 0:
                 rec(p + 1, right_multiply_rows(rows, j0, pairs), chosen + (p,), need - 1)
 
     rec(0, inv_rows, (), k)
@@ -204,9 +205,14 @@ def _cover_data(table: CosetTable, r: int):
     each position, and the key of u (None when u is not a class of the
     table).  One walk from the right end of the word carries the images of
     the simple roots and of the simple coroots under s_{i_m}...s_{i_{p+1}},
-    which gives beta and beta^vee.  Classes are keyed by the root matrix of
-    their inverse, and u^{-1} = s_beta * w^{-1}, so the key of u has rows
-    u^{-1}(alpha_k) = w^{-1}(alpha_k) - <w^{-1}(alpha_k), beta^vee> * beta.
+    which gives beta and beta^vee.  Classes are keyed by the packed root
+    matrix of their inverse, and u^{-1} = s_beta * w^{-1}, so the key of u
+    has rows u^{-1}(alpha_k) = w^{-1}(alpha_k) - <w^{-1}(alpha_k), beta^vee> * beta,
+    formed on packed ints since the packing is linear.  Both walks carry
+    packed vectors: the images of the simple coroots are roots of the dual
+    system, whose coordinates obey the same bound.  The coroot pairings of
+    w^{-1}'s rows are read once per target from its decoded rows, and each
+    beta^vee is decoded once.
     """
     key = ("cover", r)
     cached = table._cache.get(key)
@@ -227,19 +233,22 @@ def _cover_data(table: CosetTable, r: int):
         letters = w.word
         inv = w.inv_root_rows
         # row k: <w^{-1}(alpha_k), alpha_l^vee> for each l
-        pairings = [tuple(sum(map(mul, row, col)) for col in columns) for row in inv]
+        pairings = []
+        for row in inv:
+            coords = unpack_root(row, n)
+            pairings.append(tuple(sum(map(mul, coords, col)) for col in columns))
         cand = [None] * r
         coroots = [None] * r
         roots = coroot_images = identity
         for p in range(r - 1, -1, -1):
             j0 = letters[p] - 1
             beta = roots[j0]
-            coroots[p] = coroot = coroot_images[j0]
-            rows = []
-            for row, pairing in zip(inv, pairings):
-                pk = sum(map(mul, pairing, coroot))
-                rows.append(tuple(x - pk * b for x, b in zip(row, beta)) if pk else row)
-            cand[p] = table.index_of_inv_root_rows(tuple(rows))
+            coroots[p] = coroot = unpack_root(coroot_images[j0], n)
+            rows = tuple(
+                row - sum(map(mul, pairing, coroot)) * beta
+                for row, pairing in zip(inv, pairings)
+            )
+            cand[p] = table.index_of_inv_root_rows(rows)
             roots = right_multiply_rows(roots, j0, pairs)
             coroot_images = right_multiply_rows(coroot_images, j0, copairs)
         entries.append((tuple(cand), tuple(coroots)))

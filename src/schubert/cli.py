@@ -151,8 +151,12 @@ def _cache_path(cache_dir: Path, lie_type: LieType, K) -> Path:
     return cache_dir / f"{lie_type}-K{'_'.join(str(k) for k in sorted(K))}.json"
 
 
-def load_table(spec: JobSpec) -> CosetTable:
-    """Enumerate (or load from cache) the coset table of the job."""
+def load_table(spec: JobSpec) -> tuple[CosetTable, dict | None]:
+    """Enumerate (or load from cache) the coset table of the job.
+
+    The second value is the table's ``json_obj`` when this call wrote it to
+    the cache, so that ``enumerate`` does not build it again, else None.
+    """
     path = None
     if spec.cache_dir is not None:
         path = _cache_path(spec.cache_dir, spec.lie_type, spec.K)
@@ -168,12 +172,12 @@ def load_table(spec: JobSpec) -> CosetTable:
                 )
             if table.total > spec.max_elements:
                 raise EnumerationLimit(spec.lie_type, spec.K, spec.max_elements)
-            return table
+            return table, None
     table = enumerate_cosets(spec.lie_type, spec.K, max_elements=spec.max_elements)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        table.save_binary(path)
-    return table
+    if path is None:
+        return table, None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return table, table.save_binary(path)
 
 
 # -- per-command execution -----------------------------------------------------
@@ -187,8 +191,9 @@ def _class_obj(table: CosetTable, cls: SchubertClass) -> dict:
     }
 
 
-def _run_enumerate(spec: JobSpec, table: CosetTable):
-    obj = table.json_obj()
+def _run_enumerate(spec: JobSpec, table: CosetTable, obj: dict | None):
+    """The table's ``json_obj`` (built here unless `obj` is it) with its count."""
+    obj = obj if obj is not None else table.json_obj()
     obj["count"] = table.total
     if spec.fmt == "json":
         return obj
@@ -341,7 +346,6 @@ def _dumps(obj, indent="") -> str:
 
 
 _RUNNERS = {
-    "enumerate": _run_enumerate,
     "multiply": _run_multiply,
     "giambelli": _run_giambelli,
     "presentation": _run_presentation,
@@ -353,8 +357,11 @@ def run(spec: JobSpec, out=None) -> int:
     """Execute one job; writes serialized output, returns the exit status."""
     out = out if out is not None else sys.stdout
     try:
-        table = load_table(spec)
-        result = _RUNNERS[spec.command](spec, table)
+        table, written = load_table(spec)
+        if spec.command == "enumerate":
+            result = _run_enumerate(spec, table, written)
+        else:
+            result = _RUNNERS[spec.command](spec, table)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

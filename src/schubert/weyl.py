@@ -1,14 +1,29 @@
 """Weyl groups, reduced words, and length-graded minimal coset representatives.
 
-A Weyl group element w is stored as one integer matrix (a tuple of rows),
-``inv_root_rows``: row k is w^{-1}(alpha_{k+1}) in simple-root coordinates.
-W acts faithfully on the root lattice, so this matrix is the element's key
-(equality and hash).  Row signs give left descents: l(sigma_i w) < l(w) iff
-w^{-1}(alpha_i) < 0.  Left multiplication sigma_i * w is right
-multiplication of w^{-1} by sigma_i, which changes only the rows of node i
-and its neighbours in the Dynkin diagram, in O(n) each.  Peeling off the least
-left descent gives the lexicographically smallest reduced word, whose
-length is l(w).
+A Weyl group element w is stored as one tuple of ints, ``inv_root_rows``:
+entry k packs w^{-1}(alpha_{k+1}), a root, in simple-root coordinates as
+the one int sum_m v_m * 2^(4m) (``_ROOT_BITS`` = 4 bits per coordinate,
+coordinate 1 lowest).  W acts faithfully on the root lattice, so this tuple
+is the element's key (equality and hash).  Three facts make the packing
+exact on roots:
+
+* every root coordinate of a finite type has absolute value at most 6 (the
+  highest root of E8), below 2^4, and all coordinates of a root share one
+  sign, so |packed| is a base-16 numeral whose digits are the |v_m|:
+  ``unpack_root`` reads them back, and distinct roots pack to distinct ints
+  (any width with 2^bits > 6 would do; 4 bits keep one hex digit per
+  coordinate);
+* for the same reason the packed int has the root's sign, so "the root is
+  negative" is ``packed < 0``;
+* the packing is linear over Z, so row_k - c * row_j packs to
+  packed_k - c * packed_j, and right multiplication by a simple reflection
+  is one multiply-subtract per changed row.
+
+Row signs give left descents: l(sigma_i w) < l(w) iff w^{-1}(alpha_i) < 0.
+Left multiplication sigma_i * w is right multiplication of w^{-1} by
+sigma_i, which changes only the rows of node i and its neighbours in the
+Dynkin diagram.  Peeling off the least left descent gives the
+lexicographically smallest reduced word, whose length is l(w).
 
 ``enumerate_cosets`` grades the minimal length representatives W^P of the
 left cosets w * W_P, where W_P is generated by the simple reflections *not*
@@ -26,11 +41,11 @@ over the parent level in order lists each level in lexicographic order of
 the words.  ``CosetTable.load_binary`` rebuilds a cached table by the same
 step.
 
-Most candidate steps fail the third test, so ``_left_step`` decides it on
-u's own rows before it builds the child's matrix.  Left multiplication by
-sigma_i adds a nonnegative multiple of the positive root u^{-1}(alpha_i) to
-the rows of i's neighbours and leaves the others alone, so only a negative
-neighbour row b < i can change sign, and only that one row is computed.
+Most candidate steps fail the third test, so the step decides it on u's own
+rows before it builds the child's key.  Left multiplication by sigma_i adds
+a nonnegative multiple of the positive root u^{-1}(alpha_i) to the rows of
+i's neighbours and leaves the others alone, so row b < i of the child is
+one multiply-subtract on u's packed rows.
 """
 
 from __future__ import annotations
@@ -44,6 +59,9 @@ from .cartan import LieType, cartan_matrix
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
+_ROOT_BITS = 4
+_ROOT_MASK = (1 << _ROOT_BITS) - 1
+
 
 class EnumerationLimit(RuntimeError):
     """Raised when a coset enumeration would exceed its element budget."""
@@ -55,9 +73,17 @@ class EnumerationLimit(RuntimeError):
         )
 
 
+def unpack_root(packed: int, n: int) -> tuple[int, ...]:
+    """The n simple-root coordinates of a packed root (see the module docstring)."""
+    sign = -1 if packed < 0 else 1
+    x = abs(packed)
+    return tuple(sign * (x >> _ROOT_BITS * m & _ROOT_MASK) for m in range(n))
+
+
 @lru_cache(maxsize=None)
-def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _identity_rows(n: int) -> tuple[int, ...]:
+    """The packed simple roots alpha_1..alpha_n, the key of the identity."""
+    return tuple(1 << _ROOT_BITS * k for k in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -74,26 +100,17 @@ def reflection_pairs(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ..
     )
 
 
-def _is_neg(vec: tuple[int, ...]) -> bool:
-    # sign of a root vector: first nonzero entry decides
-    for x in vec:
-        if x:
-            return x < 0
-    return False
-
-
 def right_multiply_rows(rows, j, pairs):
-    """rows of w -> rows of w*sigma_{j+1}; `pairs` from reflection_pairs."""
+    """Packed rows of w -> packed rows of w*sigma_{j+1}; `pairs` from reflection_pairs."""
     out = list(rows)
     rj = rows[j]
     for k, c in pairs[j]:
-        rk = out[k]
-        out[k] = tuple(a - c * b for a, b in zip(rk, rj))
+        out[k] -= c * rj
     return tuple(out)
 
 
 def _root_matrix(lie_type, word):
-    """The root matrix of sigma_word: row k is sigma_word(alpha_{k+1})."""
+    """The packed root matrix of sigma_word: row k is sigma_word(alpha_{k+1})."""
     pairs = reflection_pairs(lie_type)
     rows = _identity_rows(lie_type.rank)
     for i in word:
@@ -102,15 +119,14 @@ def _root_matrix(lie_type, word):
 
 
 class WeylElement:
-    """An element of the Weyl group of `lie_type`, keyed by the root matrix of w^{-1}."""
+    """An element of the Weyl group of `lie_type`, keyed by the packed root matrix of w^{-1}."""
 
-    __slots__ = ("lie_type", "inv_root_rows", "_word", "_hash")
+    __slots__ = ("lie_type", "inv_root_rows", "_word")
 
     def __init__(self, lie_type, inv_root_rows, word=None):
         self.lie_type = lie_type
         self.inv_root_rows = inv_root_rows
         self._word = word
-        self._hash = hash((lie_type, inv_root_rows))
 
     # -- constructors ------------------------------------------------
 
@@ -150,7 +166,7 @@ class WeylElement:
         letters = []
         while True:
             for j, row in enumerate(rows):
-                if _is_neg(row):
+                if row < 0:
                     letters.append(j + 1)
                     rows = right_multiply_rows(rows, j, pairs)
                     break
@@ -174,52 +190,58 @@ class WeylElement:
         )
 
     def __hash__(self):
-        return self._hash
+        # the key alone: hashing the frozen LieType dataclass is slow, and
+        # elements of different types rarely meet in one dict
+        return hash(self.inv_root_rows)
 
     def __repr__(self):
         return f"WeylElement({self.lie_type}, word={list(self.word)})"
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _simple_roots_outside(n: int, K) -> frozenset:
+    """The packed alpha_j with j not in K.
+
+    For u in W^P with u^{-1}(alpha_i) > 0, sigma_i * u leaves W^P exactly
+    when u^{-1}(alpha_i) is one of these roots (Deodhar's lemma).
+    """
+    return frozenset(1 << _ROOT_BITS * (j - 1) for j in range(1, n + 1) if j not in K)
 
 
-def _lengthens(u: WeylElement, i: int, K) -> bool:
-    """True iff sigma_i * u is longer than u and, for u in W^P, still in W^P."""
-    row = u.inv_root_rows[i - 1]
-    # a positive root of height 1 is a simple root alpha_j
-    return not (_is_neg(row) or (sum(row) == 1 and row.index(1) + 1 not in K))
-
-
-def _left_step(u: WeylElement, i: int, K) -> WeylElement | None:
-    """The child sigma_i * u of u in the tree of W^P, or None.
+def _left_step(lie_type: LieType, i: int, K):
+    """The tree step for letter i: a function taking u to its child sigma_i * u, or None.
 
     The child is longer than u, still minimal for K and has i as its least
     left descent, so (i,) + u.word is its lex-least reduced word (see the
     module docstring).  ``enumerate_cosets`` takes this step and
-    ``CosetTable.load_binary`` checks each cached class by it.
+    ``CosetTable.load_binary`` checks each cached class by it.  The
+    letter's reflection pairs and neighbour coefficients are bound once
+    here, not once per candidate.
 
     Most candidates fail the least-descent test, so it is decided on u's
-    own rows before the child's matrix is built.  Row b of the child is
-    u's row b plus |C[b][i-1]| * u^{-1}(alpha_i) (0-based b), and
-    u^{-1}(alpha_i) > 0 once ``_lengthens`` holds.  So a row b < i-1 that
-    is not a neighbour of node i is unchanged, a positive row stays
-    positive, and only a negative neighbour row needs its one updated row.
+    own rows before the child's key is built.  Row b of the child is u's
+    row b minus C[b][i-1] * u^{-1}(alpha_i) (0-based b); C[b][i-1] is 0 off
+    the neighbours of node i and negative on them, and u^{-1}(alpha_i) > 0
+    once the length and minimality tests hold.  So the child has no left
+    descent b < i exactly when rows[b] >= C[b][i-1] * rows[i-1] for each
+    such b.
     """
-    if not _lengthens(u, i, K):
-        return None
-    rows = u.inv_root_rows
     j = i - 1
-    pairs = reflection_pairs(u.lie_type)
+    pairs = reflection_pairs(lie_type)
     coeffs = dict(pairs[j])
-    rj = rows[j]
-    for b in range(j):
-        row = rows[b]
-        if _is_neg(row):
-            c = coeffs.get(b)
-            if c is None or _is_neg(tuple(a - c * x for a, x in zip(row, rj))):
+    below = tuple((b, coeffs.get(b, 0)) for b in range(j))
+    exits = _simple_roots_outside(lie_type.rank, K)
+
+    def step(u: WeylElement) -> WeylElement | None:
+        rows = u.inv_root_rows
+        rj = rows[j]
+        if rj < 0 or rj in exits:
+            return None
+        for b, c in below:
+            if rows[b] < c * rj:
                 return None
-    return WeylElement(u.lie_type, right_multiply_rows(rows, j, pairs), (i,) + u.word)
+        return WeylElement(lie_type, right_multiply_rows(rows, j, pairs), (i,) + u.word)
+
+    return step
 
 
 def _check_K(lie_type: LieType, K) -> frozenset:
@@ -245,7 +267,7 @@ class CosetTable:
         self.levels = levels
         self.complete = complete
         self.max_length = max_length
-        self._index = {}
+        self._index = {}  # packed key -> (r, i)
         for r, level in enumerate(levels):
             for i, w in enumerate(level):
                 self._index[w.inv_root_rows] = (r, i + 1)
@@ -319,16 +341,16 @@ class CosetTable:
     # The names keep "binary" because the benchmark's tracer wraps these two
     # methods by name and reads the path from their second argument.
     def save_binary(self, path):
-        """Write the ``json_obj`` of this table, compactly and atomically."""
+        """Write the ``json_obj`` of this table, compactly and atomically; return it."""
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        obj = self.json_obj()
         try:
-            tmp.write_text(
-                json.dumps(self.json_obj(), separators=(",", ":"), sort_keys=True)
-            )
+            tmp.write_text(json.dumps(obj, separators=(",", ":"), sort_keys=True))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
+        return obj
 
     @classmethod
     def load_binary(cls, path):
@@ -357,12 +379,13 @@ class CosetTable:
         if not isinstance(lie_type, str):
             raise ValueError("lie_type is not a string")
         lie_type = LieType.parse(lie_type)
-        if not (isinstance(K, list) and all(_is_int(j) for j in K)):
+        # type(x) is int, since JSON true and 1.0 compare equal to 1
+        if not (isinstance(K, list) and all(type(j) is int for j in K)):
             raise ValueError("K is not a list of integers")
         K = _check_K(lie_type, K)
         if not isinstance(complete, bool):
             raise ValueError("complete is not a boolean")
-        if not (max_length is None or _is_int(max_length)):
+        if not (max_length is None or type(max_length) is int):
             raise ValueError("max_length is not an integer")
         if not isinstance(elements, list):
             raise ValueError("elements is not a list")
@@ -371,12 +394,12 @@ class CosetTable:
             if not isinstance(e, dict):
                 raise ValueError("an element is not an object")
             r, i, word = e.get("r"), e.get("i"), e.get("word")
-            # one C-level type check per word; JSON true and 1.0 are not int
+            # one C-level type check per word
             if not (isinstance(word, list) and set(map(type, word)) <= {int}):
                 raise ValueError(f"class ({r}, {i}): word is not a list of integers")
             if r == len(words):
                 words.append([])
-            if not (_is_int(r) and _is_int(i)
+            if not (type(r) is int and type(i) is int
                     and r == len(words) - 1 and i == len(words[-1]) + 1):
                 raise ValueError(f"class ({r}, {i}) out of position")
             words[-1].append(tuple(word))
@@ -386,20 +409,23 @@ class CosetTable:
             raise ValueError("level 0 is not the identity alone")
 
         n = lie_type.rank
+        steps = [_left_step(lie_type, a, K) for a in range(1, n + 1)]
         levels = [[WeylElement.identity(lie_type)]]
         for r, level_words in enumerate(words[1:], start=1):
             parents = {u.word: u for u in levels[-1]}
             level = []
+            prev = ()
             for word in level_words:
-                if level and word <= level[-1].word:
+                if word <= prev:
                     raise ValueError(f"level {r}: words not strictly increasing")
+                prev = word
                 u = parents.get(word[1:]) if len(word) == r else None
                 if u is None:
                     raise ValueError(f"{list(word)}: tail is not a class of level {r - 1}")
                 a = word[0]
                 if not 1 <= a <= n:
                     raise ValueError(f"{list(word)}: letter {a} outside 1..{n}")
-                w = _left_step(u, a, K)
+                w = steps[a - 1](u)
                 if w is None:
                     raise ValueError(
                         f"{list(word)}: not the minimized word of a minimal representative"
@@ -412,7 +438,10 @@ class CosetTable:
             # w_0^P has no letter that lengthens it within W^P.  Poincare
             # duality makes the level sizes palindromic.
             top = levels[-1]
-            if len(top) != 1 or any(_lengthens(top[0], a, K) for a in range(1, n + 1)):
+            exits = _simple_roots_outside(n, K)
+            if len(top) != 1 or any(
+                row > 0 and row not in exits for row in top[0].inv_root_rows
+            ):
                 raise ValueError(f"marked complete, but level {len(levels) - 1} is not the top")
             if beta != beta[::-1]:
                 raise ValueError(f"marked complete, but beta {beta} is not palindromic")
@@ -438,6 +467,7 @@ def enumerate_cosets(
     """
     K = _check_K(lie_type, K)
     n = lie_type.rank
+    steps = [_left_step(lie_type, i, K) for i in range(1, n + 1)]
     identity = WeylElement.identity(lie_type)
     levels = [[identity]]
     count = 1
@@ -449,9 +479,9 @@ def enumerate_cosets(
             break
         prev = levels[-1]
         level = []
-        for i in range(1, n + 1):
+        for step in steps:
             for u in prev:
-                w = _left_step(u, i, K)
+                w = step(u)
                 if w is not None:
                     level.append(w)
         if not level:

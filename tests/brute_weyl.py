@@ -4,10 +4,14 @@ Elements are represented only by their weight-coordinate matrices (tuple of
 rows, row k = image of omega_{k+1}), generated by plain matrix closure.
 Lengths come from BFS distance in the Cayley graph, not from root counting,
 so agreement with the package is a genuine cross-check.  Only
-`weight_matrix` and `inverse_weight_matrix` read package elements, to
-translate them into these terms, and `ascending_subword_solutions` keeps
-the package's earlier subword search, on its root matrices, as an oracle
-for the one it has now.
+`weight_matrix`, `inverse_weight_matrix` and `unpacked_rows` read package
+elements, to translate them into these terms.
+
+The package packs each root into one int.  The tuple arithmetic it had
+before, `_is_neg` and `right_multiply_rows` on tuples of coordinates, stays
+here as the oracle of the packed one, together with the earlier subword
+search `ascending_subword_solutions` and the tree step `built_left_step`
+that builds every candidate before testing it.
 """
 
 from fractions import Fraction
@@ -16,13 +20,49 @@ from functools import lru_cache
 from schubert.cartan import LieType, cartan_matrix
 from schubert.weyl import (
     WeylElement,
-    _identity_rows,
-    _is_neg,
-    _lengthens,
+    _ROOT_BITS,
     _root_matrix,
     reflection_pairs,
-    right_multiply_rows,
+    unpack_root,
 )
+
+
+def _is_neg(vec: tuple[int, ...]) -> bool:
+    # sign of a root vector: first nonzero entry decides
+    for x in vec:
+        if x:
+            return x < 0
+    return False
+
+
+def right_multiply_rows(rows, j, pairs):
+    """Tuple rows of w -> tuple rows of w*sigma_{j+1}; `pairs` from reflection_pairs."""
+    out = list(rows)
+    rj = rows[j]
+    for k, c in pairs[j]:
+        rk = out[k]
+        out[k] = tuple(a - c * b for a, b in zip(rk, rj))
+    return tuple(out)
+
+
+def tuple_root_matrix(lie_type, word):
+    """The root matrix of sigma_word as tuples: row k is sigma_word(alpha_{k+1})."""
+    n = lie_type.rank
+    pairs = reflection_pairs(lie_type)
+    rows = tuple(tuple(int(k == j) for j in range(n)) for k in range(n))
+    for i in word:
+        rows = right_multiply_rows(rows, i - 1, pairs)
+    return rows
+
+
+def pack_root(vec) -> int:
+    """sum_m v_m * 2^(bits * m), the package's packing of a root, written out."""
+    return sum(v * 2 ** (_ROOT_BITS * m) for m, v in enumerate(vec))
+
+
+def unpacked_rows(w):
+    """The stored key of a package element, decoded to tuple rows."""
+    return tuple(unpack_root(row, w.lie_type.rank) for row in w.inv_root_rows)
 
 
 def _matmul(inner, outer):
@@ -208,14 +248,16 @@ def weight_matrix(w):
     """The weight matrix of a package element, from its stored word.
 
     The root matrix of w is folded from ``w.word`` by the package's
-    ``_root_matrix``, the fold behind ``from_word``.
+    ``_root_matrix``, the fold behind ``from_word``, and decoded.
     """
-    return _root_to_weight(w.lie_type, _root_matrix(w.lie_type, w.word))
+    n = w.lie_type.rank
+    rows = tuple(unpack_root(row, n) for row in _root_matrix(w.lie_type, w.word))
+    return _root_to_weight(w.lie_type, rows)
 
 
 def inverse_weight_matrix(w):
     """The weight matrix of w^-1, from the element's stored ``inv_root_rows``."""
-    return _root_to_weight(w.lie_type, w.inv_root_rows)
+    return _root_to_weight(w.lie_type, unpacked_rows(w))
 
 
 def ascending_subword_solutions(lie_type, letters, u):
@@ -226,7 +268,7 @@ def ascending_subword_solutions(lie_type, letters, u):
     length-increasing products reach length l(u) in l(u) steps; each leaf is
     compared with the root matrix of u folded from its word.
     """
-    target = _root_matrix(lie_type, u.word)
+    target = tuple_root_matrix(lie_type, u.word)
     k = len(u.word)
     m = len(letters)
     pairs = reflection_pairs(lie_type)
@@ -242,19 +284,23 @@ def ascending_subword_solutions(lie_type, letters, u):
             if not _is_neg(rows[j0]):
                 rec(p + 1, right_multiply_rows(rows, j0, pairs), chosen + (p,), need - 1)
 
-    rec(0, _identity_rows(lie_type.rank), (), k)
+    rec(0, tuple_root_matrix(lie_type, ()), (), k)
     return out
 
 
 def built_left_step(u, i, K):
-    """The child sigma_i * u of u in the tree of W^P, or None.
+    """The child sigma_i * u of u in the tree of W^P, or None, on tuple rows.
 
-    Builds the candidate's root matrix first, then asks whether some
-    b < i is a left descent of it.
+    Decodes u's key, builds the candidate's root matrix, then asks whether
+    some b < i is a left descent of it.  sigma_i * u is longer and still in
+    W^P when u^{-1}(alpha_i) is positive and not a simple root alpha_j with
+    j not in K.
     """
-    if not _lengthens(u, i, K):
+    rows = unpacked_rows(u)
+    row = rows[i - 1]
+    if _is_neg(row) or (sum(row) == 1 and row.index(1) + 1 not in K):
         return None
-    inv = right_multiply_rows(u.inv_root_rows, i - 1, reflection_pairs(u.lie_type))
+    inv = right_multiply_rows(rows, i - 1, reflection_pairs(u.lie_type))
     if any(_is_neg(inv[b]) for b in range(i - 1)):
         return None
-    return WeylElement(u.lie_type, inv, (i,) + u.word)
+    return WeylElement(u.lie_type, tuple(map(pack_root, inv)), (i,) + u.word)

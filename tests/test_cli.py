@@ -321,8 +321,12 @@ def test_multiply_text_output_pinned(capsys, argv, text):
 
 
 # sha256 of stdout, JSON and text, captured before JSON got its own writer
-# and the enumeration step its row test; any change to an output byte fails.
+# and the enumeration step its row test (E6/T: before roots were packed into
+# ints); any change to an output byte fails.
+E6T_JSON_DIGEST = "1cdfe3103698cf548cff9667c689b34784ffab77f2f43cd3ba362ba0bc62635c"
 PINNED_DIGESTS = [
+    (["enumerate", "E6"], E6T_JSON_DIGEST,
+     "ee9397ac4e6bdf1f4d901b6fb7b2c09be4828699dc07eaee03f4c3a03c28170a"),
     (["enumerate", "F4"],
      "f32cd24b6bdde9b5ce522871f9c10ffb98f99dca83ae4e94bd6f93daadbdc580",
      "2498100c3cf0299c9edf6405e363f8c0a4730ecd0d2b72988fa81caf4c2b15a6"),
@@ -353,6 +357,45 @@ def test_stdout_digests_pinned(capsys, argv, json_digest, text_digest):
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert (code, err) == (EXIT_OK, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# sha256 of the E6/T cache file and of the JSON of one product read from it,
+# captured before roots were packed into ints
+E6T_CACHE_DIGEST = "333bd69da2e01a1137e782d095aa63f771b83f9ffded1fa72eeede69677a3c0c"
+E6T_PRODUCT_DIGEST = "d0a93268a0c6fb00589292f51009ff3b3702bc52b63e363a5f80d10eb3d048ee"
+
+
+def test_e6t_cache_bytes_pinned(capsys, tmp_path):
+    # the cold stage writes the pinned file and prints the uncached bytes;
+    # the warm stage reads it back and prints what an uncached run prints
+    code, cold, err = run_cli(capsys, "enumerate", "E6", "--cache-dir", str(tmp_path))
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(cold.encode()).hexdigest() == E6T_JSON_DIGEST
+    cache = tmp_path / "E6-K1_2_3_4_5_6.json"
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == E6T_CACHE_DIGEST
+    argv = ("multiply", "E6", "3,2,1", "w4")
+    warm = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert warm == run_cli(capsys, *argv)
+    assert warm[0] == EXIT_OK
+    assert hashlib.sha256(warm[1].encode()).hexdigest() == E6T_PRODUCT_DIGEST
+
+
+def test_cold_cached_enumerate_builds_json_once(capsys, tmp_path, monkeypatch):
+    from schubert.weyl import CosetTable
+
+    calls = []
+    real = CosetTable.json_obj
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CosetTable, "json_obj", counted)
+    obj = run_json(capsys, "enumerate", "F4", "--cache-dir", str(tmp_path))
+    assert len(calls) == 1
+    assert obj["count"] == 1152
+    saved = json.loads((tmp_path / "F4-K1_2_3_4.json").read_text())
+    assert saved == {k: v for k, v in obj.items() if k != "count"}
 
 
 # -- the JSON writer ------------------------------------------------------------

@@ -13,9 +13,12 @@ from schubert.weyl import (
     _left_step,
     _root_matrix,
     enumerate_cosets,
+    unpack_root,
 )
 
 from brute_weyl import (
+    _is_neg,
+    all_roots,
     brute_all_reduced_words,
     brute_group,
     brute_length,
@@ -24,7 +27,10 @@ from brute_weyl import (
     brute_right_descents,
     built_left_step,
     inverse_weight_matrix,
+    pack_root,
     positive_roots,
+    reflect_root,
+    unpacked_rows,
     weight_matrix,
 )
 
@@ -41,6 +47,31 @@ E6 = LieType.parse("E6")
 
 def wd(lt, *letters):
     return WeylElement.from_word(lt, letters)
+
+
+# ---------------------------------------------------------------- packing
+
+PACKING_TYPES = (
+    [f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(2, 10)]
+    + [f"C{n}" for n in range(3, 10)] + [f"D{n}" for n in range(4, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", PACKING_TYPES)
+def test_packed_roots_match_tuple_oracle(name):
+    # every root packs and unpacks to itself, keeps its sign, and sigma_j
+    # acts on the packed int as the packed image of the oracle's reflection
+    lt = LieType.parse(name)
+    n = lt.rank
+    reflections = [_root_matrix(lt, (j,)) for j in range(1, n + 1)]
+    for root in all_roots(lt):
+        packed = pack_root(root)
+        assert unpack_root(packed, n) == root
+        assert (packed < 0) == _is_neg(root)
+        for j, rows in enumerate(reflections, start=1):
+            image = sum(v * row for v, row in zip(root, rows))
+            assert image == pack_root(reflect_root(lt, j, root)), (root, j)
 
 
 # ---------------------------------------------------------------- elements
@@ -76,7 +107,7 @@ def test_inverse_key_is_faithful(lt):
 def test_identity_basics():
     e = WeylElement.identity(A2)
     assert e.length() == 0
-    assert e.inv_root_rows == ((1, 0), (0, 1))
+    assert unpacked_rows(e) == ((1, 0), (0, 1))
     assert e.minimized_word() == ()
     s1 = WeylElement.simple_reflection(A2, 1)
     assert WeylElement.from_word(A2, (1,)) == s1
@@ -145,7 +176,7 @@ def test_word_properties(lt, data):
     assert weight_matrix(WeylElement.from_word(lt, (i,) + word)) == brute_matrix(lt, (i,) + word)
     # row j of inv_root_rows is negative exactly when j is a left descent
     length = brute_length(lt, word)
-    assert [min(row) < 0 for row in w.inv_root_rows] == [
+    assert [min(row) < 0 for row in unpacked_rows(w)] == [
         brute_length(lt, (j,) + word) < length for j in range(1, n + 1)
     ]
 
@@ -165,7 +196,7 @@ def test_descents():
     w = wd(A2, 1, 2)  # sigma_1 sigma_2
     assert brute_right_descents(A2, w.word) == {2}
     # w^-1 = sigma_2 sigma_1 sends alpha_1 to -(alpha_1 + alpha_2), alpha_2 to alpha_1
-    assert w.inv_root_rows == ((-1, -1), (1, 0))
+    assert unpacked_rows(w) == ((-1, -1), (1, 0))
 
 
 # ---------------------------------------------------------------- cosets
@@ -235,7 +266,7 @@ def test_left_step_matches_brute(lt, K):
                 child = brute_length(lt, word) == len(word) and (
                     brute_right_descents(lt, word) <= K
                 ) and min(brute_all_reduced_words(lt, brute_matrix(lt, word))) == word
-                w = _left_step(u, i, K)
+                w = _left_step(lt, i, K)(u)
                 assert (w is not None) == child, (u.word, i)
                 if child:
                     # the matrix the step stores is that of w^-1
@@ -249,17 +280,18 @@ def test_left_step_matches_brute(lt, K):
     ids=["B3/T", "C3/T", "G2/T", "F4/T", "E6/P2"],
 )
 def test_left_step_matches_built_step(lt, K):
-    # the step that tests u's rows before building agrees with the one that
-    # builds every candidate first, on every class and letter
+    # the packed step that tests u's rows before building agrees with the
+    # tuple oracle that builds every candidate first, on every class and letter
     def key(w):
-        return None if w is None else (w.inv_root_rows, w.word)
+        return None if w is None else (unpacked_rows(w), w.word)
 
     table = enumerate_cosets(lt, K)
+    steps = [_left_step(lt, i, K) for i in range(1, lt.rank + 1)]
     children = 0
     for _, _, u in table:
-        for i in range(1, lt.rank + 1):
+        for i, step in enumerate(steps, start=1):
             expected = key(built_left_step(u, i, K))
-            assert key(_left_step(u, i, K)) == expected, (u.word, i)
+            assert key(step(u)) == expected, (u.word, i)
             children += expected is not None
     assert children == table.total - 1
 
@@ -267,8 +299,8 @@ def test_left_step_matches_built_step(lt, K):
 def test_minimal_rep_examples():
     e = WeylElement.identity(F4)
     # sigma_1 is minimal for K={1}; sigma_2 lies in W_P
-    assert _left_step(e, 1, {1}) == WeylElement.simple_reflection(F4, 1)
-    assert _left_step(e, 2, {1}) is None
+    assert _left_step(F4, 1, {1})(e) == WeylElement.simple_reflection(F4, 1)
+    assert _left_step(F4, 2, {1})(e) is None
     assert brute_right_descents(F4, (1,)) <= {1}
     assert not brute_right_descents(F4, (2,)) <= {1}
     assert enumerate_cosets(F4, set()).levels == [[e]]
@@ -289,6 +321,22 @@ def test_enumeration_is_deterministic():
     t1 = enumerate_cosets(F4, {1})
     t2 = enumerate_cosets(F4, {1})
     assert t1 == t2
+
+
+def test_enumeration_hashes_lie_type_a_bounded_number_of_times(monkeypatch):
+    # the step binds its letter's data once, and an element hashes its key
+    # alone, so the count does not grow with the 1,152 classes of F4/T
+    calls = []
+    real = LieType.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LieType, "__hash__", counted)
+    table = enumerate_cosets(LieType.parse("F4"), {1, 2, 3, 4})
+    assert table.total == 1152
+    assert len(calls) <= 50
 
 
 def test_memory_guard():
