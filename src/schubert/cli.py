@@ -8,12 +8,13 @@ the cache path is unusable, 3 = a resource cap was exceeded.
 
 Coset tables are cached under --cache-dir, or under the directory named by
 the SCHUBERT_CACHE_DIR environment variable when the flag is absent; with
-neither set, nothing is persisted.  A cache file holds the table's
-`enumerate` JSON object of a full enumeration, and a corrupt or truncated
-one is a domain error.  All output is
-deterministic for fixed inputs, so repeated runs (cached or not) emit
-byte-identical JSON.  JSON output is ``json.dumps(result, indent=1,
-sort_keys=True)`` to the byte, written by ``_dumps``.
+neither set, nothing is persisted.  A cache file holds the lex-least-word
+tree of a full enumeration (see ``CosetTable.save_binary``), and a corrupt
+or truncated one is a domain error.  All output is deterministic for fixed
+inputs, so repeated runs (cached or not) emit byte-identical JSON.  JSON
+output is ``json.dumps(result, indent=1, sort_keys=True)`` to the byte,
+written by ``_dumps``; the ``enumerate`` listing is rendered straight from
+the table's levels, one format string per class.
 """
 
 from __future__ import annotations
@@ -151,12 +152,8 @@ def _cache_path(cache_dir: Path, lie_type: LieType, K) -> Path:
     return cache_dir / f"{lie_type}-K{'_'.join(str(k) for k in sorted(K))}.json"
 
 
-def load_table(spec: JobSpec) -> tuple[CosetTable, dict | None]:
-    """Enumerate (or load from cache) the coset table of the job.
-
-    The second value is the table's ``json_obj`` when this call wrote it to
-    the cache, so that ``enumerate`` does not build it again, else None.
-    """
+def load_table(spec: JobSpec) -> CosetTable:
+    """Enumerate (or load from cache) the coset table of the job."""
     path = None
     if spec.cache_dir is not None:
         path = _cache_path(spec.cache_dir, spec.lie_type, spec.K)
@@ -172,12 +169,12 @@ def load_table(spec: JobSpec) -> tuple[CosetTable, dict | None]:
                 )
             if table.total > spec.max_elements:
                 raise EnumerationLimit(spec.lie_type, spec.K, spec.max_elements)
-            return table, None
+            return table
     table = enumerate_cosets(spec.lie_type, spec.K, max_elements=spec.max_elements)
-    if path is None:
-        return table, None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return table, table.save_binary(path)
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        table.save_binary(path)
+    return table
 
 
 # -- per-command execution -----------------------------------------------------
@@ -191,17 +188,35 @@ def _class_obj(table: CosetTable, cls: SchubertClass) -> dict:
     }
 
 
-def _run_enumerate(spec: JobSpec, table: CosetTable, obj: dict | None):
-    """The table's ``json_obj`` (built here unless `obj` is it) with its count."""
-    obj = obj if obj is not None else table.json_obj()
-    obj["count"] = table.total
+# Items of the "elements" list of ``enumerate`` as ``json.dumps(...,
+# indent=1)`` writes them: the identity (level 0), then one per class.
+_IDENTITY_JSON = '  {\n   "i": 1,\n   "r": 0,\n   "word": []\n  }'
+_ELEMENT_JSON = '  {{\n   "i": {},\n   "r": {},\n   "word": [\n    {}\n   ]\n  }}'
+
+
+def _run_enumerate(spec: JobSpec, table: CosetTable):
+    """The listing of every class, rendered straight from ``table.levels``."""
+    letter = tuple(map(str, range(table.lie_type.rank + 1))).__getitem__
     if spec.fmt == "json":
-        return obj
-    rows = [(str(e["r"]), str(e["i"]), ",".join(str(x) for x in e["word"]) or "-")
-            for e in obj["elements"]]
+        fmt = _ELEMENT_JSON.format
+        elements = ["[\n" + _IDENTITY_JSON] + [
+            fmt(i, r, ",\n    ".join(map(letter, w.word)))
+            for r, level in enumerate(table.levels[1:], start=1)
+            for i, w in enumerate(level, start=1)
+        ]
+        return {
+            "lie_type": str(table.lie_type),
+            "K": sorted(table.K),
+            "complete": table.complete,
+            "max_length": table.max_length,
+            "beta": list(table.betti),
+            "count": table.total,
+            "elements": _Rendered(",\n".join(elements) + "\n ]"),
+        }
+    rows = [(str(r), str(i), ",".join(map(letter, w.word)) or "-") for r, i, w in table]
     if spec.fmt == "table":
         return _columns(["r", "i", "word"], rows)
-    lines = [f"{obj['lie_type']} K={obj['K']}: {obj['count']} classes"]
+    lines = [f"{table.lie_type} K={sorted(table.K)}: {table.total} classes"]
     lines += [f"  s[{r},{i}] = [{w}]" for r, i, w in rows]
     return "\n".join(lines)
 
@@ -312,15 +327,19 @@ def _columns(header, rows) -> str:
     return "\n".join(out)
 
 
+class _Rendered(str):
+    """JSON text that ``_dumps`` writes as it is, already indented for its place."""
+
+
 def _dumps(obj, indent="") -> str:
     """``json.dumps(obj, indent=1, sort_keys=True)``, byte for byte.
 
     The standard encoder drops to its pure-Python path whenever ``indent``
-    is set and yields one chunk per token; this writer joins a list of
-    plain ints in one call, which is most of an ``enumerate`` listing.
+    is set and yields one chunk per token; this writer builds each
+    container in one join, and copies a ``_Rendered`` value unchanged.
     Dict keys must be ``str``; any other key raises ``TypeError``.
     """
-    if type(obj) is int:
+    if type(obj) is int or type(obj) is _Rendered:
         return str(obj)
     if isinstance(obj, dict):
         if not obj:
@@ -332,20 +351,18 @@ def _dumps(obj, indent="") -> str:
         body = (",\n" + inner).join(
             [encode_basestring_ascii(key) + ": " + _dumps(obj[key], inner) for key in sorted(obj)]
         )
-        return "{\n" + inner + body + "\n" + indent + "}"
+        return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + " "
-        if set(map(type, obj)) == {int}:
-            body = (",\n" + inner).join(map(str, obj))
-        else:
-            body = (",\n" + inner).join([_dumps(x, inner) for x in obj])
-        return "[\n" + inner + body + "\n" + indent + "]"
+        body = (",\n" + inner).join([_dumps(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
     return json.dumps(obj)
 
 
 _RUNNERS = {
+    "enumerate": _run_enumerate,
     "multiply": _run_multiply,
     "giambelli": _run_giambelli,
     "presentation": _run_presentation,
@@ -357,11 +374,7 @@ def run(spec: JobSpec, out=None) -> int:
     """Execute one job; writes serialized output, returns the exit status."""
     out = out if out is not None else sys.stdout
     try:
-        table, written = load_table(spec)
-        if spec.command == "enumerate":
-            result = _run_enumerate(spec, table, written)
-        else:
-            result = _RUNNERS[spec.command](spec, table)
+        result = _RUNNERS[spec.command](spec, load_table(spec))
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

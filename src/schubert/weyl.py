@@ -38,8 +38,10 @@ So level r+1 is built from level r by one step, u -> sigma_i * u, taken when
 
 Each class is reached once, from its parent, and looping over i and then
 over the parent level in order lists each level in lexicographic order of
-the words.  ``CosetTable.load_binary`` rebuilds a cached table by the same
-step.
+the words.  So a level is fixed by its (letter, parent index) pairs, in
+increasing order, and that is all a cache file stores: ``save_binary``
+writes the pairs and ``CosetTable.load_binary`` rebuilds every class from
+them by the same step.
 
 Most candidate steps fail the third test, so the step decides it on u's own
 rows before it builds the child's key.  Left multiplication by sigma_i adds
@@ -326,55 +328,57 @@ class CosetTable:
 
     # -- serialization ---------------------------------------------------
 
-    def json_obj(self):
-        return {
+    # The names keep "binary" because the benchmark's tracer wraps these two
+    # methods by name and reads the path from their second argument.
+    def save_binary(self, path):
+        """Write this table's lex-least-word tree, compactly and atomically.
+
+        ``tree[r-1]`` is level r >= 1 as one flat list ``[a1, p1, a2, p2,
+        ...]``: class (r, i) is sigma_a times class (r-1, p), p 1-based.
+        """
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tree = []
+        for prev, level in zip(self.levels, self.levels[1:]):
+            parent = {u.word: p for p, u in enumerate(prev, start=1)}
+            tree.append([x for w in level for x in (w.word[0], parent[w.word[1:]])])
+        obj = {
             "lie_type": str(self.lie_type),
             "K": sorted(self.K),
             "complete": self.complete,
             "max_length": self.max_length,
-            "beta": list(self.betti),
-            "elements": [
-                {"r": r, "i": i, "word": list(w.word)} for r, i, w in self
-            ],
+            "tree": tree,
         }
-
-    # The names keep "binary" because the benchmark's tracer wraps these two
-    # methods by name and reads the path from their second argument.
-    def save_binary(self, path):
-        """Write the ``json_obj`` of this table, compactly and atomically; return it."""
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        obj = self.json_obj()
         try:
             tmp.write_text(json.dumps(obj, separators=(",", ":"), sort_keys=True))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        return obj
 
     @classmethod
     def load_binary(cls, path):
         """Read a table written by ``save_binary``, re-checking every class.
 
-        Each class is rebuilt from its parent in the previous level by the
-        enumeration step, which also checks that the word is the lex-least
-        reduced word of a minimal representative, so any other file raises
-        ValueError.  A table marked complete must also end in one class that
-        no letter lengthens within W^P and have palindromic level sizes, so
-        a file with its top levels cut off is rejected too.
+        Each class is rebuilt from its parent by the enumeration step, which
+        checks that it is a longer minimal representative whose lex-least
+        word starts with its letter.  The pairs of a level must be strictly
+        increasing (the order of the words), so no class is listed twice.
+        ``complete`` and ``max_length`` must match the levels as
+        ``enumerate_cosets`` sets them, and a complete table must end in one
+        class that no letter lengthens within W^P, with palindromic level
+        sizes.  Any other file raises ValueError.
         """
         try:
-            return cls._from_json_obj(json.loads(Path(path).read_bytes()))
+            return cls._from_tree(json.loads(Path(path).read_bytes()))
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: corrupt coset-table cache ({exc})") from None
 
     @classmethod
-    def _from_json_obj(cls, obj):
+    def _from_tree(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
-        lie_type, K, complete, max_length, beta, elements = (
-            obj.get(k) for k in
-            ("lie_type", "K", "complete", "max_length", "beta", "elements")
+        lie_type, K, complete, max_length, tree = (
+            obj.get(k) for k in ("lie_type", "K", "complete", "max_length", "tree")
         )
         if not isinstance(lie_type, str):
             raise ValueError("lie_type is not a string")
@@ -387,51 +391,42 @@ class CosetTable:
             raise ValueError("complete is not a boolean")
         if not (max_length is None or type(max_length) is int):
             raise ValueError("max_length is not an integer")
-        if not isinstance(elements, list):
-            raise ValueError("elements is not a list")
-        words = []  # words[r] lists the words of level r in file order
-        for e in elements:
-            if not isinstance(e, dict):
-                raise ValueError("an element is not an object")
-            r, i, word = e.get("r"), e.get("i"), e.get("word")
-            # one C-level type check per word
-            if not (isinstance(word, list) and set(map(type, word)) <= {int}):
-                raise ValueError(f"class ({r}, {i}): word is not a list of integers")
-            if r == len(words):
-                words.append([])
-            if not (type(r) is int and type(i) is int
-                    and r == len(words) - 1 and i == len(words[-1]) + 1):
-                raise ValueError(f"class ({r}, {i}) out of position")
-            words[-1].append(tuple(word))
-        if beta != [len(level) for level in words]:
-            raise ValueError(f"beta {beta} disagrees with the elements")
-        if not words or words[0] != [()]:
-            raise ValueError("level 0 is not the identity alone")
+        if not isinstance(tree, list):
+            raise ValueError("tree is not a list")
 
         n = lie_type.rank
         steps = [_left_step(lie_type, a, K) for a in range(1, n + 1)]
         levels = [[WeylElement.identity(lie_type)]]
-        for r, level_words in enumerate(words[1:], start=1):
-            parents = {u.word: u for u in levels[-1]}
+        for r, flat in enumerate(tree, start=1):
+            # one C-level type check per level
+            if not (isinstance(flat, list) and flat and len(flat) % 2 == 0
+                    and set(map(type, flat)) == {int}):
+                raise ValueError(f"level {r} is not a nonempty list of integer pairs")
+            parents = levels[-1]
+            m = len(parents)
             level = []
-            prev = ()
-            for word in level_words:
-                if word <= prev:
-                    raise ValueError(f"level {r}: words not strictly increasing")
-                prev = word
-                u = parents.get(word[1:]) if len(word) == r else None
-                if u is None:
-                    raise ValueError(f"{list(word)}: tail is not a class of level {r - 1}")
-                a = word[0]
-                if not 1 <= a <= n:
-                    raise ValueError(f"{list(word)}: letter {a} outside 1..{n}")
-                w = steps[a - 1](u)
+            prev = 0
+            for a, p in zip(flat[::2], flat[1::2]):
+                if not (1 <= a <= n and 1 <= p <= m):
+                    raise ValueError(f"level {r}: pair ({a}, {p}) out of range")
+                # (a, p) in lex order, which is the lex order of the words
+                key = a * m + p
+                if key <= prev:
+                    raise ValueError(f"level {r}: pairs not strictly increasing at ({a}, {p})")
+                prev = key
+                w = steps[a - 1](parents[p - 1])
                 if w is None:
-                    raise ValueError(
-                        f"{list(word)}: not the minimized word of a minimal representative"
-                    )
+                    raise ValueError(f"level {r}: ({a}, {p}) is not a step of the tree")
                 level.append(w)
             levels.append(level)
+        # enumerate_cosets marks a table truncated exactly when it stopped
+        # at level max_length
+        lmax = len(levels) - 1
+        if complete != (max_length is None or max_length > lmax) or (
+            not complete and max_length != lmax
+        ):
+            raise ValueError(f"complete={complete} and max_length={max_length} "
+                             f"disagree with the {lmax + 1} levels")
         if complete:
             # a complete table ends in the single longest representative:
             # W^P is the interval [e, w_0^P] of left weak order, so only
@@ -442,9 +437,10 @@ class CosetTable:
             if len(top) != 1 or any(
                 row > 0 and row not in exits for row in top[0].inv_root_rows
             ):
-                raise ValueError(f"marked complete, but level {len(levels) - 1} is not the top")
+                raise ValueError(f"marked complete, but level {lmax} is not the top")
+            beta = [len(level) for level in levels]
             if beta != beta[::-1]:
-                raise ValueError(f"marked complete, but beta {beta} is not palindromic")
+                raise ValueError(f"marked complete, but level sizes {beta} are not palindromic")
         return cls(lie_type, K, levels, complete, max_length)
 
 

@@ -12,6 +12,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+from schubert.cartan import LieType
 from schubert.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -21,6 +22,9 @@ from schubert.cli import (
     _dumps,
     main,
 )
+from schubert.weyl import enumerate_cosets
+
+from listing import cli_listing, listing_obj
 
 
 def run_cli(capsys, *argv):
@@ -145,9 +149,7 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     )
     assert code2 == EXIT_OK
     assert out1 == out2  # byte-identical JSON after the cache round-trip
-    fresh = json.loads(out1)
-    cached = json.loads(out2)
-    assert fresh == cached
+    assert out1 == run_cli(capsys, "enumerate", "F4", "--K", "1")[1]  # and uncached
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
@@ -177,60 +179,88 @@ def _edit(change):
     return apply
 
 
-def _set_word(k, word):
-    return _edit(lambda obj: obj["elements"][k].update(word=word))
+def _set(r, k, value):
+    """Set entry k of the flat pair list of level r."""
+    return _edit(lambda obj: obj["tree"][r - 1].__setitem__(k, value))
+
+
+def _set_level(r, flat):
+    return _edit(lambda obj: obj["tree"].__setitem__(r - 1, flat))
 
 
 def _drop_top_level(obj):
-    obj["elements"].pop()
-    obj["beta"].pop()
+    obj["tree"].pop()
 
 
 def _mark_truncated(obj):
+    # a consistent truncated table, as enumerate_cosets(..., max_length=1) gives
+    _drop_top_level(obj)
+    obj.update(complete=False, max_length=1)
+
+
+def _truncated_without_max_length(obj):
+    # enumerate_cosets never writes this: truncation stops at max_length
     _drop_top_level(obj)
     obj["complete"] = False
 
 
-def _top_not_longest(obj):
+# The file of the listing format, which held one {r, i, word} object per
+# class; it has no tree, so it is read as corrupt.
+LISTING_FORMAT = (
+    b'{"K":[1],"beta":[1,1,1],"complete":true,"elements":[{"i":1,"r":0,"word":[]},'
+    b'{"i":1,"r":1,"word":[1]},{"i":1,"r":2,"word":[2,1]}],"lie_type":"A2",'
+    b'"max_length":null}'
+)
+
+# (K, change to the cache file, the reason the load gives) for A2.  Level
+# r >= 1 is a flat list of (letter, parent) pairs: K={1} is [[1,1], [2,1]]
+# for the words [1]; [2,1], and the full flag K={1,2} is [[1,1,2,1],
+# [1,2,2,1], [1,2]] for [1], [2]; [1,2], [2,1]; [1,2,1].
+NOT_PAIRS = "not a nonempty list of integer pairs"
+NOT_A_STEP = "is not a step of the tree"
+NOT_INCREASING = "pairs not strictly increasing"
+CORRUPT_CACHES = {
+    "truncated": ("1", lambda raw: raw[: len(raw) // 2], "Expecting"),
+    "garbage": ("1", lambda raw: b"\x80\x04\x95\xff not a cache \xfe", "codec"),
+    "json-list": ("1", lambda raw: b'["A2", [1], true]', "not a JSON object"),
+    "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}', "complete"),
+    "listing-format": ("1", lambda raw: LISTING_FORMAT, "tree is not a list"),
+    "complete-not-bool": ("1", _edit(lambda obj: obj.update(complete=1)), "not a boolean"),
+    "letter-0": ("1", _set(1, 0, 0), "pair (0, 1) out of range"),
+    "letter-rank+1": ("1", _set(1, 0, 3), "pair (3, 1) out of range"),
+    # true and 1.0 compare equal to 1
+    "letter-true": ("1", _set(1, 0, True), NOT_PAIRS),
+    "parent-0": ("1", _set(2, 1, 0), "pair (2, 0) out of range"),
+    "tail-not-a-class": ("1", _set(2, 1, 2), "pair (2, 2) out of range"),  # one parent
+    "parent-float": ("1", _set(2, 1, 1.0), NOT_PAIRS),
+    "odd-length": ("1", _set_level(2, [2, 1, 2]), NOT_PAIRS),
+    "empty-level": ("1", _edit(lambda obj: obj["tree"].insert(1, [])), NOT_PAIRS),
+    "not-reduced": ("1", _set(2, 0, 1), NOT_A_STEP),  # [1,1]
+    "not-minimal": ("1", _set(1, 0, 2), NOT_A_STEP),  # [2] is not minimal for K={1}
+    # [2,1,2] is the element [1,2,1], whose lex-least word starts with 1
+    "not-minimized": ("1,2", _set_level(3, [2, 1]), NOT_A_STEP),
+    "out-of-position": ("1,2", _set_level(1, [2, 1, 1, 1]), NOT_INCREASING),
+    "duplicate-class": ("1,2", _set_level(1, [1, 1, 1, 1]), NOT_INCREASING),
+    # without the leaf [1,2], the level sizes 1, 2, 1, 1 end in the top class
+    "not-palindromic": (
+        "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [2, 1], [1, 1]])),
+        "not palindromic",
+    ),
+    "top-level-dropped": ("1", _edit(_drop_top_level), "level 1 is not the top"),
+    "marked-truncated": ("1", _edit(_mark_truncated), "marked truncated"),
+    "truncation-marks-disagree": ("1", _edit(_truncated_without_max_length), "disagree"),
     # full flag: keep [], [1], [2], [1,2]; the top class [1,2] has no tree
     # child, but sigma_2 lengthens it to [1,2,1]
-    del obj["elements"][4:]
-    obj["beta"] = [1, 2, 1]
-
-
-def _duplicate_level_1(obj):
-    obj["elements"].insert(2, {"r": 1, "i": 2, "word": [1]})
-    obj["beta"] = [1, 2, 1]
-
-
-# (K, change to the cache file) for A2; levels of K={1}: [], [1], [2,1]
-CORRUPT_CACHES = {
-    "truncated": ("1", lambda raw: raw[: len(raw) // 2]),
-    "garbage": ("1", lambda raw: b"\x80\x04\x95\xff not a cache \xfe"),
-    "json-list": ("1", lambda raw: b'["A2", [1], true]'),
-    "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}'),
-    "letter-0": ("1", _set_word(1, [0])),
-    "letter-rank+1": ("1", _set_word(1, [3])),
-    # true and 1.0 compare equal to 1; (1.0,) would find the parent (1,)
-    "letter-true": ("1", _set_word(1, [True])),
-    "tail-letter-float": ("1", _set_word(2, [2, 1.0])),
-    "not-reduced": ("1", _set_word(2, [1, 1])),
-    "not-minimal": ("1", _set_word(1, [2])),
-    "tail-not-a-class": ("1", _set_word(2, [1, 2])),
-    "out-of-position": ("1", _edit(lambda obj: obj["elements"][1].update(i=2))),
-    # full flag: [1,2,1] and [2,1,2] are the same element
-    "not-minimized": ("1,2", _set_word(5, [2, 1, 2])),
-    "duplicate-class": ("1", _edit(_duplicate_level_1)),
-    "beta-mismatch": ("1", _edit(lambda obj: obj.update(beta=[1, 1, 2]))),
-    "top-level-dropped": ("1", _edit(_drop_top_level)),
-    "marked-truncated": ("1", _edit(_mark_truncated)),
-    "top-not-longest": ("1,2", _edit(_top_not_longest)),
+    "top-not-longest": (
+        "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [1, 2]])),
+        "level 2 is not the top",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
 def test_corrupt_cache_is_domain_error(capsys, tmp_path, case):
-    K, corrupt = CORRUPT_CACHES[case]
+    K, corrupt, reason = CORRUPT_CACHES[case]
     argv = ["enumerate", "A2", "--K", K, "--cache-dir", str(tmp_path)]
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     (path,) = tmp_path.glob("A2-K*.json")
@@ -238,8 +268,28 @@ def test_corrupt_cache_is_domain_error(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_DOMAIN
     assert "domain error" in err and "corrupt coset-table cache" in err
+    assert reason in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_corrupt_cache_check_survives_optimize(subprocess_env, tmp_path):
+    # the pair (1, 1) of level 2 is the word [1,1], which is not reduced
+    (tmp_path / "A2-K1.json").write_text(
+        '{"K":[1],"complete":true,"lie_type":"A2","max_length":null,"tree":[[1,1],[1,1]]}'
+    )
+    code = (
+        "import sys\n"
+        "assert False\n"  # stripped under -O, so this line proves -O is on
+        "from schubert.cli import main\n"
+        f"sys.exit(main(['enumerate', 'A2', '--K', '1', '--cache-dir', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
+    assert "corrupt coset-table cache (level 2: (1, 1) is not a step of the tree)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _cache_dir_is_a_file(tmp_path):
@@ -359,9 +409,29 @@ def test_stdout_digests_pinned(capsys, argv, json_digest, text_digest):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
-# sha256 of the E6/T cache file and of the JSON of one product read from it,
-# captured before roots were packed into ints
-E6T_CACHE_DIGEST = "333bd69da2e01a1137e782d095aa63f771b83f9ffded1fa72eeede69677a3c0c"
+# sha256 of the table format of `enumerate`, captured while the listing was
+# still built as one dict per class
+PINNED_TABLE_DIGESTS = [
+    (["enumerate", "F4"], "462c1b6b6f727e7f25b1402d1e1b85baa85ed94b9dbd911dc0b8b00b19fc8164"),
+    (["enumerate", "E6", "--K", "2"],
+     "398289e0d0aa0d9f711520693ae5ccfa5e906b2b1596d51f7cbacbfae193690e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_TABLE_DIGESTS,
+    ids=[" ".join(argv) for argv, _ in PINNED_TABLE_DIGESTS],
+)
+def test_table_digests_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv, "--format", "table")
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the E6/T cache file, pinned when it became the (letter, parent)
+# tree, and of the JSON of one product read from it, captured before roots
+# were packed into ints
+E6T_CACHE_DIGEST = "339ba221fce5de01c5a2985faf5074c785950398bd997938ac4f6d3f8f441b77"
 E6T_PRODUCT_DIGEST = "d0a93268a0c6fb00589292f51009ff3b3702bc52b63e363a5f80d10eb3d048ee"
 
 
@@ -380,22 +450,15 @@ def test_e6t_cache_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(warm[1].encode()).hexdigest() == E6T_PRODUCT_DIGEST
 
 
-def test_cold_cached_enumerate_builds_json_once(capsys, tmp_path, monkeypatch):
-    from schubert.weyl import CosetTable
-
-    calls = []
-    real = CosetTable.json_obj
-
-    def counted(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(CosetTable, "json_obj", counted)
-    obj = run_json(capsys, "enumerate", "F4", "--cache-dir", str(tmp_path))
-    assert len(calls) == 1
-    assert obj["count"] == 1152
-    saved = json.loads((tmp_path / "F4-K1_2_3_4.json").read_text())
-    assert saved == {k: v for k, v in obj.items() if k != "count"}
+@pytest.mark.parametrize(
+    "lie_type, K, max_length",
+    [("A2", {1}, None), ("B3", {1, 2, 3}, None), ("F4", {1}, None), ("G2", {1, 2}, 3),
+     ("A1", set(), None)],
+    ids=["A2-P1", "B3-T", "F4-P1", "G2-T-truncated", "A1-point"],
+)
+def test_enumerate_json_matches_listing_builder(lie_type, K, max_length):
+    table = enumerate_cosets(LieType.parse(lie_type), K, max_length=max_length)
+    assert cli_listing(table) == json.dumps(listing_obj(table), indent=1, sort_keys=True)
 
 
 # -- the JSON writer ------------------------------------------------------------
@@ -475,7 +538,6 @@ def test_giambelli_finds_generators_only_through_its_degree(capsys, monkeypatch)
 
 
 def test_jobspec_validates_eagerly():
-    from schubert.cartan import LieType
     from schubert.cli import CliParseError
 
     with pytest.raises(CliParseError):

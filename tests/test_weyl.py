@@ -1,6 +1,9 @@
 """Tests for Weyl elements, words, and coset enumeration."""
 
 import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +36,7 @@ from brute_weyl import (
     unpacked_rows,
     weight_matrix,
 )
+from listing import cli_listing, listing_obj
 
 A2 = LieType.parse("A2")
 A3 = LieType.parse("A3")
@@ -381,13 +385,13 @@ def test_binary_cache_roundtrip(tmp_path):
         table = enumerate_cosets(lt, K)
         path = tmp_path / f"{lt}.json"
         table.save_binary(path)
-        assert json.loads(path.read_text()) == table.json_obj()
         loaded = CosetTable.load_binary(path)
         assert loaded == table
         assert loaded.complete == table.complete
         for r, i, w in table:
             got = loaded.element(r, i)
             assert (got.word, got.inv_root_rows) == (w.word, w.inv_root_rows)
+        assert cli_listing(loaded) == cli_listing(table)
         assert not list(tmp_path.glob(".*.tmp"))
 
 
@@ -416,15 +420,87 @@ def test_json_export_stable(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     table.save_binary(p1)
-    obj = json.loads(p1.read_text())
-    assert obj["lie_type"] == "A3"
-    assert obj["K"] == [2]
-    assert obj["beta"] == list(table.betti)
-    assert obj["elements"][0] == {"r": 0, "i": 1, "word": []}
-    assert obj["elements"][1]["word"] == [2]
+    # levels [2]; [1,2], [3,2]; [1,3,2]; [2,1,3,2] as (letter, parent) pairs
+    assert json.loads(p1.read_text()) == {
+        "lie_type": "A3", "K": [2], "complete": True, "max_length": None,
+        "tree": [[2, 1], [1, 1, 3, 1], [1, 2], [2, 1]],
+    }
+    loaded = CosetTable.load_binary(p1)
+    assert json.loads(cli_listing(loaded)) == listing_obj(table)
     # re-exporting the loaded table is byte-identical
-    CosetTable.load_binary(p1).save_binary(p2)
+    loaded.save_binary(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "complete, max_length, ok",
+    [(True, None, True), (True, 3, True), (False, 2, True), (True, 2, False),
+     (True, -4, False), (False, None, False), (False, 0, False), (False, 3, False)],
+)
+def test_load_checks_truncation_marks(tmp_path, complete, max_length, ok):
+    # A2/P1 has levels 0..2; enumerate_cosets marks a table truncated exactly
+    # when it stopped at level max_length
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({
+        "lie_type": "A2", "K": [1], "complete": complete, "max_length": max_length,
+        "tree": [[1, 1], [2, 1]],
+    }))
+    if ok:
+        table = CosetTable.load_binary(path)
+        assert (table.complete, table.max_length, table.lmax) == (complete, max_length, 2)
+    else:
+        with pytest.raises(ValueError, match="disagree with the 3 levels"):
+            CosetTable.load_binary(path)
+
+
+# The tables of the round-trip property, each with the bytes of its file
+ROUND_TRIP_TABLES = [(A3, {1, 2, 3}), (B3, {1, 2, 3}), (G2, {1, 2}), (C3, {1, 2, 3}), (F4, {1})]
+
+
+@lru_cache(maxsize=None)
+def _saved(k):
+    lt, K = ROUND_TRIP_TABLES[k]
+    table = enumerate_cosets(lt, K)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        table.save_binary(path)
+        return table, path.read_bytes()
+
+
+def _int_slots(obj):
+    """(container, index) of every int of a cache file's object."""
+    slots = [(obj["K"], j) for j in range(len(obj["K"]))]
+    slots += [(level, k) for level in obj["tree"] for k in range(len(level))]
+    return slots
+
+
+def _load_bytes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_bytes(raw)
+        return CosetTable.load_binary(path)
+
+
+@given(k=st.integers(0, len(ROUND_TRIP_TABLES) - 1), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cache_round_trip_and_single_int_changes(k, data):
+    table, raw = _saved(k)
+    loaded = _load_bytes(raw)
+    assert [[(w.word, w.inv_root_rows) for w in level] for level in loaded.levels] == [
+        [(w.word, w.inv_root_rows) for w in level] for level in table.levels
+    ]
+    obj = json.loads(raw)
+    container, at = data.draw(st.sampled_from(_int_slots(obj)))
+    container[at] = data.draw(st.integers(-2, 2 * len(max(table.levels, key=len)) + 2))
+    try:
+        changed = _load_bytes(json.dumps(obj).encode())
+    except ValueError:
+        return
+    # a change that loads names the same table
+    assert changed == table
+    assert [[w.inv_root_rows for w in level] for level in changed.levels] == [
+        [w.inv_root_rows for w in level] for level in table.levels
+    ]
 
 
 def test_from_word_rejects_letters_outside_rank():
