@@ -14,7 +14,15 @@ letter off, and reaches the identity after l(u) steps.
 
 `characteristic` evaluates this for a single target, and `expand_pair`
 sweeps it over every target of a level for two factors, cached per
-unordered pair.  Every product expansion, `expand_product` included,
+unordered pair.  The operator's cost grows steeply with the word's length,
+so on a complete table `expand_pair` reads a long product off a shorter
+word by Poincare duality: for factor lengths a <= b and target level
+r = a + b with c = lmax - r < b, c_{u,v}^w is the coefficient of
+s_{v^vee} in s_u * s_{w^vee}, evaluated along the word of v^vee, of
+length a + c instead of a + b.  The duals u^vee = tau(u) * w_top come from
+the top class and the opposition involution tau, cached per level on the
+table.  A truncated table has no top class and keeps the target's own
+word.  Every product expansion, `expand_product` included,
 folds one factor at a time through `expand_class_monomial`.  A factor of
 degree one skips the operator: by Chevalley's formula, for each target w
 and each position p whose drop leaves a class u, the coroot beta^vee of
@@ -32,6 +40,7 @@ from .weyl import (
     CosetTable,
     WeylElement,
     _identity_rows,
+    opposition_involution,
     reflection_pairs,
     right_multiply_rows,
     unpack_root,
@@ -281,8 +290,52 @@ def _chevalley_apply(table, vec, form, r_target):
     return out
 
 
+def _dual(table: CosetTable, r: int):
+    """Keys of the Poincare duals of the classes of level r, cached per level.
+
+    The dual of u is u^vee = tau(u) * w_top = w0 * u * w0_P, of length
+    lmax - l(u), where tau is the opposition involution.  Its key, the
+    packed rows of w_top^{-1} * tau(u)^{-1}, is the top class's key
+    right-multiplied by sigma_tau(a) for each letter a of u's word, last
+    letter first.  Only a complete table has a top class; a dual that is
+    missing or on another level raises ValueError.
+    """
+    key = ("dual", r)
+    cached = table._cache.get(key)
+    if cached is not None:
+        return cached
+    if not table.complete:
+        raise ValueError("Poincare duality needs a complete table")
+    lt = table.lie_type
+    pairs = reflection_pairs(lt)
+    tau = opposition_involution(lt)
+    top = table.levels[table.lmax][0].inv_root_rows
+    level = table.lmax - r
+    duals = []
+    for i, u in enumerate(table.levels[r], start=1):
+        rows = top
+        for a in reversed(u.word):
+            rows = right_multiply_rows(rows, tau[a - 1] - 1, pairs)
+        dual = table.index_of_inv_root_rows(rows)
+        if dual is None or dual[0] != level:
+            raise ValueError(
+                f"class ({r}, {i}) has no Poincare dual on level {level} of the table"
+            )
+        duals.append(dual)
+    table._cache[key] = duals = tuple(duals)
+    return duals
+
+
 def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
-    """{target key: coefficient} for s_u * s_v, cached symmetrically."""
+    """{target key: coefficient} for s_u * s_v, cached symmetrically.
+
+    Let a <= b be the factor lengths and r = a + b the target level.  The
+    coefficient of s_w is evaluated along the word of w, of length a + b,
+    unless the table is complete and c = lmax - r is less than b.  Then
+    Poincare duality gives c_{u,v}^w = c_{u,w^vee}^{v^vee}, both being the
+    integral of s_u * s_v * s_{w^vee}, and every target is evaluated along
+    the one word of v^vee (u the shorter factor), of length a + c.
+    """
     a, b = sorted([u.key(), v.key()])
     key = ("pair", a, b)
     cached = table._cache.get(key)
@@ -290,8 +343,18 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
         return cached
     r = a[0] + b[0]
     if r <= table.lmax:
-        pair = [table.element(*a), table.element(*b)]
-        values = (_characteristic_on_word(table.lie_type, w.word, pair) for w in table.levels[r])
+        lt = table.lie_type
+        short, long = table.element(*a), table.element(*b)
+        if table.complete and table.lmax - r < b[0]:
+            letters = table.element(*_dual(table, b[0])[b[1] - 1]).word
+            values = (
+                _characteristic_on_word(lt, letters, [short, table.element(*d)])
+                for d in _dual(table, r)
+            )
+        else:
+            values = (
+                _characteristic_on_word(lt, w.word, [short, long]) for w in table.levels[r]
+            )
         result = {(r, i): val for i, val in enumerate(values, start=1) if val}
     elif table.complete:
         result = {}

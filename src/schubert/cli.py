@@ -13,8 +13,9 @@ tree of a full enumeration (see ``CosetTable.save_binary``), and a corrupt
 or truncated one is a domain error.  All output is deterministic for fixed
 inputs, so repeated runs (cached or not) emit byte-identical JSON.  JSON
 output is ``json.dumps(result, indent=1, sort_keys=True)`` to the byte,
-written by ``_dumps``; the ``enumerate`` listing is rendered straight from
-the table's levels, one format string per class.
+written piece by piece by ``_write_json``; the ``enumerate`` listing is
+rendered straight from the table's levels, one format string per class and
+one chunk per level.
 """
 
 from __future__ import annotations
@@ -189,21 +190,28 @@ def _class_obj(table: CosetTable, cls: SchubertClass) -> dict:
 
 
 # Items of the "elements" list of ``enumerate`` as ``json.dumps(...,
-# indent=1)`` writes them: the identity (level 0), then one per class.
-_IDENTITY_JSON = '  {\n   "i": 1,\n   "r": 0,\n   "word": []\n  }'
-_ELEMENT_JSON = '  {{\n   "i": {},\n   "r": {},\n   "word": [\n    {}\n   ]\n  }}'
+# indent=1)`` writes them: the identity (level 0) opens the list, and each
+# class follows its predecessor.
+_IDENTITY_JSON = '[\n  {\n   "i": 1,\n   "r": 0,\n   "word": []\n  }'
+_ELEMENT_JSON = ',\n  {{\n   "i": {},\n   "r": {},\n   "word": [\n    {}\n   ]\n  }}'
 
 
 def _run_enumerate(spec: JobSpec, table: CosetTable):
-    """The listing of every class, rendered straight from ``table.levels``."""
+    """The listing of every class, rendered straight from ``table.levels``.
+
+    The JSON listing is one chunk per level, so no string of the whole
+    listing is built.
+    """
     letter = tuple(map(str, range(table.lie_type.rank + 1))).__getitem__
     if spec.fmt == "json":
         fmt = _ELEMENT_JSON.format
-        elements = ["[\n" + _IDENTITY_JSON] + [
-            fmt(i, r, ",\n    ".join(map(letter, w.word)))
-            for r, level in enumerate(table.levels[1:], start=1)
-            for i, w in enumerate(level, start=1)
-        ]
+        chunks = [_IDENTITY_JSON]
+        for r, level in enumerate(table.levels[1:], start=1):
+            chunks.append("".join([
+                fmt(i, r, ",\n    ".join(map(letter, w.word)))
+                for i, w in enumerate(level, start=1)
+            ]))
+        chunks.append("\n ]")
         return {
             "lie_type": str(table.lie_type),
             "K": sorted(table.K),
@@ -211,7 +219,7 @@ def _run_enumerate(spec: JobSpec, table: CosetTable):
             "max_length": table.max_length,
             "beta": list(table.betti),
             "count": table.total,
-            "elements": _Rendered(",\n".join(elements) + "\n ]"),
+            "elements": _Rendered(chunks),
         }
     rows = [(str(r), str(i), ",".join(map(letter, w.word)) or "-") for r, i, w in table]
     if spec.fmt == "table":
@@ -327,8 +335,23 @@ def _columns(header, rows) -> str:
     return "\n".join(out)
 
 
-class _Rendered(str):
-    """JSON text that ``_dumps`` writes as it is, already indented for its place."""
+class _Rendered:
+    """JSON text in chunks, already indented for its place.
+
+    ``_dumps`` joins the chunks; ``_write_json`` writes them one by one.
+    """
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+
+def _sorted_str_keys(obj):
+    for key in obj:
+        if not isinstance(key, str):
+            raise TypeError(f"key {key!r} is not a str")
+    return sorted(obj)
 
 
 def _dumps(obj, indent="") -> str:
@@ -336,20 +359,20 @@ def _dumps(obj, indent="") -> str:
 
     The standard encoder drops to its pure-Python path whenever ``indent``
     is set and yields one chunk per token; this writer builds each
-    container in one join, and copies a ``_Rendered`` value unchanged.
+    container in one join, and joins the chunks of a ``_Rendered`` value.
     Dict keys must be ``str``; any other key raises ``TypeError``.
     """
-    if type(obj) is int or type(obj) is _Rendered:
+    if type(obj) is int:
         return str(obj)
+    if type(obj) is _Rendered:
+        return "".join(obj.chunks)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"key {key!r} is not a str")
         inner = indent + " "
         body = (",\n" + inner).join(
-            [encode_basestring_ascii(key) + ": " + _dumps(obj[key], inner) for key in sorted(obj)]
+            [encode_basestring_ascii(key) + ": " + _dumps(obj[key], inner)
+             for key in _sorted_str_keys(obj)]
         )
         return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(obj, (list, tuple)):
@@ -359,6 +382,29 @@ def _dumps(obj, indent="") -> str:
         body = (",\n" + inner).join([_dumps(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{indent}]"
     return json.dumps(obj)
+
+
+def _write_json(obj, out):
+    """Write ``_dumps(obj)`` and a newline to `out`.
+
+    A nonempty dict is written one piece at a time, and the chunks of a
+    ``_Rendered`` value as they are, so the text of the whole output is
+    never one string.  Every piece is rendered before the first write, so
+    a bad key writes nothing.
+    """
+    if not (isinstance(obj, dict) and obj):
+        out.write(_dumps(obj) + "\n")
+        return
+    pieces = []
+    for key in _sorted_str_keys(obj):
+        pieces.append((",\n " if pieces else "{\n ") + encode_basestring_ascii(key) + ": ")
+        value = obj[key]
+        if type(value) is _Rendered:
+            pieces += value.chunks
+        else:
+            pieces.append(_dumps(value, " "))
+    pieces.append("\n}\n")
+    out.writelines(pieces)
 
 
 _RUNNERS = {
@@ -389,9 +435,9 @@ def run(spec: JobSpec, out=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if spec.fmt == "json":
-        out.write(_dumps(result) + "\n")
+        _write_json(result, out)
     else:
-        out.write(str(result) + "\n")
+        out.writelines([str(result), "\n"])
     return EXIT_OK
 
 

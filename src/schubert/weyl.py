@@ -111,6 +111,26 @@ def right_multiply_rows(rows, j, pairs):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def opposition_involution(lie_type: LieType) -> tuple[int, ...]:
+    """tau(1)..tau(n), where the longest element w0 maps alpha_k to -alpha_tau(k).
+
+    w0 is reached from the identity by lengthening while some row of its
+    inverse is positive; it is an involution, so its rows are the
+    w0(alpha_k).
+    """
+    pairs = reflection_pairs(lie_type)
+    simple = _identity_rows(lie_type.rank)
+    rows = simple
+    while True:
+        j = next((j for j, row in enumerate(rows) if row > 0), None)
+        if j is None:
+            break
+        rows = right_multiply_rows(rows, j, pairs)
+    letter = {root: k for k, root in enumerate(simple, start=1)}
+    return tuple(letter[-row] for row in rows)
+
+
 def _root_matrix(lie_type, word):
     """The packed root matrix of sigma_word: row k is sigma_word(alpha_{k+1})."""
     pairs = reflection_pairs(lie_type)

@@ -5,16 +5,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from schubert.cartan import LieType
-from schubert.weyl import WeylElement, enumerate_cosets
+from schubert.weyl import CosetTable, WeylElement, enumerate_cosets, opposition_involution
 from schubert.cohomology import gysin_analysis
 from schubert.triangular import cartan_matrix_of_word, evaluate_exponents
 import schubert.characteristics as characteristics
 from schubert.characteristics import (
     SchubertClass,
     _cover_data,
+    _dual,
     characteristic,
     expand_class_monomial,
     expand_pair,
@@ -29,6 +30,7 @@ from brute_weyl import (
     brute_all_reduced_words,
     brute_length,
     brute_matrix,
+    weight_matrix,
 )
 from presentation_data import E6_WORDS
 from lr_oracle import lr_coefficient, schur_product_in_box
@@ -40,6 +42,7 @@ C3 = LieType.parse("C3")
 D4 = LieType.parse("D4")
 G2 = LieType.parse("G2")
 F4 = LieType.parse("F4")
+E6 = LieType.parse("E6")
 
 
 # ------------------------------------------------------------- subwords
@@ -262,9 +265,13 @@ def test_poincare_duality(lie, K, last):
     for r in range(0, (top if last is None else last) + 1):
         n = table.beta(r)
         assert table.beta(top - r) == n
+        # the single-target formula along the top word: expand_pair reads
+        # these products through the dual map that this pairing defines
         pairing = [
             [
-                expand_pair(table, SchubertClass(r, i), SchubertClass(top - r, j)).get((top, 1), 0)
+                characteristic(
+                    table, SchubertClass(top, 1), [SchubertClass(r, i), SchubertClass(top - r, j)]
+                )
                 for j in range(1, n + 1)
             ]
             for i in range(1, n + 1)
@@ -272,6 +279,198 @@ def test_poincare_duality(lie, K, last):
         assert all(x in (0, 1) for row in pairing for x in row), r
         assert all(sum(row) == 1 for row in pairing), r
         assert all(sum(col) == 1 for col in zip(*pairing)), r
+
+
+# ------------------------------------------------------------- Poincare duals
+
+
+def _known_opposition(lie_type):
+    """tau by family (Bourbaki numbering): -w0 is 1 except on A, odd D and E6."""
+    n = lie_type.rank
+    tau = list(range(1, n + 1))
+    if lie_type.family == "A":
+        tau.reverse()
+    elif lie_type.family == "D" and n % 2:
+        tau[n - 2], tau[n - 1] = n, n - 1
+    elif lie_type.family == "E" and n == 6:
+        tau = [6, 2, 5, 4, 3, 1]
+    return tuple(tau)
+
+
+OPPOSITION_TYPES = (
+    [f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(3, 6)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("lie", OPPOSITION_TYPES)
+def test_opposition_involution_of_every_family(lie):
+    lt = LieType.parse(lie)
+    assert opposition_involution(lt) == _known_opposition(lt)
+
+
+# (type, K, the last row of the top pairing checked; None: half the levels)
+DUAL_TABLES = [
+    ("A4", (1, 2, 3, 4), None),
+    ("D5", (5,), None),
+    ("E6", (1,), 7),
+    ("E6", (2,), 4),
+    ("B3", (1, 2, 3), None),
+    ("F4", (1,), 5),
+]
+DUAL_IDS = [f"{lie}-K{''.join(map(str, K))}" for lie, K, _ in DUAL_TABLES]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(lie, K):
+    return enumerate_cosets(LieType.parse(lie), set(K))
+
+
+@pytest.mark.parametrize("lie, K, last", DUAL_TABLES, ids=DUAL_IDS)
+def test_dual_is_an_involution_onto_the_complementary_level(lie, K, last):
+    table = _table(lie, K)
+    top = table.lmax
+    for r in range(top + 1):
+        duals = _dual(table, r)
+        assert len(duals) == table.beta(r)
+        assert {d[0] for d in duals} == {top - r}
+        assert sorted(duals) == [(top - r, j) for j in range(1, table.beta(top - r) + 1)]
+        for i, (s, j) in enumerate(duals, start=1):
+            assert _dual(table, s)[j - 1] == (r, i)
+
+
+@pytest.mark.parametrize("lie, K, last", DUAL_TABLES, ids=DUAL_IDS)
+def test_dual_matches_the_top_pairing(lie, K, last):
+    # u and v pair to 1 at the top class exactly when v is the dual of u;
+    # the other rows follow from the involution
+    table = _table(lie, K)
+    top = table.lmax
+    tclass = SchubertClass(top, 1)
+    for r in range((top // 2 if last is None else last) + 1):
+        for i in range(1, table.beta(r) + 1):
+            u = SchubertClass(r, i)
+            ones = [
+                (top - r, j)
+                for j in range(1, table.beta(top - r) + 1)
+                if characteristic(table, tclass, [u, SchubertClass(top - r, j)])
+            ]
+            assert ones == [_dual(table, r)[i - 1]], (lie, u)
+
+
+@pytest.mark.parametrize("lie, K, last", DUAL_TABLES, ids=DUAL_IDS)
+def test_dual_is_the_class_of_w0_u(lie, K, last):
+    # u^vee lies in the coset w0 * u * W_P, and W_P is the stabilizer of
+    # the omega_k with k in K: u^vee(omega_k) = w0(u(omega_k)), where
+    # w0(omega_m) = -omega_tau(m); the weight matrices are the brute model's
+    table = _table(lie, K)
+    lt = table.lie_type
+    tau = _known_opposition(lt)
+    for r in range(table.lmax + 1):
+        for u, (s, j) in zip(table.levels[r], _dual(table, r)):
+            image = brute_matrix(lt, table.element(s, j).word)
+            mat = weight_matrix(u)
+            for k in K:
+                w0u = [0] * lt.rank
+                for m, c in enumerate(mat[k - 1]):
+                    w0u[tau[m] - 1] = -c
+                assert list(image[k - 1]) == w0u, (lie, u.word, k)
+
+
+def test_dual_needs_a_complete_table_closed_under_duality():
+    with pytest.raises(ValueError, match="complete"):
+        _dual(enumerate_cosets(F4, {1}, max_length=5), 2)
+    good = enumerate_cosets(A2, {1, 2})
+    (e,), (s1, s2), level2, (w0,) = good.levels
+    missing = CosetTable(A2, {1, 2}, [[e], [s1, s2], level2[:1], [w0]], True)
+    with pytest.raises(ValueError, match="no Poincare dual"):
+        _dual(missing, 1)
+    # s2 listed on level 2: its dual is found, but on level 2, not 1
+    moved = CosetTable(A2, {1, 2}, [[e], [s1], [s2] + level2, [w0]], True)
+    with pytest.raises(ValueError, match="no Poincare dual on level 1"):
+        _dual(moved, 2)
+    with pytest.raises(ValueError, match="no Poincare dual"):
+        expand_pair(moved, SchubertClass(1, 1), SchubertClass(2, 2))
+
+
+def _dual_regime_pairs(table):
+    """The pairs (u, v), l(u) <= l(v), whose product expand_pair reads off duals."""
+    top = table.lmax
+    for a in range(top + 1):
+        for b in range(a, top - a + 1):
+            if top - (a + b) >= b:
+                continue
+            for i in range(1, table.beta(a) + 1):
+                for j in range(i if a == b else 1, table.beta(b) + 1):
+                    yield SchubertClass(a, i), SchubertClass(b, j)
+
+
+def _per_target(table, u, v):
+    """s_u * s_v by the single-target formula along each target's own word."""
+    r = u.r + v.r
+    values = {
+        (r, k): characteristic(table, SchubertClass(r, k), [u, v])
+        for k in range(1, table.beta(r) + 1)
+    }
+    return {t: x for t, x in values.items() if x}
+
+
+PAIR_TABLES = [
+    ("G2", (1, 2)),
+    ("A3", (1, 2, 3)),
+    ("B3", (1, 2, 3)),
+    ("C3", (1, 2, 3)),
+    ("A4", (1, 2, 3, 4)),
+    ("D5", (5,)),
+    ("E6", (1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "lie, K", PAIR_TABLES, ids=[f"{lie}-K{''.join(map(str, K))}" for lie, K in PAIR_TABLES]
+)
+def test_dual_route_matches_the_per_target_sweep(lie, K):
+    table = enumerate_cosets(LieType.parse(lie), set(K))
+    pairs = list(_dual_regime_pairs(table))
+    assert pairs
+    for u, v in pairs:
+        expected = _per_target(table, u, v)
+        assert expand_pair(table, u, v) == expected, (lie, u, v)
+        assert expand_pair(table, v, u) == expected
+
+
+# The short factor has at most 6 letters, as in every product of the E6/P2
+# presentation (its generators have degree 1, 3, 4 and 6).  The oracle
+# along the target's word takes up to 0.7 s on such a pair, and up to 20 s
+# on (8, 13) or (10, 11) pairs.
+_E6P2_DUAL_PAIRS = [(u, v) for u, v in _dual_regime_pairs(_table("E6", (2,))) if u.r <= 6]
+
+
+@given(pair=st.sampled_from(_E6P2_DUAL_PAIRS))
+@seed(20261019)
+@settings(max_examples=30, deadline=None)
+def test_dual_route_matches_the_per_target_sweep_on_e6_p2(pair):
+    # a fresh table each time, so no product is read from an earlier test
+    table = enumerate_cosets(LieType.parse("E6"), {2})
+    u, v = pair
+    assert expand_pair(table, u, v) == _per_target(table, u, v)
+
+
+def test_truncated_table_keeps_the_direct_route(monkeypatch):
+    full = _table("E6", (1,))
+    cut = 11
+    below = [(u, v) for u, v in _dual_regime_pairs(full) if u.r + v.r <= cut]
+    assert below
+    expected = {(u, v): expand_pair(full, u, v) for u, v in below}
+
+    def no_duals(*args):
+        raise AssertionError("the dual route ran on a truncated table")
+
+    monkeypatch.setattr(characteristics, "_dual", no_duals)
+    part = enumerate_cosets(E6, {1}, max_length=cut)
+    assert not part.complete
+    for u, v in below:
+        assert expand_pair(part, u, v) == expected[(u, v)], (u, v)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ subprocess test covers the installed console entry point.
 """
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from schubert.cli import (
     EXIT_RESOURCE,
     JobSpec,
     _dumps,
+    _run_enumerate,
+    _write_json,
     main,
 )
 from schubert.weyl import enumerate_cosets
@@ -489,10 +492,50 @@ def test_dumps_matches_json_dumps(obj):
     assert _dumps(obj) == json.dumps(obj, indent=1, sort_keys=True)
 
 
+@given(_VALUES)
+@example({"b": 1, "a": {"c": [1, {}]}, "": []})
+@example({})
+@example([{"k": 1}])
+def test_write_json_matches_json_dumps(obj):
+    out = io.StringIO()
+    _write_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("key", [1, 1.5, True, None, (1,)])
 def test_dumps_rejects_non_str_keys(key):
     with pytest.raises(TypeError):
         _dumps({"a": [{key: 1}]})
+    out = io.StringIO()
+    for obj in ({"a": [{key: 1}]}, {"a": 1, key: 2}):
+        with pytest.raises(TypeError):
+            _write_json(obj, out)
+    assert out.getvalue() == ""  # every piece is rendered before the first write
+
+
+class _Pieces:
+    """An output stream that keeps each written piece."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+    def writelines(self, texts):
+        self.pieces.extend(texts)
+
+
+def test_enumerate_listing_is_written_in_level_chunks(f4_full):
+    # the listing goes out one chunk per level, with no string of the whole
+    # output and no write per class
+    spec = JobSpec("enumerate", f4_full.lie_type, (1, 2, 3, 4))
+    out = _Pieces()
+    _write_json(_run_enumerate(spec, f4_full), out)
+    text = "".join(out.pieces)
+    assert text == json.dumps(listing_obj(f4_full), indent=1, sort_keys=True) + "\n"
+    assert len(out.pieces) <= 2 * 7 + len(f4_full.levels) + 2 < f4_full.total
+    assert max(map(len, out.pieces)) < len(text) / 4
 
 
 def test_multiply_1200_factors(capsys):

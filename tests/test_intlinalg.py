@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from schubert.intlinalg import (
     AbelianGroupStructure,
+    _mat_mul,
     cokernel_structure,
     determinant,
     diagonalize_with_unit_minor,
@@ -104,6 +105,43 @@ def test_hermite_transform_properties(m):
     h, u = hermite_with_transform(m)
     assert mat_mul(u, m) == h
     assert abs(determinant(u)) == 1
+
+
+def triple_loop(A, B):
+    """A * B entry by entry; an empty B has no columns, as in _mat_mul."""
+    n = len(B[0]) if B else 0
+    out = [[0] * n for _ in A]
+    for i in range(len(A)):
+        for j in range(n):
+            for k in range(len(B)):
+                out[i][j] += A[i][k] * B[k][j]
+    return out
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mat_mul_matches_triple_loop(m, k, n, data):
+    # every shape from 0 x 0 up, zero-row and zero-column factors included
+    entry = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    B = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    assert _mat_mul(A, B) == triple_loop(A, B)
+    assert _mat_mul([tuple(r) for r in A], tuple(map(tuple, B))) == triple_loop(A, B)
+
+
+def test_mat_mul_edge_shapes_and_mismatches():
+    assert _mat_mul([], []) == []
+    assert _mat_mul([[], []], []) == [[], []]
+    assert _mat_mul([[1, 2]], [[], []]) == [[]]
+    assert _mat_mul([[1], [2]], [[3, 4]]) == [[3, 4], [6, 8]]
+    for A, B in [
+        ([[1, 2]], [[1]]),  # row of A longer than B
+        ([[1]], [[1], [2]]),  # row of A shorter than B
+        ([[1, 2]], [[1, 2], [3]]),  # ragged B
+        ([[1]], []),
+    ]:
+        with pytest.raises(ValueError):
+            _mat_mul(A, B)
 
 
 def test_postcondition_check_survives_optimize(subprocess_env):
