@@ -338,7 +338,8 @@ def _columns(header, rows) -> str:
 class _Rendered:
     """JSON text in chunks, already indented for its place.
 
-    ``_dumps`` joins the chunks; ``_write_json`` writes them one by one.
+    Only ``_write_json`` takes one, as a top-level value, and writes its
+    chunks one by one.
     """
 
     __slots__ = ("chunks",)
@@ -359,13 +360,11 @@ def _dumps(obj, indent="") -> str:
 
     The standard encoder drops to its pure-Python path whenever ``indent``
     is set and yields one chunk per token; this writer builds each
-    container in one join, and joins the chunks of a ``_Rendered`` value.
+    container in one join.
     Dict keys must be ``str``; any other key raises ``TypeError``.
     """
     if type(obj) is int:
         return str(obj)
-    if type(obj) is _Rendered:
-        return "".join(obj.chunks)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -1,17 +1,24 @@
 """The ``schubert enumerate`` listing of a table, two ways.
 
-``cli_listing`` is the JSON text the CLI writes, rendered straight from the
-table's levels.  ``listing_obj`` builds the same listing as a plain object,
-one dict per class, so ``json.dumps(listing_obj(t), indent=1,
-sort_keys=True)`` must equal ``cli_listing(t)`` byte for byte.
+``cli_listing`` is the JSON text the CLI writes, through the CLI's own
+writer ``_write_json``, less the final newline.  ``listing_obj`` builds the
+same listing as a plain object, one dict per class, so
+``json.dumps(listing_obj(t), indent=1, sort_keys=True)`` must equal
+``cli_listing(t)`` byte for byte.
 """
 
-from schubert.cli import JobSpec, _dumps, _run_enumerate
+import io
+
+from schubert.cli import JobSpec, _run_enumerate, _write_json
 
 
 def cli_listing(table) -> str:
     spec = JobSpec("enumerate", table.lie_type, tuple(sorted(table.K)))
-    return _dumps(_run_enumerate(spec, table))
+    out = io.StringIO()
+    _write_json(_run_enumerate(spec, table), out)
+    text = out.getvalue()
+    assert text.endswith("\n")
+    return text[:-1]
 
 
 def listing_obj(table) -> dict:
