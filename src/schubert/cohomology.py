@@ -304,9 +304,13 @@ def _fresh_generators(basis, inside):
 def minimal_relations(table: CosetTable, gens: GeneratorSet, up_to: int) -> Presentation:
     """Smallest relation set generating the kernel ideal degree by degree.
 
-    In each degree the kernel lattice is compared with the sublattice
-    spanned by monomial multiples of relations already kept, and a minimal
-    generating set of the quotient is appended (see _fresh_generators).
+    In each degree the kernel lattice K is compared with the sublattice S
+    spanned by monomial multiples of relations already kept.  Every row of
+    S must map to zero through the degree's structure matrix (S inside K);
+    otherwise ValueError is raised.  When S has the rank of K and every
+    kernel basis row reduces to zero in S, then S = K and the degree adds
+    nothing, with no Smith form.  Only the other degrees append a minimal
+    generating set of K/S (see _fresh_generators).
     """
     kept = []
     ring = gens.ring
@@ -314,9 +318,21 @@ def minimal_relations(table: CosetTable, gens: GeneratorSet, up_to: int) -> Pres
         kern = relation_kernel(table, gens, m)
         if not kern:
             continue
-        exps = monomial_exponents(ring, m)
-        basis = [[p.terms.get(e, 0) for e in exps] for p in kern]
         span = graded_ideal_span(ring, kept, m)
+        bundle = structure_matrix(table, gens, m)
+        exps = bundle.exponents
+        where = {e: i for i, e in enumerate(exps)}
+        for row in span.pivots.values():
+            image = [0] * table.beta(m)
+            for e, c in row.items():
+                image = [x + c * y for x, y in zip(image, bundle.matrix[where[e]])]
+            if any(image):
+                raise ValueError(
+                    f"a multiple of a kept relation does not vanish in degree {m}"
+                )
+        if span.rank == len(kern) and all(p.terms in span for p in kern):
+            continue
+        basis = [[p.terms.get(e, 0) for e in exps] for p in kern]
         inside = [
             [dict(row).get(e, 0) for e in exps] for row in span.canonical_basis()
         ]

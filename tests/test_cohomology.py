@@ -3,10 +3,13 @@ relation selection, Giambelli inversion, Gysin tables, orbit invariants,
 full-flag assembly, and the even-spin relation families."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 import presentation_data as data
+import smith_relations
 from schubert.cartan import LieType
 from schubert.cli import main
 from schubert.cohomology import (
@@ -33,8 +36,8 @@ from schubert.cohomology import (
     weight_ring,
     weyl_orbit_invariants,
 )
-from schubert.intlinalg import AbelianGroupStructure
-from schubert.intpoly import PolyRing, parse_polynomial
+from schubert.intlinalg import AbelianGroupStructure, SparseIntLattice
+from schubert.intpoly import PolyRing, monomial_exponents, parse_polynomial
 from schubert.weyl import enumerate_cosets
 
 A2 = LieType.parse("A2")
@@ -208,14 +211,125 @@ def test_fresh_generators_counts():
     assert len(new) == 1
 
 
-def test_hilbert_consistency(f4_p1, f4_gens):
-    pres = minimal_relations(f4_p1, f4_gens, 12)
-    from schubert.intpoly import monomial_exponents
+# (type, K, degree bound or None for lmax + 1); the D4/T bound keeps the
+# always-Smith oracle to a few seconds (degree 8: 2.4 s on a 2-vCPU Xeon).
+RELATION_TABLES = [
+    ("F4", {1}, 15),
+    ("E6", {2}, 21),
+    ("A3", {1, 2, 3}, None),
+    ("B3", {1, 2, 3}, None),
+    ("C3", {1, 2, 3}, None),
+    ("G2", {1, 2}, None),
+    ("D4", {1, 2, 3, 4}, 8),
+]
 
-    for m in range(0, 9):
-        b = len(monomial_exponents(f4_gens.ring, m))
-        span = graded_ideal_span(f4_gens.ring, pres.relations, m)
-        assert b - span.rank == f4_p1.beta(m)
+
+def _presented(name, K, up_to):
+    table = enumerate_cosets(LieType.parse(name), K)
+    return table, minimal_generators(table), up_to or table.lmax + 1
+
+
+@pytest.mark.parametrize(
+    "name,K,up_to",
+    RELATION_TABLES,
+    ids=["F4-P1", "E6-P2", "A3-T", "B3-T", "C3-T", "G2-T", "D4-T"],
+)
+def test_minimal_relations_match_always_smith(name, K, up_to):
+    table, gens, up_to = _presented(name, K, up_to)
+    fast = minimal_relations(table, gens, up_to)
+    oracle = smith_relations.always_smith_relations(table, gens, up_to)
+    assert [str(r) for r in fast.relations] == [str(r) for r in oracle.relations]
+
+
+def test_minimal_relations_rejects_a_relation_that_does_not_vanish(
+    monkeypatch, capsys, f4_p1, f4_gens
+):
+    # the degree-3 structure matrix is patched to read w1^3 = 3*y3, so the
+    # kept relation w1^3 - 3*y3 is false and its multiples by w1 leave the
+    # true degree-4 kernel
+    real = structure_matrix
+
+    def corrupt(table, gens, m):
+        bundle = real(table, gens, m)
+        if m == 3:
+            bundle.matrix[0][0] += 1
+        return bundle
+
+    monkeypatch.setattr("schubert.cohomology.structure_matrix", corrupt)
+    message = "a multiple of a kept relation does not vanish in degree 4"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        minimal_relations(f4_p1, f4_gens, 4)
+    assert main(["presentation", "F4", "--K", "1", "--degree", "4"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"domain error: {message}\n")
+
+
+def test_vanishing_check_survives_optimize(subprocess_env):
+    code = (
+        "import sys\n"
+        "assert False\n"  # stripped under -O, so this line proves -O is on
+        "import schubert.cohomology as coh\n"
+        "from schubert.cli import main\n"
+        "real = coh.structure_matrix\n"
+        "def corrupt(table, gens, m):\n"
+        "    bundle = real(table, gens, m)\n"
+        "    if m == 3:\n"
+        "        bundle.matrix[0][0] += 1\n"
+        "    return bundle\n"
+        "coh.structure_matrix = corrupt\n"
+        "sys.exit(main(['presentation', 'F4', '--K', '1', '--degree', '4']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    message = "a multiple of a kept relation does not vanish in degree 4"
+    assert proc.stderr == f"domain error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "scales,fresh",
+    [((2, 2, 2, 2), 4), ((2, 3, 1, 1), 1)],
+    ids=["twice-the-kernel", "Z/2+Z/3"],
+)
+def test_full_rank_span_of_index_above_one_takes_the_smith_path(
+    monkeypatch, f4_p1, f4_gens, scales, fresh
+):
+    # In degree 7 of F4/P1 the ideal of the lower relations fills the
+    # kernel (rank 4), so no relation is fresh there.  Replacing that span
+    # by one of full rank but index 2^4 or 6 must not take the early exit:
+    # the Smith step returns a minimal generating set of K/S.
+    m = 7
+    kern = relation_kernel(f4_p1, f4_gens, m)
+    assert len(kern) == len(scales)
+    scaled = SparseIntLattice(
+        {e: s * c for e, c in p.terms.items()} for s, p in zip(scales, kern)
+    )
+    assert scaled.rank == len(kern)
+    real = graded_ideal_span
+
+    def fake(ring, relations, d):
+        return scaled.copy() if d == m else real(ring, relations, d)
+
+    monkeypatch.setattr("schubert.cohomology.graded_ideal_span", fake)
+    monkeypatch.setattr(smith_relations, "graded_ideal_span", fake)
+    pres = minimal_relations(f4_p1, f4_gens, m)
+    oracle = smith_relations.always_smith_relations(f4_p1, f4_gens, m)
+    assert [str(r) for r in pres.relations] == [str(r) for r in oracle.relations]
+    assert pres.relation_degrees() == (3, 6) + (7,) * fresh
+
+
+def test_hilbert_consistency():
+    # b(m) monomials minus the rank of the relation ideal in degree m is
+    # the number of Schubert classes of level m, in every degree
+    cases = [("F4", {1}, 12), ("E6", {2}, 21), ("B3", {1, 2, 3}, None), ("G2", {1, 2}, None)]
+    for name, K, up_to in cases:
+        table, gens, up_to = _presented(name, K, up_to)
+        pres = minimal_relations(table, gens, up_to)
+        for m in range(0, up_to + 1):
+            b = len(monomial_exponents(gens.ring, m))
+            span = graded_ideal_span(gens.ring, pres.relations, m)
+            assert b - span.rank == table.beta(m), (name, m)
 
 
 def test_presentation_export(capsys, f4_p1, f4_gens):

@@ -3,6 +3,8 @@
 Transforms are checked by direct re-multiplication, kernels by saturation
 (Smith invariants of the kernel matrix must all be 1), and the lattice by
 comparison with brute-force integer span enumeration on small cases.
+Where SymPy is installed, the Smith invariants and the Hermite row lattice
+are compared with SymPy's normal forms.
 """
 
 import random
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schubert.cohomology import minimal_generators, structure_matrix
 from schubert.intlinalg import (
     AbelianGroupStructure,
     _mat_mul,
@@ -241,6 +244,39 @@ def test_smith_properties(m):
             assert b == 0
         else:
             assert a > 0 and b % a == 0
+
+
+def _sympy_cases(e6_p2):
+    """Seeded random integer matrices, then the E6/P2 structure matrices."""
+    rng = random.Random(20191)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    gens = minimal_generators(e6_p2)
+    for m in range(1, e6_p2.lmax + 1):
+        yield structure_matrix(e6_p2, gens, m).matrix
+
+
+def test_normal_forms_agree_with_sympy(e6_p2):
+    # SymPy's Hermite form is column-style, so the row lattice of M is the
+    # column lattice of M^T; lattices are compared, not matrices
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+
+    for m in _sympy_cases(e6_p2):
+        cols = len(m[0])
+        _, d, _ = smith_with_transforms(m)
+        ours = [d[i][i] for i in range(min(len(m), cols)) if d[i][i]]
+        snf = smith_normal_form(sympy.Matrix(m))
+        theirs = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
+        assert ours == theirs, m
+        h, _ = hermite_with_transform(m)
+        hnf = hermite_normal_form(sympy.Matrix(m).T).T
+        theirs_rows = [[int(x) for x in hnf.row(i)] for i in range(hnf.rows)]
+        assert (
+            IntLattice(cols, [row for row in h if any(row)]).canonical_basis()
+            == IntLattice(cols, theirs_rows).canonical_basis()
+        ), m
 
 
 # -- cokernel ---------------------------------------------------------------
