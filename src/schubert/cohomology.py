@@ -9,8 +9,10 @@ questions to exact integer linear algebra on that basis:
   its columns index Schubert classes of that degree.
 * `minimal_generators` walks the degrees, keeping the classes needed to
   span each degree on top of products of earlier generators.
-* `relation_kernel` / `minimal_relations` find the kernel of the monomial
-  evaluation map and filter it down to fresh ideal generators per degree.
+* `relation_kernel` splits the monomials of a degree into the kernel of
+  the evaluation map and a complement, from one Hermite form;
+  `minimal_relations` filters the kernels down to fresh ideal generators
+  per degree.
 * `giambelli` inverts the evaluation map over Z, writing each Schubert
   class as a polynomial in the generators.
 * `gysin_analysis` computes the cohomology groups of the circle bundle
@@ -165,7 +167,7 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
             raise ValueError("a truncated table needs an explicit degree bound")
         up_to = table.lmax
     chosen: list[Generator] = []
-    for m in range(1, up_to + 1):
+    for m in range(1, min(up_to, table.lmax) + 1):  # no classes above lmax
         beta = table.beta(m)
         if beta == 0:
             continue
@@ -202,15 +204,33 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
     return GeneratorSet(table, chosen)
 
 
-def relation_kernel(table: CosetTable, gens: GeneratorSet, m: int):
-    """Basis of the degree-m kernel of monomial evaluation, as polynomials.
+@dataclass
+class RelationKernel:
+    """One degree's structure matrix M, split by one Hermite form H = U * M.
 
-    One Hermite form H = U * M of the structure matrix gives both answers.
-    The kernel is the rows of U facing zero rows of H.  The generators span
-    degree m over Z exactly when the nonzero rows of H form the beta x beta
-    identity, as the Hermite form of a lattice equal to Z^beta is the
-    identity.  Raises otherwise (the kernel of a non-surjective map would
-    not capture all relations).
+    `kernel` is a basis of the kernel lattice K of monomial evaluation, as
+    polynomials: the rows of U facing zero rows of H.  `complement` holds
+    the rows of U facing H's identity rows, as integer rows over
+    `bundle.exponents`: complement * M = I, and Z^b = K + span(complement)
+    is a direct sum (b the number of monomials).
+    """
+
+    bundle: StructureMatrixBundle
+    kernel: list
+    complement: list
+
+
+def relation_kernel(table: CosetTable, gens: GeneratorSet, m: int) -> RelationKernel:
+    """The degree-m kernel of monomial evaluation and its complement.
+
+    One structure matrix M and one Hermite form H = U * M give every
+    answer.  The generators span degree m over Z exactly when the nonzero
+    rows of H form the beta x beta identity, as the Hermite form of a
+    lattice equal to Z^beta is the identity; raises otherwise (the kernel
+    of a non-surjective map would not capture all relations).  The rows of
+    U then split into the kernel basis (facing zero rows of H) and the
+    complement rows (facing the identity rows), which together form the
+    unimodular U.
     """
     bundle = structure_matrix(table, gens, m)
     beta = table.beta(m)
@@ -219,12 +239,14 @@ def relation_kernel(table: CosetTable, gens: GeneratorSet, m: int):
     if [row for row in h if any(row)] != unit:
         coker = cokernel_structure(bundle.matrix or [[0] * beta])
         raise ValueError(f"generators do not span degree {m}: cokernel {coker}")
-    out = []
+    kernel, complement = [], []
     for row, image in zip(u, h):
-        if not any(image):
+        if any(image):
+            complement.append(row)
+        else:
             terms = {e: c for e, c in zip(bundle.exponents, row) if c}
-            out.append(IntPolynomial(gens.ring, terms))
-    return out
+            kernel.append(IntPolynomial(gens.ring, terms))
+    return RelationKernel(bundle, kernel, complement)
 
 
 def graded_ideal_span(ring: PolyRing, relations, m: int) -> SparseIntLattice:
@@ -301,38 +323,56 @@ def _fresh_generators(basis, inside):
     return out
 
 
+def _fills_kernel(span: SparseIntLattice, split: RelationKernel) -> bool:
+    """Whether a sublattice S of the kernel K of one degree is all of K.
+
+    With Z^b = K + C a direct sum (C spanned by the complement rows),
+    S + C = Z^b holds exactly when S = K: each k in K is then s + c with
+    c = k - s in K and C, so c = 0.  And S + C is Z^b exactly when its
+    echelon rows are b unit pivots.  S must lie inside K.
+    """
+    if span.rank != len(split.kernel):
+        return False
+    exps = split.bundle.exponents
+    trial = span.copy()
+    for row in split.complement:
+        trial.add({e: c for e, c in zip(exps, row) if c})
+    return _covers_everything(trial, len(exps))
+
+
 def minimal_relations(table: CosetTable, gens: GeneratorSet, up_to: int) -> Presentation:
     """Smallest relation set generating the kernel ideal degree by degree.
 
-    In each degree the kernel lattice K is compared with the sublattice S
-    spanned by monomial multiples of relations already kept.  Every row of
-    S must map to zero through the degree's structure matrix (S inside K);
-    otherwise ValueError is raised.  When S has the rank of K and every
-    kernel basis row reduces to zero in S, then S = K and the degree adds
-    nothing, with no Smith form.  Only the other degrees append a minimal
-    generating set of K/S (see _fresh_generators).
+    Each degree builds one structure matrix and one Hermite form of it
+    (`relation_kernel`), which give the kernel lattice K and a complement
+    C with Z^b = K + C.  The sublattice S spanned by monomial multiples
+    of relations already kept must map to zero through that matrix (S
+    inside K); otherwise ValueError is raised.  When S has the rank of K
+    and S plus the rows of C is all of Z^b, then S = K and the degree adds
+    nothing, with no Smith form (see _fills_kernel).  Only the other
+    degrees append a minimal generating set of K/S (see
+    _fresh_generators).
     """
     kept = []
     ring = gens.ring
     for m in range(1, up_to + 1):
-        kern = relation_kernel(table, gens, m)
-        if not kern:
+        split = relation_kernel(table, gens, m)
+        if not split.kernel:
             continue
         span = graded_ideal_span(ring, kept, m)
-        bundle = structure_matrix(table, gens, m)
-        exps = bundle.exponents
+        exps, matrix = split.bundle.exponents, split.bundle.matrix
         where = {e: i for i, e in enumerate(exps)}
         for row in span.pivots.values():
             image = [0] * table.beta(m)
             for e, c in row.items():
-                image = [x + c * y for x, y in zip(image, bundle.matrix[where[e]])]
+                image = [x + c * y for x, y in zip(image, matrix[where[e]])]
             if any(image):
                 raise ValueError(
                     f"a multiple of a kept relation does not vanish in degree {m}"
                 )
-        if span.rank == len(kern) and all(p.terms in span for p in kern):
+        if _fills_kernel(span, split):
             continue
-        basis = [[p.terms.get(e, 0) for e in exps] for p in kern]
+        basis = [[p.terms.get(e, 0) for e in exps] for p in split.kernel]
         inside = [
             [dict(row).get(e, 0) for e in exps] for row in span.canonical_basis()
         ]
@@ -347,8 +387,12 @@ def giambelli(table: CosetTable, gens: GeneratorSet, m: int):
 
     With P * M * Q = [I; 0] for the structure matrix M, the rows of
     Q * (first beta rows of P) give integer monomial combinations hitting
-    each unit class vector exactly.
+    each unit class vector exactly.  A complete table has no classes above
+    its top level, so those degrees give no polynomials without building
+    their monomials.
     """
+    if table.complete and m > table.lmax:
+        return []
     bundle = structure_matrix(table, gens, m)
     beta = table.beta(m)
     if beta == 0:

@@ -19,16 +19,19 @@ Conventions:
 * `SparseIntLattice` maintains an integer row span of sparse vectors
   incrementally (membership is divisibility-aware, so it is genuine
   lattice membership, not rational).
+* `determinant(M)` is Bareiss's fraction-free elimination on plain ints
+  (Bareiss 1968): every division is by the previous pivot, exact by
+  Sylvester's identity, and checked.
 
 Transforms are re-multiplied against the input as an exact postcondition,
 and for sizes up to 12 the transform determinants are checked to be +-1.
-A failed postcondition raises ArithmeticError (also under ``python -O``).
+A failed postcondition or an inexact division raises ArithmeticError
+(also under ``python -O``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 DET_CHECK_LIMIT = 12
 
@@ -82,28 +85,39 @@ def _xgcd(a, b):
 
 
 def determinant(M) -> int:
-    """Exact determinant (fraction-based Gaussian elimination)."""
+    """Exact determinant by Bareiss's fraction-free elimination.
+
+    Step k replaces each entry of the trailing block by
+    (p * a - f * b) / prev, with p the step's pivot and prev the one before
+    it; by Sylvester's identity that is a minor of M, so every division is
+    exact and every entry stays an int.  Each division is checked, and an
+    inexact one raises ArithmeticError (also under ``python -O``).  Rows
+    are swapped to the first nonzero pivot; the last pivot is the
+    determinant up to the sign of the swaps.
+    """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
+    a = list(M)  # rows are replaced, never changed in place; step k drops column k
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][0]), None)
         if piv is None:
             return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    if det.denominator != 1:
-        raise ArithmeticError("determinant of an integer matrix is not an integer")
-    return int(det)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, *top = a[k]
+        for i in range(k + 1, n):
+            f, *rest = a[i]
+            vals = [p * x - f * y for x, y in zip(rest, top)]
+            if prev != 1:
+                if any(v % prev for v in vals):
+                    raise ArithmeticError("inexact division in Bareiss elimination")
+                vals = [v // prev for v in vals]
+            a[i] = vals
+        prev = p
+    return sign * prev
 
 
 def hermite_with_transform(M):

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) with captured stdout; one
 subprocess test covers the installed console entry point.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from schubert.cartan import LieType
 from schubert.cli import (
@@ -589,6 +590,79 @@ def test_jobspec_validates_eagerly():
         JobSpec("enumerate", LieType("F", 4), (7,))
     with pytest.raises(CliParseError):
         JobSpec("enumerate", LieType("F", 4), (1,), fmt="yaml")
+
+
+def test_giambelli_above_the_top_level_is_empty(capsys):
+    # A2 has one class at its top level 3 and none above; no monomial of
+    # degree 10^9 is built
+    top = run_json(capsys, "giambelli", "A2", "--degree", "3")
+    assert [(e["r"], e["i"]) for e in top["classes"]] == [(3, 1)]
+    for degree in (4, 10**9):
+        obj = run_json(capsys, "giambelli", "A2", "--degree", str(degree))
+        assert obj["classes"] == []
+        assert [g["name"] for g in obj["generators"]] == ["w1", "w2"]
+
+
+# -- robustness -------------------------------------------------------------------
+
+# F4 runs keep to F4/P1: its node lists are "1" or ones the CLI rejects
+_RANKS = {"A2": 2, "B3": 3, "F4": 4}
+_F4_NODE_LISTS = ["1", " 1 ", "0", "5", "1,1", "1,", ",", "-1", "x", "1;2", "\u0661,9"]
+_JUNK = st.text(alphabet="0123456789.,wW- x\u0661", max_size=6)
+
+
+def _joined(lists):
+    return lists.map(lambda items: ",".join(map(str, items)))
+
+
+def _node_lists(lie):
+    if lie == "F4":
+        return st.just("1") | st.sampled_from(_F4_NODE_LISTS)
+    rank = _RANKS[lie]
+    valid = _joined(st.lists(st.integers(1, rank), min_size=1, max_size=rank, unique=True))
+    loose = _joined(st.lists(st.integers(-1, rank + 1), max_size=rank + 1))
+    return valid | valid | st.sampled_from(["all", "ALL", ""]) | loose | _JUNK
+
+
+def _class_tokens(rank):
+    def pairs(levels, indices):
+        return st.tuples(levels, indices).map(lambda p: f"{p[0]}.{p[1]}")
+
+    return (
+        st.integers(1, rank).map(lambda n: f"w{n}")
+        | pairs(st.integers(0, 6), st.integers(1, 4))
+        | _joined(st.lists(st.integers(1, rank), min_size=1, max_size=4))
+        | _joined(st.lists(st.integers(0, rank + 1), max_size=5))
+        | pairs(st.integers(0, 30), st.integers(0, 99))
+        | st.integers(0, 9).map(lambda n: f"W{n}")
+        | _JUNK
+    )
+
+
+@st.composite
+def _invocation(draw):
+    lie = draw(st.sampled_from(sorted(_RANKS)))
+    fmt = draw(st.sampled_from(["json", "table", "text"]))
+    argv = [lie, "--K", draw(_node_lists(lie)), "--format", fmt]
+    if draw(st.booleans()):
+        tokens = draw(st.lists(_class_tokens(_RANKS[lie]), min_size=1, max_size=3))
+        return ["multiply", *argv, *tokens]
+    degrees = st.integers(-2, 17).map(str)
+    degree = draw(degrees | degrees | st.sampled_from([str(10**9), "x", "1.5", ""]))
+    return ["giambelli", *argv, "--degree", degree]
+
+
+@seed(20240917)
+@settings(max_examples=150, deadline=None)
+@given(_invocation())
+def test_cli_survives_drawn_classes_and_node_lists(argv):
+    # whatever the tokens, the CLI ends with one of its exit codes and never
+    # lets an exception out
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_console_entry_point_subprocess(subprocess_env):

@@ -15,6 +15,7 @@ from schubert.cli import main
 from schubert.cohomology import (
     Generator,
     Presentation,
+    _fills_kernel,
     assemble_full_flag,
     elementary_symmetric,
     expand_polynomial,
@@ -36,7 +37,7 @@ from schubert.cohomology import (
     weight_ring,
     weyl_orbit_invariants,
 )
-from schubert.intlinalg import AbelianGroupStructure, SparseIntLattice
+from schubert.intlinalg import AbelianGroupStructure, SparseIntLattice, determinant
 from schubert.intpoly import PolyRing, monomial_exponents, parse_polynomial
 from schubert.weyl import enumerate_cosets
 
@@ -140,14 +141,14 @@ def test_minimal_generators_requires_complete_table():
 
 
 def test_relation_kernel_degree_three(f4_p1, f4_gens):
-    kern = relation_kernel(f4_p1, f4_gens, 3)
+    kern = relation_kernel(f4_p1, f4_gens, 3).kernel
     assert len(kern) == 1
     expected = parse_polynomial(f4_gens.ring, "2*y3 - w1^3")
     assert kern[0] in (expected, -expected)
 
 
 def test_relation_kernel_degree_one_empty(f4_p1, f4_gens):
-    assert relation_kernel(f4_p1, f4_gens, 1) == []
+    assert relation_kernel(f4_p1, f4_gens, 1).kernel == []
 
 
 @pytest.mark.parametrize(
@@ -241,6 +242,54 @@ def test_minimal_relations_match_always_smith(name, K, up_to):
     assert [str(r) for r in fast.relations] == [str(r) for r in oracle.relations]
 
 
+@pytest.mark.parametrize(
+    "name,K,up_to",
+    RELATION_TABLES,
+    ids=["F4-P1", "E6-P2", "A3-T", "B3-T", "C3-T", "G2-T", "D4-T"],
+)
+def test_complement_test_matches_membership(name, K, up_to):
+    # in every degree with a kernel, S = K by the complement rows agrees
+    # with reducing each kernel basis row in S, and with the degree adding
+    # no relation
+    table, gens, up_to = _presented(name, K, up_to)
+    pres = minimal_relations(table, gens, up_to)
+    decided = 0
+    for m in range(1, up_to + 1):
+        split = relation_kernel(table, gens, m)
+        if not split.kernel:
+            continue
+        lower = [r for r in pres.relations if r.degree() < m]
+        span = graded_ideal_span(gens.ring, lower, m)
+        fills = _fills_kernel(span, split)
+        assert fills == smith_relations.membership_fills_kernel(span, split.kernel), m
+        assert fills == (m not in pres.relation_degrees()), m
+        decided += 1
+    assert decided
+
+
+# (type, K, degree bound or None for lmax + 1)
+SPLIT_TABLES = [("F4", {1}, 15), ("E6", {2}, 21), ("B3", {1, 2, 3}, None), ("D4", {1, 2, 3, 4}, 8)]
+
+
+@pytest.mark.parametrize("name,K,up_to", SPLIT_TABLES, ids=["F4-P1", "E6-P2", "B3-T", "D4-T"])
+def test_relation_kernel_splits_the_monomials(name, K, up_to):
+    # kernel rows over complement rows form a unimodular b x b matrix, and
+    # the complement maps onto the unit vectors of the degree's classes
+    table, gens, up_to = _presented(name, K, up_to)
+    for m in range(up_to + 1):
+        split = relation_kernel(table, gens, m)
+        exps, matrix = split.bundle.exponents, split.bundle.matrix
+        beta = table.beta(m)
+        kernel_rows = [[p.terms.get(e, 0) for e in exps] for p in split.kernel]
+        assert len(kernel_rows) + len(split.complement) == len(exps), m
+        assert abs(determinant(kernel_rows + split.complement)) == 1, m
+        image = [
+            [sum(c * row[j] for c, row in zip(comp, matrix)) for j in range(beta)]
+            for comp in split.complement
+        ]
+        assert image == [[int(i == j) for j in range(beta)] for i in range(beta)], m
+
+
 def test_minimal_relations_rejects_a_relation_that_does_not_vanish(
     monkeypatch, capsys, f4_p1, f4_gens
 ):
@@ -300,7 +349,7 @@ def test_full_rank_span_of_index_above_one_takes_the_smith_path(
     # by one of full rank but index 2^4 or 6 must not take the early exit:
     # the Smith step returns a minimal generating set of K/S.
     m = 7
-    kern = relation_kernel(f4_p1, f4_gens, m)
+    kern = relation_kernel(f4_p1, f4_gens, m).kernel
     assert len(kern) == len(scales)
     scaled = SparseIntLattice(
         {e: s * c for e, c in p.terms.items()} for s, p in zip(scales, kern)
@@ -311,6 +360,10 @@ def test_full_rank_span_of_index_above_one_takes_the_smith_path(
     def fake(ring, relations, d):
         return scaled.copy() if d == m else real(ring, relations, d)
 
+    # the complement test and the membership oracle both see S != K
+    split = relation_kernel(f4_p1, f4_gens, m)
+    assert not _fills_kernel(scaled, split)
+    assert not smith_relations.membership_fills_kernel(scaled, kern)
     monkeypatch.setattr("schubert.cohomology.graded_ideal_span", fake)
     monkeypatch.setattr(smith_relations, "graded_ideal_span", fake)
     pres = minimal_relations(f4_p1, f4_gens, m)

@@ -28,6 +28,7 @@ from schubert.intlinalg import (
 )
 
 from dense_lattice import IntLattice
+from fraction_determinant import fraction_determinant
 
 
 def mat_mul(A, B):
@@ -56,6 +57,54 @@ def test_determinant_basics():
     assert determinant([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
         determinant([[1, 2, 3], [4, 5, 6]])
+
+
+def _square_cases():
+    """Seeded random square matrices of size 0..9: dense, sparse and singular."""
+    rng = random.Random(1968)
+    for n in range(10):
+        for _ in range(12):
+            bound = rng.choice([1, 3, 9, 10**6])
+            m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.4:
+                m = [[x if rng.random() < 0.3 else 0 for x in row] for row in m]
+            if n > 1 and rng.random() < 0.3:  # one row a multiple of another
+                i, j = rng.sample(range(n), 2)
+                k = rng.randint(-3, 3)
+                m[i] = [k * y for y in m[j]]
+            yield m
+
+
+def test_determinant_matches_fraction_elimination():
+    cases = list(_square_cases())
+    assert sum(fraction_determinant(m) == 0 for m in cases) >= 20  # singular ones too
+    for m in cases:
+        assert determinant(m) == fraction_determinant(m), m
+
+
+def test_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _square_cases():
+        assert determinant(m) == sympy.Matrix(m).det(), m
+
+
+def test_determinant_division_check_survives_optimize(subprocess_env):
+    # a non-integer entry leaves the second step's division by the first
+    # pivot (2) inexact: 2/3 is not a multiple of 2
+    code = (
+        "from fractions import Fraction\n"
+        "from schubert.intlinalg import determinant\n"
+        "assert False\n"  # stripped under -O, so this line proves -O is on
+        "determinant([[2, 1, 0], [1, 1, 0], [0, 0, Fraction(1, 3)]])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+    )
+    assert proc.returncode == 1
+    assert "ArithmeticError: inexact division in Bareiss elimination" in proc.stderr
 
 
 def test_determinant_multiplicative():
