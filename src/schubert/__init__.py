@@ -22,7 +22,6 @@ from .characteristics import (
     expand_pair,
     expand_product,
     multiply_vec_by_class,
-    subwords_equal_to,
 )
 from .cohomology import (
     Generator,
@@ -41,12 +40,7 @@ from .cohomology import (
     relation_kernel,
     restrict_to_parabolic,
     rewrite_in_generators,
-    special_unitary_forms,
-    spin_even_forms,
-    spin_relations,
-    spin_relations_reduced,
     structure_matrix,
-    symplectic_forms,
     weight_orbit,
     weight_polynomial,
     weight_ring,
@@ -73,7 +67,6 @@ from .intpoly import (
 from .triangular import (
     StrictUpperMatrix,
     cartan_matrix_of_word,
-    evaluate,
     evaluate_exponents,
 )
 from .weyl import (
@@ -110,7 +103,6 @@ __all__ = [
     "diagonalize_with_unit_minor",
     "elementary_symmetric",
     "enumerate_cosets",
-    "evaluate",
     "evaluate_exponents",
     "expand_class_monomial",
     "expand_pair",
@@ -133,13 +125,7 @@ __all__ = [
     "rewrite_in_generators",
     "smith_with_transforms",
     "solve_left",
-    "special_unitary_forms",
-    "spin_even_forms",
-    "spin_relations",
-    "spin_relations_reduced",
     "structure_matrix",
-    "subwords_equal_to",
-    "symplectic_forms",
     "unimodular_inverse",
     "weight_orbit",
     "weight_polynomial",

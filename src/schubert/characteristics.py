@@ -38,7 +38,6 @@ from operator import mul
 
 from .weyl import (
     CosetTable,
-    WeylElement,
     _identity_rows,
     opposition_involution,
     reflection_pairs,
@@ -111,21 +110,6 @@ def _subword_solutions(lie_type, letters, inv_rows, k):
 
     rec(0, inv_rows, (), k)
     return out
-
-
-def subwords_equal_to(word, target: WeylElement):
-    """All 1-based position sets I of `word` with sigma_I = target, |I| = l(target).
-
-    >>> from schubert.cartan import LieType
-    >>> from schubert.weyl import WeylElement
-    >>> s1 = WeylElement.simple_reflection(LieType.parse("A2"), 1)
-    >>> subwords_equal_to((1, 2, 1), s1)
-    [(1,), (3,)]
-    """
-    sols = _subword_solutions(
-        target.lie_type, tuple(word), target.inv_root_rows, target.length()
-    )
-    return sorted(tuple(p + 1 for p in sol) for sol in sols)
 
 
 # ------------------------------------------------------------- characteristics
@@ -211,10 +195,12 @@ def _cover_data(table: CosetTable, r: int):
     and w = u * s_beta for the root beta = s_{i_m}...s_{i_{p+1}}(alpha_{i_p}).
     By Chevalley's formula the coefficient of s_w in omega_l * s_u is the
     alpha_l^vee-coordinate of beta^vee, so the entry stores beta^vee for
-    each position, and the key of u (None when u is not a class of the
-    table).  One walk from the right end of the word carries the images of
-    the simple roots and of the simple coroots under s_{i_m}...s_{i_{p+1}},
-    which gives beta and beta^vee.  Classes are keyed by the packed root
+    each position, and the key of u (None when u is not a class of level
+    r - 1 of the table; a dropped word that is not reduced can still give
+    a shorter class, as 2,2,1 gives s_1 in B3).  One walk from the right
+    end of the word carries the images of the simple roots and of the
+    simple coroots under s_{i_m}...s_{i_{p+1}}, which gives beta and
+    beta^vee.  Classes are keyed by the packed root
     matrix of their inverse, and u^{-1} = s_beta * w^{-1}, so the key of u
     has rows u^{-1}(alpha_k) = w^{-1}(alpha_k) - <w^{-1}(alpha_k), beta^vee> * beta,
     formed on packed ints since the packing is linear.  Both walks carry
@@ -257,7 +243,8 @@ def _cover_data(table: CosetTable, r: int):
                 row - sum(map(mul, pairing, coroot)) * beta
                 for row, pairing in zip(inv, pairings)
             )
-            cand[p] = table.index_of_inv_root_rows(rows)
+            uk = table.index_of_inv_root_rows(rows)
+            cand[p] = uk if uk is not None and uk[0] == r - 1 else None
             roots = right_multiply_rows(roots, j0, pairs)
             coroot_images = right_multiply_rows(coroot_images, j0, copairs)
         entries.append((tuple(cand), tuple(coroots)))

@@ -6,27 +6,24 @@ length.index pair ("4.2"), or by "wN" as shorthand for the one-letter word
 precondition failed (bad node, degree mismatch, class not in the table) or
 the cache path is unusable, 3 = a resource cap was exceeded.
 
-Coset tables are cached under --cache-dir, or under the directory named by
-the SCHUBERT_CACHE_DIR environment variable when the flag is absent; with
-neither set, nothing is persisted.  A cache file holds the lex-least-word
-tree of a full enumeration (see ``CosetTable.save_binary``), and a corrupt
-or truncated one is a domain error.  All output is deterministic for fixed
-inputs, so repeated runs (cached or not) emit byte-identical JSON.  JSON
-output is ``json.dumps(result, indent=1, sort_keys=True)`` to the byte,
-written piece by piece by ``_write_json``; the ``enumerate`` listing is
-rendered straight from the table's levels, one format string per class and
-one chunk per level.
+Coset tables are cached under --cache-dir; without the flag nothing is
+persisted, so the arguments alone decide a run.  A cache file holds the
+lex-least-word tree of a full enumeration (see ``CosetTable.save_binary``),
+and a corrupt or truncated one is a domain error.  All output is
+deterministic for fixed inputs, so repeated runs (cached or not) emit
+byte-identical JSON.  JSON output is ``json.dumps(result, indent=1,
+sort_keys=True)`` to the byte, written one top-level value at a time by
+``_write_json``; the ``enumerate`` listing is rendered straight from the
+table's levels, one format string per class and one chunk per level.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cartan import LieType
@@ -48,8 +45,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
-
-CACHE_ENV = "SCHUBERT_CACHE_DIR"
 
 COMMANDS = ("enumerate", "multiply", "giambelli", "presentation", "gysin")
 FORMATS = ("json", "table", "text")
@@ -297,10 +292,15 @@ def _run_presentation(spec: JobSpec, table: CosetTable):
 
 
 def _run_gysin(spec: JobSpec, table: CosetTable):
+    """The groups through ``--degree``, listed up to the bundle's dimension.
+
+    The circle bundle over G/P has real dimension 2 * lmax + 1, so every
+    group above it is 0 and is not listed.
+    """
     i = spec.K[0]
-    top_r = (spec.degree + 1) // 2
-    gysin = gysin_analysis(table, i, top_r)
-    groups = [(k, gysin.group(k)) for k in range(spec.degree + 1)]
+    top = min(spec.degree, 2 * table.lmax + 1)
+    gysin = gysin_analysis(table, i, (top + 1) // 2)
+    groups = [(k, gysin.group(k)) for k in range(top + 1)]
     if spec.fmt == "json":
         return {
             "lie_type": str(spec.lie_type),
@@ -348,60 +348,31 @@ class _Rendered:
         self.chunks = chunks
 
 
-def _sorted_str_keys(obj):
+def _write_json(obj, out):
+    """Write ``json.dumps(obj, indent=1, sort_keys=True)`` and a newline to `out`.
+
+    A nonempty dict is written one top-level value at a time, and the
+    chunks of a ``_Rendered`` value as they are, so the text of the whole
+    output is never one string.  Any other value is ``json.dumps`` of it
+    with each line moved one space right, which is exact because a JSON
+    string never holds a raw newline.  Top-level keys must be ``str``
+    (``TypeError`` otherwise).  Every piece is rendered before the first
+    write, so an error writes nothing.
+    """
+    if not (isinstance(obj, dict) and obj):
+        out.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+        return
     for key in obj:
         if not isinstance(key, str):
             raise TypeError(f"key {key!r} is not a str")
-    return sorted(obj)
-
-
-def _dumps(obj, indent="") -> str:
-    """``json.dumps(obj, indent=1, sort_keys=True)``, byte for byte.
-
-    The standard encoder drops to its pure-Python path whenever ``indent``
-    is set and yields one chunk per token; this writer builds each
-    container in one join.
-    Dict keys must be ``str``; any other key raises ``TypeError``.
-    """
-    if type(obj) is int:
-        return str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + " "
-        body = (",\n" + inner).join(
-            [encode_basestring_ascii(key) + ": " + _dumps(obj[key], inner)
-             for key in _sorted_str_keys(obj)]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + " "
-        body = (",\n" + inner).join([_dumps(x, inner) for x in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    return json.dumps(obj)
-
-
-def _write_json(obj, out):
-    """Write ``_dumps(obj)`` and a newline to `out`.
-
-    A nonempty dict is written one piece at a time, and the chunks of a
-    ``_Rendered`` value as they are, so the text of the whole output is
-    never one string.  Every piece is rendered before the first write, so
-    a bad key writes nothing.
-    """
-    if not (isinstance(obj, dict) and obj):
-        out.write(_dumps(obj) + "\n")
-        return
     pieces = []
-    for key in _sorted_str_keys(obj):
-        pieces.append((",\n " if pieces else "{\n ") + encode_basestring_ascii(key) + ": ")
+    for key in sorted(obj):
+        pieces.append((",\n " if pieces else "{\n ") + json.dumps(key) + ": ")
         value = obj[key]
         if type(value) is _Rendered:
             pieces += value.chunks
         else:
-            pieces.append(_dumps(value, " "))
+            pieces.append(json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n "))
     pieces.append("\n}\n")
     out.writelines(pieces)
 
@@ -480,7 +451,6 @@ def spec_from_args(argv) -> JobSpec:
         lie_type = LieType.parse(ns.lie_type)
     except ValueError as exc:
         raise CliParseError(str(exc)) from None
-    cache = ns.cache_dir if ns.cache_dir is not None else os.environ.get(CACHE_ENV)
     return JobSpec(
         command=ns.command,
         lie_type=lie_type,
@@ -488,7 +458,7 @@ def spec_from_args(argv) -> JobSpec:
         arguments=tuple(getattr(ns, "classes", ())),
         fmt=ns.format,
         degree=getattr(ns, "degree", None),
-        cache_dir=Path(cache) if cache else None,
+        cache_dir=Path(ns.cache_dir) if ns.cache_dir else None,
         max_elements=ns.max_elements,
     )
 

@@ -183,10 +183,6 @@ class IntPolynomial:
             return None
         return max(self.ring.monomial_degree(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.ring.monomial_degree(e) for e in self.terms}
-        return len(degs) <= 1
-
     # -- substitution ----------------------------------------------------
 
     def substitute(self, mapping, target_ring: PolyRing | None = None) -> "IntPolynomial":

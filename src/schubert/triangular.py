@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import LieType, cartan_matrix
-from .intpoly import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -86,12 +85,11 @@ def cartan_matrix_of_word(lie_type: LieType, word) -> StrictUpperMatrix:
 def evaluate_exponents(A: StrictUpperMatrix, terms) -> int:
     """T_A on a sparse {exponent tuple: coefficient} map (degree == size).
 
-    This is the computational core used by the characteristics layer; the
-    polynomial-level wrapper below checks the ring and homogeneity and
-    delegates here.  Each exponent tuple must have A.size entries, none
-    negative, summing to A.size (ValueError otherwise).  The tuples are
-    packed into ints of B = A.size.bit_length() bits per variable; see the
-    module docstring for why no field ever carries into the next.
+    This is the computational core used by the characteristics layer.
+    Each exponent tuple must have A.size entries, none negative, summing
+    to A.size (ValueError otherwise).  The tuples are packed into ints of
+    B = A.size.bit_length() bits per variable; see the module docstring
+    for why no field ever carries into the next.
     """
     m = A.size
     bits = m.bit_length()
@@ -131,14 +129,3 @@ def evaluate_exponents(A: StrictUpperMatrix, terms) -> int:
         m -= 1
     return cur.get(1, 0)
 
-
-def evaluate(A: StrictUpperMatrix, h: IntPolynomial) -> int:
-    """T_A applied to a homogeneous degree-m form in x_1..x_m (m = A.size)."""
-    ring = h.ring
-    if ring.nvars != A.size:
-        raise ValueError(f"form has {ring.nvars} variables, matrix has size {A.size}")
-    if any(d != 1 for d in ring.degrees):
-        raise ValueError("the operator acts on rings of degree-1 variables")
-    if not h.is_homogeneous():
-        raise ValueError("the operator is defined on homogeneous forms only")
-    return evaluate_exponents(A, h.terms)

@@ -157,13 +157,6 @@ class WeylElement:
         return cls(lie_type, _identity_rows(lie_type.rank), word=())
 
     @classmethod
-    def simple_reflection(cls, lie_type: LieType, i: int) -> "WeylElement":
-        n = lie_type.rank
-        if not 1 <= i <= n:
-            raise ValueError(f"reflection index {i} out of range 1..{n}")
-        return cls(lie_type, _root_matrix(lie_type, (i,)), word=(i,))
-
-    @classmethod
     def from_word(cls, lie_type: LieType, word) -> "WeylElement":
         word = tuple(word)
         n = lie_type.rank

@@ -20,6 +20,7 @@ import pytest
 import presentation_data as data
 from along_word import characteristic_with_word
 from brute_weyl import brute_right_descents
+from classical_forms import special_unitary_forms, spin_relations_reduced
 from grassmannian import partition_class_maps
 from lr_oracle import schur_product_in_box
 from schubert.cartan import LieType
@@ -37,8 +38,6 @@ from schubert.cohomology import (
     minimal_generators,
     minimal_relations,
     rewrite_in_generators,
-    special_unitary_forms,
-    spin_relations_reduced,
     weight_orbit,
     weight_ring,
     weyl_orbit_invariants,

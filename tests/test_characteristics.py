@@ -21,10 +21,9 @@ from schubert.characteristics import (
     expand_pair,
     expand_product,
     multiply_vec_by_class,
-    subwords_equal_to,
 )
 
-from along_word import characteristic_with_word
+from along_word import characteristic_with_word, subwords_equal_to
 from brute_weyl import (
     ascending_subword_solutions,
     brute_all_reduced_words,
@@ -55,9 +54,9 @@ def test_subwords_identity_target():
 
 
 def test_subwords_single_reflection():
-    s1 = WeylElement.simple_reflection(A2, 1)
+    s1 = WeylElement.from_word(A2, (1,))
     assert subwords_equal_to((1, 2, 1), s1) == [(1,), (3,)]
-    s2 = WeylElement.simple_reflection(A2, 2)
+    s2 = WeylElement.from_word(A2, (2,))
     assert subwords_equal_to((1, 2, 1), s2) == [(2,)]
 
 
@@ -559,10 +558,16 @@ def test_multiply_vec_by_class_linear(f4_p1):
 
 
 def _drop_one_classes(table, letters):
-    """{p: key of the class whose word is `letters` without position p}."""
+    """{p: key of the class whose word is `letters` without position p}.
+
+    Only reduced drops count: a word that is not reduced can still name a
+    shorter class.
+    """
     out = {}
     for p in range(len(letters)):
         u = WeylElement.from_word(table.lie_type, letters[:p] + letters[p + 1:])
+        if u.length() != len(letters) - 1:
+            continue
         try:
             out[p] = table.index_of(u)
         except KeyError:
@@ -621,6 +626,30 @@ def test_coroot_walk_matches_operator(lie, K):
             assert {p: u for p, u in enumerate(cand) if u is not None} == drops
             expected = _operator_sums(lt, w.word, drops)
             assert {p: coroots[p] for p in drops} == expected, w.word
+
+
+# F4/T only for its keys: the operator path over its 1,152 classes is slow
+@pytest.mark.parametrize(
+    "name, products",
+    [("a3_full", True), ("b3_full", True), ("f4_full", False), ("f4_p1", True),
+     ("e6_p2", True), ("e7_p2", True)],
+)
+def test_cover_keys_lie_on_the_level_below(name, products, request):
+    # dropping a letter of 2,3,2,1 in F4 can leave 2,2,1, which is s_1, a
+    # class two levels down; such a drop is stored as None, and each product
+    # by a weight class still equals the operator path
+    table = request.getfixturevalue(name)
+    weights = [SchubertClass(1, j) for j in range(1, table.beta(1) + 1)]
+    for r in range(1, table.lmax + 1):
+        for cand, _ in _cover_data(table, r):
+            assert all(u is None or u[0] == r - 1 for u in cand), r
+        if not products:
+            continue
+        for j in range(1, table.beta(r - 1) + 1):
+            u = SchubertClass(r - 1, j)
+            for omega in weights:
+                product = multiply_vec_by_class(table, {u.key(): 1}, omega)
+                assert product == expand_pair(table, u, omega), (u, omega)
 
 
 def test_gysin_matrices_match_general_path(f4_p1):

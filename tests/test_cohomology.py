@@ -10,6 +10,13 @@ import pytest
 
 import presentation_data as data
 import smith_relations
+from classical_forms import (
+    special_unitary_forms,
+    spin_even_forms,
+    spin_relations,
+    spin_relations_reduced,
+    symplectic_forms,
+)
 from schubert.cartan import LieType
 from schubert.cli import main
 from schubert.cohomology import (
@@ -27,12 +34,7 @@ from schubert.cohomology import (
     minimal_relations,
     relation_kernel,
     rewrite_in_generators,
-    special_unitary_forms,
-    spin_even_forms,
-    spin_relations,
-    spin_relations_reduced,
     structure_matrix,
-    symplectic_forms,
     weight_orbit,
     weight_ring,
     weyl_orbit_invariants,

@@ -18,24 +18,13 @@ import schubert
 ROOT = Path(__file__).resolve().parents[1]
 
 # Exported names that nothing outside the tests uses, kept on purpose:
-# `evaluate` (the triangular operator on one reduced word) and
-# `subwords_equal_to` (the subword search on its own) are kept by ROADMAP
-# item 4, and the three form families are the data of acceptance criteria
-# 8 and 9; `characteristic` is README's library example, and
-# `parse_polynomial` reads back the polynomial text format of README.
-EXPORTED_FOR_TESTS = {
-    "characteristic",
-    "evaluate",
-    "parse_polynomial",
-    "special_unitary_forms",
-    "spin_relations_reduced",
-    "subwords_equal_to",
-    "symplectic_forms",
-}
+# `characteristic` is README's library example, and `parse_polynomial`
+# reads back the polynomial text format of README.  Any other name that
+# only tests use lives in `tests/`, as acceptance data or an oracle.
+EXPORTED_FOR_TESTS = {"characteristic", "parse_polynomial"}
 
-# Public methods of exported classes that nothing outside the tests calls,
-# kept on purpose: `WeylElement.simple_reflection` is kept by ROADMAP item 4.
-METHODS_FOR_TESTS = {"WeylElement.simple_reflection"}
+# Public methods of exported classes that nothing outside the tests calls.
+METHODS_FOR_TESTS = set()
 
 
 def _imported_names(tree):

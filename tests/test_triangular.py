@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert.cartan import LieType
-from schubert.intpoly import PolyRing
+from schubert.intpoly import IntPolynomial, PolyRing
 from schubert.triangular import (
     StrictUpperMatrix,
     cartan_matrix_of_word,
-    evaluate,
     evaluate_exponents,
 )
 
@@ -20,6 +19,18 @@ from brute_triangular import brute_t_operator
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
 F4 = LieType.parse("F4")
+
+
+def evaluate(A: StrictUpperMatrix, h: IntPolynomial) -> int:
+    """T_A applied to a homogeneous degree-m form in x_1..x_m (m = A.size)."""
+    ring = h.ring
+    if ring.nvars != A.size:
+        raise ValueError(f"form has {ring.nvars} variables, matrix has size {A.size}")
+    if any(d != 1 for d in ring.degrees):
+        raise ValueError("the operator acts on rings of degree-1 variables")
+    if len({ring.monomial_degree(e) for e in h.terms}) > 1:
+        raise ValueError("the operator is defined on homogeneous forms only")
+    return evaluate_exponents(A, h.terms)
 
 
 def x_ring(m):

@@ -113,8 +113,7 @@ def test_identity_basics():
     assert e.length() == 0
     assert unpacked_rows(e) == ((1, 0), (0, 1))
     assert e.minimized_word() == ()
-    s1 = WeylElement.simple_reflection(A2, 1)
-    assert WeylElement.from_word(A2, (1,)) == s1
+    s1 = WeylElement.from_word(A2, (1,))
     assert WeylElement.from_word(A2, (1, 1)) == e
     # sigma_1 is its own inverse
     assert inverse_weight_matrix(s1) == weight_matrix(s1) == brute_matrix(A2, (1,))
@@ -303,7 +302,7 @@ def test_left_step_matches_built_step(lt, K):
 def test_minimal_rep_examples():
     e = WeylElement.identity(F4)
     # sigma_1 is minimal for K={1}; sigma_2 lies in W_P
-    assert _left_step(F4, 1, {1})(e) == WeylElement.simple_reflection(F4, 1)
+    assert _left_step(F4, 1, {1})(e) == WeylElement.from_word(F4, (1,))
     assert _left_step(F4, 2, {1})(e) is None
     assert brute_right_descents(F4, (1,)) <= {1}
     assert not brute_right_descents(F4, (2,)) <= {1}
@@ -367,7 +366,7 @@ def test_table_lookup_roundtrip():
         table.element(0, 2)
     with pytest.raises(KeyError):
         # sigma_2 is not a minimal representative for K={1}
-        table.index_of(WeylElement.simple_reflection(F4, 2))
+        table.index_of(WeylElement.from_word(F4, (2,)))
 
 
 def test_invalid_k_rejected():
