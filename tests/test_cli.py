@@ -480,6 +480,14 @@ _VALUES = st.recursive(
 @example({"\u00e9\n\"\\": [-1, 2**100, True, None], "": ((), [], {}), "a\x00": 1.5})
 @example([1, True, 2])
 @example([[1, 2], (3,), [], -7])
+def test_write_json_indents_nested_values_as_json_dumps(obj):
+    # a value under a top-level key is json.dumps of it moved one space right
+    out = io.StringIO()
+    _write_json({"value": obj}, out)
+    assert out.getvalue() == json.dumps({"value": obj}, indent=1, sort_keys=True) + "\n"
+
+
+@given(_VALUES)
 @example({"b": 1, "a": {"c": [1, {}]}, "": []})
 @example({"a": [{1: 1}], "b": {1.5: 2}, "c": {True: 3}, "d": {None: 4}})
 @example({})
