@@ -24,11 +24,12 @@ the top class and the opposition involution tau, cached per level on the
 table.  A truncated table has no top class and keeps the target's own
 word.  Every product expansion, `expand_product` included,
 folds one factor at a time through `expand_class_monomial`.  A factor of
-degree one skips the operator: by Chevalley's formula, for each target w
-and each position p whose drop leaves a class u, the coroot beta^vee of
-the reflection with w = u * s_beta is precomputed ("cover data") by one
-walk along the word, and the coefficient of s_w in omega_l * s_u is its
-alpha_l^vee-coordinate.  Any other factor goes through `expand_pair`.
+degree one skips the operator: by Chevalley's formula the coefficient of
+s_w in omega_l * s_u, for a class w = u * s_beta one level up, is the
+alpha_l^vee-coordinate of the coroot beta^vee.  The pairs (w, beta^vee) of
+each class u ("cover data") come from one walk along each target's word
+and are stored per source u, so a product by omega_l reads only the rows
+of the vector's own classes.  Any other factor goes through `expand_pair`.
 """
 
 from __future__ import annotations
@@ -189,20 +190,21 @@ def expand_product(table: CosetTable, factors) -> SchubertExpansion:
 
 
 def _cover_data(table: CosetTable, r: int):
-    """Per length-r target with word (i_1..i_m): (drop-one class keys, coroots).
+    """Per class u of level r - 1: the pairs (k, beta^vee) with (r, k) = u * s_beta.
 
-    Dropping position p leaves u = s_{i_1}...s_{i_{p-1}} s_{i_{p+1}}...s_{i_m},
-    and w = u * s_beta for the root beta = s_{i_m}...s_{i_{p+1}}(alpha_{i_p}).
-    By Chevalley's formula the coefficient of s_w in omega_l * s_u is the
-    alpha_l^vee-coordinate of beta^vee, so the entry stores beta^vee for
-    each position, and the key of u (None when u is not a class of level
-    r - 1 of the table; a dropped word that is not reduced can still give
-    a shorter class, as 2,2,1 gives s_1 in B3).  One walk from the right
-    end of the word carries the images of the simple roots and of the
-    simple coroots under s_{i_m}...s_{i_{p+1}}, which gives beta and
-    beta^vee.  Classes are keyed by the packed root
-    matrix of their inverse, and u^{-1} = s_beta * w^{-1}, so the key of u
-    has rows u^{-1}(alpha_k) = w^{-1}(alpha_k) - <w^{-1}(alpha_k), beta^vee> * beta,
+    Rows are in increasing k.  They are filled by one walk along the word
+    (i_1..i_m) of each target w of level r: dropping position p leaves
+    u = s_{i_1}...s_{i_{p-1}} s_{i_{p+1}}...s_{i_m}, and w = u * s_beta for
+    the root beta = s_{i_m}...s_{i_{p+1}}(alpha_{i_p}).  By Chevalley's
+    formula the coefficient of s_w in omega_l * s_u is the
+    alpha_l^vee-coordinate of beta^vee.  A drop that is not a class of
+    level r - 1 is skipped; a dropped word that is not reduced can still
+    give a shorter class, as 2,2,1 gives s_1 in B3.  The walk from the
+    right end of the word carries the images of the simple roots and of
+    the simple coroots under s_{i_m}...s_{i_{p+1}}, which gives beta and
+    beta^vee.  Classes are keyed by the packed root matrix of their
+    inverse, and u^{-1} = s_beta * w^{-1}, so the key of u has rows
+    u^{-1}(alpha_k) = w^{-1}(alpha_k) - <w^{-1}(alpha_k), beta^vee> * beta,
     formed on packed ints since the packing is linear.  Both walks carry
     packed vectors: the images of the simple coroots are roots of the dual
     system, whose coordinates obey the same bound.  The coroot pairings of
@@ -223,8 +225,8 @@ def _cover_data(table: CosetTable, r: int):
     )
     columns = tuple(zip(*c))
     identity = _identity_rows(n)
-    entries = []
-    for w in table.levels[r]:
+    covers = [[] for _ in table.levels[r - 1]]
+    for k, w in enumerate(table.levels[r], start=1):
         letters = w.word
         inv = w.inv_root_rows
         # row k: <w^{-1}(alpha_k), alpha_l^vee> for each l
@@ -232,49 +234,22 @@ def _cover_data(table: CosetTable, r: int):
         for row in inv:
             coords = unpack_root(row, n)
             pairings.append(tuple(sum(map(mul, coords, col)) for col in columns))
-        cand = [None] * r
-        coroots = [None] * r
         roots = coroot_images = identity
         for p in range(r - 1, -1, -1):
             j0 = letters[p] - 1
             beta = roots[j0]
-            coroots[p] = coroot = unpack_root(coroot_images[j0], n)
+            coroot = unpack_root(coroot_images[j0], n)
             rows = tuple(
                 row - sum(map(mul, pairing, coroot)) * beta
                 for row, pairing in zip(inv, pairings)
             )
-            uk = table.index_of_inv_root_rows(rows)
-            cand[p] = uk if uk is not None and uk[0] == r - 1 else None
+            u = table.index_of_inv_root_rows(rows)
+            if u is not None and u[0] == r - 1:
+                covers[u[1] - 1].append((k, coroot))
             roots = right_multiply_rows(roots, j0, pairs)
             coroot_images = right_multiply_rows(coroot_images, j0, copairs)
-        entries.append((tuple(cand), tuple(coroots)))
-    table._cache[key] = entries
-    return entries
-
-
-def _chevalley_apply(table, vec, form, r_target):
-    """vec (degree r_target - 1) times the weight class sum form = {letter: c}.
-
-    The coefficient of s_w collects, over the drop-one classes u of w, the
-    coefficient of u in vec times the pairing of form with beta^vee.
-    """
-    out = {}
-    for idx, (cand, coroots) in enumerate(_cover_data(table, r_target)):
-        total = 0
-        for uk, coroot in zip(cand, coroots):
-            if uk is None:
-                continue
-            cu = vec.get(uk)
-            if not cu:
-                continue
-            s = 0
-            for letter, fc in form.items():
-                s += fc * coroot[letter - 1]
-            if s:
-                total += cu * s
-        if total:
-            out[(r_target, idx + 1)] = total
-    return out
+    table._cache[key] = covers = tuple(map(tuple, covers))
+    return covers
 
 
 def _dual(table: CosetTable, r: int):
@@ -365,12 +340,16 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
         table.element(0, cls.i)  # validates membership
         return dict(vec)
     if cls.r == 1:
-        letter = table.element(1, cls.i).word[0]
-        return _chevalley_apply(table, vec, {letter: 1}, r_target)
+        l0 = table.element(1, cls.i).word[0] - 1
+        covers = _cover_data(table, r_target)
     out = {}
     for ukey, cu in vec.items():
-        row = expand_pair(table, SchubertClass(*ukey), cls)
-        for t, av in row.items():
+        if cls.r == 1:  # Chevalley: the coefficient is beta^vee's l-th coordinate
+            table.element(*ukey)  # validates membership
+            row = (((r_target, k), coroot[l0]) for k, coroot in covers[ukey[1] - 1])
+        else:
+            row = expand_pair(table, SchubertClass(*ukey), cls).items()
+        for t, av in row:
             s = out.get(t, 0) + cu * av
             if s:
                 out[t] = s

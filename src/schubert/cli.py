@@ -4,7 +4,8 @@ Schubert classes are addressed either by minimized word ("3,2,1"), by a
 length.index pair ("4.2"), or by "wN" as shorthand for the one-letter word
 (N,).  Exit codes: 1 = could not parse the invocation, 2 = a mathematical
 precondition failed (bad node, degree mismatch, class not in the table) or
-the cache path is unusable, 3 = a resource cap was exceeded.
+the cache path is unusable, 3 = a resource cap was exceeded or memory ran
+out (a ``MemoryError``: one line on stderr, nothing on stdout).
 
 Coset tables are cached under --cache-dir; without the flag nothing is
 persisted, so the arguments alone decide a run.  A cache file holds the
@@ -394,8 +395,8 @@ def run(spec: JobSpec, out=None) -> int:
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except EnumerationLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (EnumerationLimit, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else exc

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 
 from .cartan import LieType, reflect_weight
-from .characteristics import SchubertClass, expand_class_monomial
+from .characteristics import SchubertClass, expand_class_monomial, multiply_vec_by_class
 from .intlinalg import (
     AbelianGroupStructure,
     SparseIntLattice,
@@ -463,7 +463,7 @@ def gysin_analysis(table: CosetTable, i: int, up_to: int) -> GysinTable:
         beta_cur = table.beta(r)
         rows = []
         for j in range(1, beta_prev + 1):
-            vec = expand_class_monomial(table, [SchubertClass(r - 1, j), omega])
+            vec = multiply_vec_by_class(table, {(r - 1, j): 1}, omega)
             rows.append([vec.get((r, k), 0) for k in range(1, beta_cur + 1)])
         mats[r] = rows
         even[2 * r] = cokernel_structure(rows)

@@ -164,10 +164,7 @@ class WeylElement:
             raise ValueError(f"word {list(word)} has a letter outside 1..{n}")
         return cls(lie_type, _root_matrix(lie_type, reversed(word)))
 
-    # -- length, descents, words --------------------------------------
-
-    def length(self) -> int:
-        return len(self.word)
+    # -- descents, words ----------------------------------------------
 
     def minimized_word(self) -> tuple[int, ...]:
         """The lexicographically smallest reduced word.

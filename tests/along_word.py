@@ -19,7 +19,7 @@ def subwords_equal_to(word, target: WeylElement):
     [(1,), (3,)]
     """
     sols = _subword_solutions(
-        target.lie_type, tuple(word), target.inv_root_rows, target.length()
+        target.lie_type, tuple(word), target.inv_root_rows, len(target.word)
     )
     return sorted(tuple(p + 1 for p in sol) for sol in sols)
 
@@ -27,7 +27,7 @@ def subwords_equal_to(word, target: WeylElement):
 def characteristic_with_word(table, word, factors):
     """The coefficient of the target w = sigma_word in the product of the factors."""
     word = tuple(word)
-    if WeylElement.from_word(table.lie_type, word).length() != len(word):
+    if len(WeylElement.from_word(table.lie_type, word).word) != len(word):
         raise ValueError(f"{word} is not a reduced word")
     if sum(f.r for f in factors) != len(word):
         raise ValueError("degree mismatch between word and factors")

@@ -87,10 +87,10 @@ def test_subword_search_matches_oracle(f4_p1, b3_full, e6_p2):
         lt = table.lie_type
         for w in elements(table):
             for u in classes:
-                if u.length() > w.length():
+                if len(u.word) > len(w.word):
                     continue
                 sols = characteristics._subword_solutions(
-                    lt, w.word, u.inv_root_rows, u.length()
+                    lt, w.word, u.inv_root_rows, len(u.word)
                 )
                 assert sols == ascending_subword_solutions(lt, w.word, u), (lt, w, u)
                 found += len(sols)
@@ -157,7 +157,7 @@ def test_characteristic_word_invariance(f4_full):
         ((1, 3, 2, 4), [SchubertClass(1, 3), SchubertClass(3, 2)]),
     ]:
         w = WeylElement.from_word(F4, letters)
-        assert w.length() == len(letters)
+        assert len(w.word) == len(letters)
         words = brute_all_reduced_words(F4, brute_matrix(F4, letters))
         assert len(words) > 1
         values = {
@@ -566,7 +566,7 @@ def _drop_one_classes(table, letters):
     out = {}
     for p in range(len(letters)):
         u = WeylElement.from_word(table.lie_type, letters[:p] + letters[p + 1:])
-        if u.length() != len(letters) - 1:
+        if len(u.word) != len(letters) - 1:
             continue
         try:
             out[p] = table.index_of(u)
@@ -612,6 +612,28 @@ COROOT_WALK_TABLES = [
 ]
 
 
+def _cover_pairs(table, r):
+    """{(key of u, k): beta^vee} read off the source-indexed rows of level r."""
+    covers = _cover_data(table, r)
+    assert len(covers) == table.beta(r - 1)
+    pairs = {}
+    for j, row in enumerate(covers, start=1):
+        ks = [k for k, _ in row]
+        assert ks == sorted(set(ks)), (r, j)
+        assert all(1 <= k <= table.beta(r) for k in ks), (r, j)
+        pairs.update((((r - 1, j), k), coroot) for k, coroot in row)
+    return pairs
+
+
+def _drop_one_pairs(table, r):
+    """{(key of u, k)} for each reduced drop u of the word of (r, k)."""
+    return {
+        (u, k)
+        for k, w in enumerate(table.levels[r], start=1)
+        for u in _drop_one_classes(table, w.word).values()
+    }
+
+
 @pytest.mark.parametrize(
     "lie, K",
     COROOT_WALK_TABLES,
@@ -621,14 +643,15 @@ def test_coroot_walk_matches_operator(lie, K):
     lt = LieType.parse(lie)
     table = enumerate_cosets(lt, set(K))
     for r in range(1, table.lmax + 1):
-        for w, (cand, coroots) in zip(table.levels[r], _cover_data(table, r)):
+        expected = {}
+        for k, w in enumerate(table.levels[r], start=1):
             drops = _drop_one_classes(table, w.word)
-            assert {p: u for p, u in enumerate(cand) if u is not None} == drops
-            expected = _operator_sums(lt, w.word, drops)
-            assert {p: coroots[p] for p in drops} == expected, w.word
+            sums = _operator_sums(lt, w.word, drops)
+            expected.update(((u, k), sums[p]) for p, u in drops.items())
+        assert _cover_pairs(table, r) == expected, r
 
 
-# F4/T only for its keys: the operator path over its 1,152 classes is slow
+# F4/T only for its pairs: the operator path over its 1,152 classes is slow
 @pytest.mark.parametrize(
     "name, products",
     [("a3_full", True), ("b3_full", True), ("f4_full", False), ("f4_p1", True),
@@ -636,13 +659,12 @@ def test_coroot_walk_matches_operator(lie, K):
 )
 def test_cover_keys_lie_on_the_level_below(name, products, request):
     # dropping a letter of 2,3,2,1 in F4 can leave 2,2,1, which is s_1, a
-    # class two levels down; such a drop is stored as None, and each product
-    # by a weight class still equals the operator path
+    # class two levels down; such a drop has no row, and each product by a
+    # weight class still equals the operator path
     table = request.getfixturevalue(name)
     weights = [SchubertClass(1, j) for j in range(1, table.beta(1) + 1)]
     for r in range(1, table.lmax + 1):
-        for cand, _ in _cover_data(table, r):
-            assert all(u is None or u[0] == r - 1 for u in cand), r
+        assert _cover_pairs(table, r).keys() == _drop_one_pairs(table, r), r
         if not products:
             continue
         for j in range(1, table.beta(r - 1) + 1):
@@ -650,6 +672,57 @@ def test_cover_keys_lie_on_the_level_below(name, products, request):
             for omega in weights:
                 product = multiply_vec_by_class(table, {u.key(): 1}, omega)
                 assert product == expand_pair(table, u, omega), (u, omega)
+
+
+@pytest.mark.parametrize(
+    "lie, K",
+    [("B3", (1, 2, 3)), ("G2", (1, 2)), ("F4", (1,)), ("E6", (2,))],
+    ids=["B3-T", "G2-T", "F4-P1", "E6-P2"],
+)
+def test_degree1_product_is_linear(lie, K):
+    # vectors over a level, some weighted so that two one-class products
+    # cancel on a shared target: the product is the sum of the one-class
+    # products (by the operator path), with zero coefficients dropped
+    table = enumerate_cosets(LieType.parse(lie), set(K))
+    rng = random.Random(19)
+    cancelled = 0
+    for r in range(1, table.lmax + 1):
+        level = [SchubertClass(r - 1, j) for j in range(1, table.beta(r - 1) + 1)]
+        for omega in (SchubertClass(1, l) for l in range(1, table.beta(1) + 1)):
+            rows = {u.key(): expand_pair(table, u, omega) for u in level}
+            vectors = [{u: rng.randint(-3, 3) or 1 for u in rows}]
+            for a, b in itertools.combinations(rows, 2):
+                shared = sorted(rows[a].keys() & rows[b].keys())
+                if shared:
+                    t = shared[0]
+                    vectors.append({a: rows[b][t], b: -rows[a][t]})
+                    break
+            for vec in vectors:
+                expected = {}
+                for u, cu in vec.items():
+                    for t, av in rows[u].items():
+                        expected[t] = expected.get(t, 0) + cu * av
+                support = len(expected)
+                expected = {t: v for t, v in expected.items() if v}
+                cancelled += len(expected) < support
+                assert multiply_vec_by_class(table, vec, omega) == expected, (vec, omega)
+    assert cancelled
+
+
+def test_degree1_product_rejects_classes_outside_the_table(f4_p1):
+    w1 = SchubertClass(1, 1)
+    for absent in [(3, 3), (3, 0), (3, -1)]:
+        with pytest.raises(KeyError):
+            multiply_vec_by_class(f4_p1, {(3, 1): 1, absent: 2}, w1)
+    with pytest.raises(KeyError):
+        multiply_vec_by_class(f4_p1, {(3, 1): 1}, SchubertClass(1, 2))
+
+
+def test_gysin_adds_no_monomial_cache_entries():
+    for lie, i, up_to in [("F4", 1, 15), ("E7", 2, 20)]:
+        table = enumerate_cosets(LieType.parse(lie), {i})
+        gysin_analysis(table, i, up_to)
+        assert set(table._cache) == {("cover", r) for r in range(1, up_to + 1)}, lie
 
 
 def test_gysin_matrices_match_general_path(f4_p1):

@@ -14,6 +14,7 @@ import sys
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+import schubert.cli as cli
 from schubert.cartan import LieType
 from schubert.cli import (
     EXIT_DOMAIN,
@@ -24,6 +25,8 @@ from schubert.cli import (
     _run_enumerate,
     _write_json,
     main,
+    run,
+    spec_from_args,
 )
 from schubert.weyl import enumerate_cosets
 
@@ -136,6 +139,21 @@ def test_resource_cap_exits_3(capsys, tmp_path):
         capsys, "enumerate", "F4", "--cache-dir", str(tmp_path), "--max-elements", "10"
     )
     assert warm == cold
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    # raised here without allocating; a real one comes from a table or a
+    # product too large for the machine, e.g. the Cartan matrix of A20000
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_table", exhausted)
+    for command in (["enumerate", "E6"], ["gysin", "E7", "--K", "2", "--degree", "20"]):
+        assert run_cli(capsys, *command) == (EXIT_RESOURCE, "", "resource limit: out of memory\n")
+        out = io.StringIO()
+        assert run(spec_from_args(command), out) == EXIT_RESOURCE
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == "resource limit: out of memory\n"
 
 
 # -- caching --------------------------------------------------------------------

@@ -61,33 +61,43 @@ def _definitions(tree):
         yield from targets
 
 
-def _references(tree):
-    """Every name read, attribute taken or name imported in the tree."""
+def _attribute_references(tree):
+    """Every attribute taken (`x.name`) or name imported in the tree.
+
+    A method is reached only through an attribute, or imported by name, so
+    a bare name such as a local variable is not a use of it.
+    """
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name
 
 
+def _references(tree):
+    """Every name read, attribute taken or name imported in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+    yield from _attribute_references(tree)
+
+
 def _parse(paths):
     return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
-def _reference_counts(trees):
+def _reference_counts(trees, references=_references):
     counts = {}
     for tree in trees:
-        for name in _references(tree):
+        for name in references(tree):
             counts[name] = counts.get(name, 0) + 1
     return counts
 
 
-def _own_references(name, body):
+def _own_references(name, body, references=_references):
     """References a function or class makes to itself, inside its own body."""
-    return sum(1 for ref in _references(body) if ref == name) if body else 0
+    return sum(1 for ref in references(body) if ref == name) if body else 0
 
 
 def orphaned_private_helpers(paths):
@@ -139,16 +149,19 @@ def methods_without_use(classes, modules, others):
     """Public methods of `classes` that no module and no other file references.
 
     `modules` are the package's files, `others` the files that may use
-    them.  A method's references to its own name, inside its own body, do
-    not count.
+    them.  Only attribute references and imported names count, so a local
+    variable that shares a method's name is not a use, and neither is a
+    method's reference to its own name inside its own body.
     """
     trees = _parse(modules)
-    counts = _reference_counts([*trees.values(), *_parse(others).values()])
+    counts = _reference_counts(
+        [*trees.values(), *_parse(others).values()], _attribute_references
+    )
     return [
         qualname
         for tree in trees.values()
         for qualname, name, body in _public_methods(tree, classes)
-        if counts.get(name, 0) <= _own_references(name, body)
+        if counts.get(name, 0) <= _own_references(name, body, _attribute_references)
     ]
 
 
@@ -248,12 +261,16 @@ def test_scan_finds_methods_without_use(tmp_path):
         "        return cls()\n"
         "    def drawn(self):\n"
         "        return self.area()\n"
+        "    def size(self):\n"
+        "        size = 2\n"
+        "        return size\n"
         "class Hidden:\n"
         "    def unused(self):\n"
         "        pass\n"
     )
-    app.write_text("from lib import Shape\nShape.unit().drawn()\n")
-    assert methods_without_use({"Shape"}, [lib], [app]) == ["Shape.grow"]
+    # a local variable named like a method is not a use of it
+    app.write_text("from lib import Shape\nShape.unit().drawn()\ngrow = 3\nprint(grow)\n")
+    assert methods_without_use({"Shape"}, [lib], [app]) == ["Shape.grow", "Shape.size"]
 
 
 def test_no_unused_imports():

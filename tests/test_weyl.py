@@ -96,7 +96,7 @@ def test_length_matches_cayley_distance(lt):
         w = WeylElement.from_word(lt, word)
         assert weight_matrix(w) == mat
         assert inverse_weight_matrix(w) == brute_matrix(lt, word[::-1])
-        assert w.length() == dist
+        assert len(w.word) == dist
 
 
 @pytest.mark.parametrize("lt", [A3, B3, G2, F4])
@@ -110,7 +110,7 @@ def test_inverse_key_is_faithful(lt):
 
 def test_identity_basics():
     e = WeylElement.identity(A2)
-    assert e.length() == 0
+    assert len(e.word) == 0
     assert unpacked_rows(e) == ((1, 0), (0, 1))
     assert e.minimized_word() == ()
     s1 = WeylElement.from_word(A2, (1,))
@@ -162,17 +162,17 @@ def test_word_properties(lt, data):
     n = lt.rank
     word = tuple(data.draw(st.lists(st.integers(1, n), max_size=8)))
     w = WeylElement.from_word(lt, word)
-    assert w.length() <= len(word)
-    assert (w.length() - len(word)) % 2 == 0
+    assert len(w.word) <= len(word)
+    assert (len(w.word) - len(word)) % 2 == 0
     mw = w.minimized_word()
-    assert len(mw) == w.length()
+    assert len(mw) == len(w.word)
     assert WeylElement.from_word(lt, mw) == w
     assert weight_matrix(w) == brute_matrix(lt, word)
     # the stored matrix is that of w^-1: the brute model of the reversed word
     assert inverse_weight_matrix(w) == brute_matrix(lt, word[::-1])
     winv = WeylElement(lt, _root_matrix(lt, w.word))
     assert winv == WeylElement.from_word(lt, word[::-1])
-    assert winv.length() == w.length()
+    assert len(winv.word) == len(w.word)
     # simple steps on either side agree with the brute model of the longer word
     i = data.draw(st.integers(1, n))
     assert weight_matrix(WeylElement.from_word(lt, word + (i,))) == brute_matrix(lt, word + (i,))
@@ -192,7 +192,7 @@ def test_triangle_inequality(lt, data):
     v = WeylElement.from_word(lt, data.draw(st.lists(st.integers(1, n), max_size=6)))
     uv = WeylElement.from_word(lt, u.word + v.word)
     assert weight_matrix(uv) == brute_matrix(lt, u.word + v.word)
-    assert uv.length() <= u.length() + v.length()
+    assert len(uv.word) <= len(u.word) + len(v.word)
 
 
 def test_descents():
@@ -228,7 +228,7 @@ def test_enumerate_f4_p1():
     # every stored word is the minimized word and has the right length
     for r, i, w in table:
         assert w.word == w.minimized_word()
-        assert w.length() == r
+        assert len(w.word) == r
         assert brute_right_descents(F4, w.word) <= {1}
     # words at each level are lexicographically sorted
     for level in table.levels:
@@ -511,4 +511,4 @@ def test_from_word_rejects_letters_outside_rank():
 def test_word_agrees_with_brute_matrix():
     for word in [(1,), (2, 1), (3, 2, 1), (1, 2, 3, 2)]:
         assert weight_matrix(wd(B3, *word)) == brute_matrix(B3, word)
-    assert brute_length(B3, (1, 2, 1, 2)) == wd(B3, 1, 2, 1, 2).length()
+    assert brute_length(B3, (1, 2, 1, 2)) == len(wd(B3, 1, 2, 1, 2).word)
