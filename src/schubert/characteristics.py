@@ -13,29 +13,32 @@ p exactly when the remainder v has v^{-1}(alpha_{letter p}) < 0, peels that
 letter off, and reaches the identity after l(u) steps.
 
 `characteristic` evaluates this for a single target, and `expand_pair`
-sweeps it over every target of a level for two factors, cached per
-unordered pair.  The operator's cost grows steeply with the word's length,
-so on a complete table `expand_pair` reads a long product off a shorter
-word by Poincare duality: for factor lengths a <= b and target level
-r = a + b with c = lmax - r < b, c_{u,v}^w is the coefficient of
-s_{v^vee} in s_u * s_{w^vee}, evaluated along the word of v^vee, of
-length a + c instead of a + b.  The duals u^vee = tau(u) * w_top come from
-the top class and the opposition involution tau, cached per level on the
+sweeps it over every target of a level for two factors, cached read-only
+per unordered pair.  The operator's cost grows steeply with the word's
+length, so on a complete table `expand_pair` reads a long product off a
+shorter word by Poincare duality: for factor lengths a <= b and target
+level r = a + b with c = lmax - r < b, c_{u,v}^w is the coefficient of
+s_{v^vee} in s_u * s_{w^vee}, evaluated along the word of v^vee, of length
+a + c instead of a + b.  The duals u^vee = tau(u) * w_top come from the
+top class and the opposition involution tau, cached per level on the
 table.  A truncated table has no top class and keeps the target's own
-word.  Every product expansion, `expand_product` included,
-folds one factor at a time through `expand_class_monomial`.  A factor of
-degree one skips the operator: by Chevalley's formula the coefficient of
-s_w in omega_l * s_u, for a class w = u * s_beta one level up, is the
-alpha_l^vee-coordinate of the coroot beta^vee.  The pairs (w, beta^vee) of
-each class u ("cover data") come from one walk along each target's word
-and are stored per source u, so a product by omega_l reads only the rows
-of the vector's own classes.  Any other factor goes through `expand_pair`.
+word.  Every product expansion, `expand_product` included, folds one
+factor at a time through `expand_class_monomial`, which caches nothing:
+the table caches only pair products, cover data and duals, each bounded by
+the size of the table.  A factor of degree one skips the operator: by
+Chevalley's formula the coefficient of s_w in omega_l * s_u, for a class
+w = u * s_beta one level up, is the alpha_l^vee-coordinate of the coroot
+beta^vee.  The pairs (w, beta^vee) of each class u ("cover data") come
+from one walk along each target's word and are stored per source u, so a
+product by omega_l reads only the rows of the vector's own classes.  Any
+other factor goes through `expand_pair`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from types import MappingProxyType
 
 from .weyl import (
     CosetTable,
@@ -289,7 +292,7 @@ def _dual(table: CosetTable, r: int):
 
 
 def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
-    """{target key: coefficient} for s_u * s_v, cached symmetrically.
+    """{target key: coefficient} for s_u * s_v, cached symmetrically, read-only.
 
     Let a <= b be the factor lengths and r = a + b the target level.  The
     coefficient of s_w is evaluated along the word of w, of length a + b,
@@ -322,7 +325,7 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
         result = {}
     else:
         raise ValueError(f"degree {r} exceeds the truncated table")
-    table._cache[key] = result
+    table._cache[key] = result = MappingProxyType(result)
     return result
 
 
@@ -336,8 +339,11 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
         if table.complete:
             return {}
         raise ValueError(f"degree {r_target} exceeds the truncated table")
+    if cls.r <= 1:  # validates membership; expand_pair checks the others
+        table.element(cls.r, cls.i)
+        for ukey in vec:
+            table.element(*ukey)
     if cls.r == 0:
-        table.element(0, cls.i)  # validates membership
         return dict(vec)
     if cls.r == 1:
         l0 = table.element(1, cls.i).word[0] - 1
@@ -345,7 +351,6 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
     out = {}
     for ukey, cu in vec.items():
         if cls.r == 1:  # Chevalley: the coefficient is beta^vee's l-th coordinate
-            table.element(*ukey)  # validates membership
             row = (((r_target, k), coroot[l0]) for k, coroot in covers[ukey[1] - 1])
         else:
             row = expand_pair(table, SchubertClass(*ukey), cls).items()
@@ -359,33 +364,20 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
 
 
 def expand_class_monomial(table: CosetTable, classes):
-    """Expansion vector of a product of classes (sorted internally, cached).
+    """Expansion vector of a product of classes, as a new dict.
 
-    Identity factors are checked and dropped.  The sorted classes fold
-    from the right, one factor at a time, caching each nonzero suffix
-    product; the fold resumes from the longest cached suffix and stops at
-    the first zero product, which is cached under the whole key.  A nonzero
-    suffix has at most ``table.lmax`` factors, so one call adds at most
-    ``table.lmax`` keys.
+    Every factor is checked and identity factors are dropped.  The sorted
+    classes fold from the right and stop at the first zero product.
+    Nothing is cached: a caller that expands many related monomials keeps
+    its own products, as `cohomology.GeneratorSet` does.
     """
     keys = sorted(c.key() if isinstance(c, SchubertClass) else tuple(c) for c in classes)
     for key in keys:
-        if key[0] == 0:
-            table.element(*key)  # validates membership
-    classes = tuple(key for key in keys if key[0] != 0)
-    if not classes:
-        return {(0, 1): 1}
-    table.element(*classes[-1])  # validates membership
-    start, vec = len(classes) - 1, {classes[-1]: 1}
-    for j in range(start):
-        cached = table._cache.get(("mono", classes[j:]))
-        if cached is not None:
-            start, vec = j, cached
-            break
-    for j in range(start - 1, -1, -1):
-        vec = multiply_vec_by_class(table, vec, SchubertClass(*classes[j]))
+        table.element(*key)  # validates membership
+    classes = [SchubertClass(*key) for key in keys if key[0] != 0]
+    vec = {classes.pop().key(): 1} if classes else {(0, 1): 1}
+    for cls in reversed(classes):
+        vec = multiply_vec_by_class(table, vec, cls)
         if not vec:
-            table._cache[("mono", classes)] = vec
             break
-        table._cache[("mono", classes[j:])] = vec
     return vec

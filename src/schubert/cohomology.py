@@ -32,12 +32,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .cartan import LieType, reflect_weight
 from .characteristics import SchubertClass, expand_class_monomial, multiply_vec_by_class
 from .intlinalg import (
     AbelianGroupStructure,
     SparseIntLattice,
+    _mat_mul,
     cokernel_structure,
     diagonalize_with_unit_minor,
     hermite_with_transform,
@@ -87,7 +89,11 @@ class Generator:
 
 
 class GeneratorSet:
-    """An ordered set of generators bound to classes of one coset table."""
+    """An ordered set of generators bound to classes of one coset table.
+
+    Each monomial it expands is memoized read-only on the set, not on the
+    table, so the memo goes with the set.
+    """
 
     def __init__(self, table: CosetTable, generators):
         self.table = table
@@ -105,13 +111,27 @@ class GeneratorSet:
                 raise ValueError(
                     f"generator {g.name}: word {g.word} is not a class of the table"
                 ) from None
+        self._products = {(0,) * len(gens): MappingProxyType({(0, 1): 1})}
 
-    def expand_exponents(self, exponents) -> dict:
-        """Schubert expansion vector of the monomial with these exponents."""
-        classes = []
-        for gen, e in zip(self.generators, exponents):
-            classes.extend([self._classes[gen.name]] * e)
-        return expand_class_monomial(self.table, classes)
+    def expand_exponents(self, exponents):
+        """Schubert expansion vector of the monomial with these exponents.
+
+        A monomial is its first generator times the monomial with one fewer
+        of that generator, so each new monomial costs one product by a class.
+        """
+        exponents = tuple(exponents)
+        if len(exponents) != len(self.generators) or min(exponents, default=0) < 0:
+            raise ValueError(f"bad exponents {exponents} for {len(self.generators)} generators")
+        missing = []
+        while exponents not in self._products:
+            k = next(k for k, e in enumerate(exponents) if e)
+            missing.append((exponents, self._classes[self.generators[k].name]))
+            exponents = exponents[:k] + (exponents[k] - 1,) + exponents[k + 1:]
+        vec = self._products[exponents]
+        for exponents, cls in reversed(missing):
+            vec = MappingProxyType(multiply_vec_by_class(self.table, vec, cls))
+            self._products[exponents] = vec
+        return vec
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(g.degree for g in self.generators)
@@ -156,26 +176,25 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
 
     Degree by degree, the monomials in the previously chosen generators
     (each a product of at least two, as every generator has lower degree)
-    span a sublattice of the degree's classes; whenever that
-    sublattice is proper, the smallest set of classes completing it is
-    added (ties broken by lowest class index).  Weight classes are named
-    w<letter>, higher generators y<degree>.
+    span a sublattice of the degree's classes (their structure matrix);
+    whenever that sublattice is proper, the smallest set of classes
+    completing it is added (ties broken by lowest class index).  Weight
+    classes are named w<letter>, higher generators y<degree>.  The set
+    returned keeps its monomials from the degrees since its last addition.
     """
     if up_to is None:
         if not table.complete:
             raise ValueError("a truncated table needs an explicit degree bound")
         up_to = table.lmax
     chosen: list[Generator] = []
+    probe = GeneratorSet(table, chosen)
     for m in range(1, min(up_to, table.lmax) + 1):  # no classes above lmax
         beta = table.beta(m)
         if beta == 0:
             continue
-        probe = GeneratorSet(table, chosen) if chosen else None
         lat = SparseIntLattice()
-        if probe is not None:
-            for e in monomial_exponents(probe.ring, m):
-                vec = probe.expand_exponents(e)
-                lat.add({j: c for (_, j), c in vec.items()})
+        for row in structure_matrix(table, probe, m).matrix:
+            lat.add(dict(enumerate(row, start=1)))
         if _covers_everything(lat, beta):
             continue
         need_at_least = max(1, beta - lat.rank)
@@ -200,7 +219,8 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
                 name += "x"
             taken.add(name)
             chosen.append(Generator(name, 2 * m, word))
-    return GeneratorSet(table, chosen)
+        probe = GeneratorSet(table, chosen)
+    return probe
 
 
 @dataclass
@@ -304,22 +324,14 @@ def _fresh_generators(basis, inside):
     is order-dependent and can keep redundant rows, so the quotient
     structure is computed exactly.
     """
-    k = len(basis)
-    if k == 0:
+    if not basis:
         return []
     if not inside:
         return [list(row) for row in basis]
     _, diag, q = smith_with_transforms(solve_left(basis, inside))
     qinv = unimodular_inverse(q)
-    cols = len(basis[0])
-    out = []
-    for i in range(k):
-        d = diag[i][i] if i < len(diag) else 0
-        if d != 1:
-            out.append(
-                [sum(qinv[i][t] * basis[t][j] for t in range(k)) for j in range(cols)]
-            )
-    return out
+    fresh = [row for i, row in enumerate(qinv) if i >= len(diag) or diag[i][i] != 1]
+    return _mat_mul(fresh, basis)
 
 
 def _fills_kernel(span: SparseIntLattice, split: RelationKernel) -> bool:
@@ -367,16 +379,10 @@ def minimal_relations(table: CosetTable, gens: GeneratorSet, up_to: int) -> Pres
         if not split.kernel:
             continue
         span = graded_ideal_span(ring, kept, m)
-        exps, matrix = split.bundle.exponents, split.bundle.matrix
-        where = {e: i for i, e in enumerate(exps)}
-        for row in span.pivots.values():
-            image = [0] * table.beta(m)
-            for e, c in row.items():
-                image = [x + c * y for x, y in zip(image, matrix[where[e]])]
-            if any(image):
-                raise ValueError(
-                    f"a multiple of a kept relation does not vanish in degree {m}"
-                )
+        exps = split.bundle.exponents
+        rows = [[row.get(e, 0) for e in exps] for row in span.pivots.values()]
+        if any(map(any, _mat_mul(rows, split.bundle.matrix))):
+            raise ValueError(f"a multiple of a kept relation does not vanish in degree {m}")
         if _fills_kernel(span, split):
             continue
         basis = [[p.terms.get(e, 0) for e in exps] for p in split.kernel]
@@ -408,19 +414,10 @@ def giambelli(table: CosetTable, gens: GeneratorSet, m: int):
         res = diagonalize_with_unit_minor(bundle.matrix)
     except ValueError as exc:
         raise ValueError(f"no unimodular minor in degree {m}: {exc}") from None
-    top = res.P[:beta]
-    combo = [
-        [sum(res.Q[j][t] * top[t][k] for t in range(beta)) for k in range(len(bundle.matrix))]
-        for j in range(beta)
+    return [
+        IntPolynomial(gens.ring, {e: c for e, c in zip(bundle.exponents, row) if c})
+        for row in _mat_mul(res.Q, res.P[:beta])
     ]
-    polys = []
-    for j in range(beta):
-        terms = {}
-        for k, e in enumerate(bundle.exponents):
-            if combo[j][k]:
-                terms[e] = combo[j][k]
-        polys.append(IntPolynomial(gens.ring, terms))
-    return polys
 
 
 # -- circle-bundle (Gysin) analysis -------------------------------------------

@@ -207,8 +207,8 @@ class IntPolynomial:
         for e, c in self.terms.items():
             term = target.constant(c)
             for img, k in zip(images, e):
-                for _ in range(k):
-                    term = term * img
+                if k:
+                    term = term * img**k
             out = out + term
         return out
 

@@ -472,6 +472,10 @@ def enumerate_cosets(
     (the resulting table knows it is incomplete).
     """
     K = _check_K(lie_type, K)
+    # level 1 holds exactly the sigma_i with i in K, so the cap can fail
+    # there before the O(n^2) set-up of the steps
+    if K and max_length != 0 and 1 + len(K) > max_elements:
+        raise EnumerationLimit(lie_type, K, max_elements)
     n = lie_type.rank
     steps = [_left_step(lie_type, i, K) for i in range(1, n + 1)]
     identity = WeylElement.identity(lie_type)

@@ -9,7 +9,13 @@ from hypothesis import given, seed, settings, strategies as st
 
 from schubert.cartan import LieType
 from schubert.weyl import CosetTable, WeylElement, enumerate_cosets, opposition_involution
-from schubert.cohomology import gysin_analysis
+from schubert.cohomology import (
+    expand_polynomial,
+    gysin_analysis,
+    minimal_generators,
+    minimal_relations,
+)
+from schubert.intpoly import monomial_exponents
 from schubert.triangular import cartan_matrix_of_word, evaluate_exponents
 import schubert.characteristics as characteristics
 from schubert.characteristics import (
@@ -517,6 +523,14 @@ def test_deep_fold_needs_no_recursion(f4_p1):
         expand_class_monomial(part, [w1] * 1200)
 
 
+# the table caches data about itself only, each kind bounded by its size
+TABLE_CACHE_KINDS = {"pair", "cover", "dual"}
+
+
+def _cache_kinds(table):
+    return {key[0] for key in table._cache}
+
+
 @pytest.mark.parametrize(
     "factors, expected",
     [
@@ -526,16 +540,76 @@ def test_deep_fold_needs_no_recursion(f4_p1):
     ],
     ids=["w1^1200", "identity^300-w1", "identity^3"],
 )
-def test_monomial_cache_stays_within_lmax(factors, expected):
-    # a nonzero suffix has at most lmax factors, and a zero product is
-    # cached once, under its whole key
+def test_monomials_leave_no_cache_entries(factors, expected):
     table = enumerate_cosets(F4, {1})
     assert expand_class_monomial(table, factors) == expected
-    mono = [key for key in table._cache if key[0] == "mono"]
-    assert len(mono) <= table.lmax + 1
     assert expand_class_monomial(table, factors) == expected
+    assert _cache_kinds(table) <= TABLE_CACHE_KINDS
     with pytest.raises(KeyError):
         expand_class_monomial(table, [(0, 2), (1, 1)])
+
+
+def test_product_sweeps_cache_only_table_data():
+    table = enumerate_cosets(F4, {1})
+    w1, y3 = SchubertClass(1, 1), SchubertClass(3, 1)
+    assert not expand_product(table, [w1, y3, y3, w1, w1]).is_zero()
+    gens = minimal_generators(table)
+    x = gens.ring.variable
+    words = {g.name: g.word for g in gens}
+    assert expand_polynomial(table, x("w1") ** 3 - 2 * x("y3"), words) == {}
+    minimal_relations(table, gens, table.lmax + 6)
+    assert _cache_kinds(table) == TABLE_CACHE_KINDS
+
+
+def _vandalize(value):
+    """Try to empty and extend a returned mapping in place."""
+    try:
+        value.clear()
+    except AttributeError:
+        pass
+    try:
+        value[(99, 99)] = 1
+    except TypeError:
+        pass
+
+
+def test_returned_products_do_not_alias_cached_ones():
+    table = enumerate_cosets(F4, {1})
+    w1, y3 = SchubertClass(1, 1), SchubertClass(3, 1)
+    fresh = enumerate_cosets(F4, {1})
+    square = expand_pair(fresh, y3, y3)
+    cube = expand_class_monomial(fresh, [w1] * 3)
+    assert square and cube
+    _vandalize(expand_pair(table, y3, y3))
+    assert expand_pair(table, y3, y3) == square
+    assert expand_product(table, [y3, y3]).coeffs == {
+        SchubertClass(*k): v for k, v in square.items()
+    }
+    _vandalize(expand_class_monomial(table, [w1] * 3))
+    assert expand_class_monomial(table, [w1] * 3) == cube
+    gens = minimal_generators(table)
+    e = tuple(int(g.name == "w1") * 3 for g in gens)
+    _vandalize(gens.expand_exponents(e))
+    assert gens.expand_exponents(e) == cube
+    assert gens.expand_exponents((1,) + e[1:]) == {(1, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "name, K",
+    [("F4", {1}), ("E6", {2}), ("B3", {1, 2, 3})],
+    ids=["F4-P1", "E6-P2", "B3-T"],
+)
+def test_generator_set_memo_matches_the_fold(name, K):
+    table = enumerate_cosets(LieType.parse(name), K)
+    gens = minimal_generators(table)
+    classes = [table.class_of_word(g.word) for g in gens]
+    count = 0
+    for m in range(9):
+        for e in monomial_exponents(gens.ring, m):
+            factors = [c for c, k in zip(classes, e) for _ in range(k)]
+            assert gens.expand_exponents(e) == expand_class_monomial(table, factors), e
+            count += 1
+    assert count > 20
 
 
 def test_multiply_vec_by_class_linear(f4_p1):
@@ -765,7 +839,10 @@ def test_identity_class_returns_the_vector(f4_p1, monkeypatch):
         assert multiply_vec_by_class(f4_p1, vec, one) == vec
     with pytest.raises(KeyError):
         multiply_vec_by_class(f4_p1, {(2, 1): 1}, SchubertClass(0, 2))
-    # a fresh table, so no cached monomial hides a pair product
+    for absent in [(3, 99), (3, 0), (-1, 1)]:
+        with pytest.raises(KeyError):
+            multiply_vec_by_class(f4_p1, {(3, 1): 1, absent: 2}, one)
+    # a fresh table, so nothing cached on f4_p1 hides a pair product
     fresh = enumerate_cosets(F4, {1})
     assert gysin_analysis(fresh, 1, fresh.lmax).matrices == expected
 

@@ -84,6 +84,13 @@ def test_generator_set_orders_by_degree(f4_p1):
     assert gens.ring.degrees == (1, 3, 6)
 
 
+def test_expand_exponents_rejects_bad_exponents(f4_gens):
+    for bad in [(1, 0, 0), (1, 0, 0, 0, 0), (1, -1, 0, 0)]:
+        with pytest.raises(ValueError, match="bad exponents"):
+            f4_gens.expand_exponents(bad)
+    assert f4_gens.expand_exponents((0, 0, 0, 0)) == {(0, 1): 1}
+
+
 # -- structure matrices ------------------------------------------------------
 
 

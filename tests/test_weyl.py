@@ -347,6 +347,26 @@ def test_memory_guard():
         enumerate_cosets(F4, {1}, max_elements=10)
 
 
+def test_cap_exceeded_by_level_one_fails_before_the_steps(monkeypatch):
+    # level 1 of A3000/T has 3000 classes; the steps' set-up is O(n^2)
+    def no_steps(*args):
+        raise AssertionError("steps built for an enumeration over the cap at level 1")
+
+    monkeypatch.setattr("schubert.weyl._left_step", no_steps)
+    monkeypatch.setattr("schubert.weyl.reflection_pairs", no_steps)
+    a3000 = LieType.parse("A3000")
+    with pytest.raises(EnumerationLimit):
+        enumerate_cosets(a3000, range(1, 3001), max_elements=10)
+    with pytest.raises(EnumerationLimit):
+        enumerate_cosets(F4, {1, 2}, max_elements=2)
+    # within the cap at level 1, or stopped at level 0: no early raise
+    for K, cap in [({1, 2}, 3), ((), 0)]:
+        with pytest.raises(AssertionError, match="steps built"):
+            enumerate_cosets(F4, K, max_elements=cap)
+    with pytest.raises(AssertionError, match="steps built"):
+        enumerate_cosets(a3000, range(1, 3001), max_length=0, max_elements=10)
+
+
 def test_max_length_truncation():
     full = enumerate_cosets(F4, {1, 2, 3, 4}, max_length=None)
     part = enumerate_cosets(F4, {1, 2, 3, 4}, max_length=3)
