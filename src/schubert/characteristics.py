@@ -339,12 +339,14 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
         if table.complete:
             return {}
         raise ValueError(f"degree {r_target} exceeds the truncated table")
-    if cls.r <= 1:  # validates membership; expand_pair checks the others
+    if cls.r <= 1 or r_in == 0:  # validates membership; expand_pair checks the others
         table.element(cls.r, cls.i)
         for ukey in vec:
             table.element(*ukey)
     if cls.r == 0:
         return dict(vec)
+    if r_in == 0:  # c times the identity
+        return {cls.key(): c for c in vec.values() if c}
     if cls.r == 1:
         l0 = table.element(1, cls.i).word[0] - 1
         covers = _cover_data(table, r_target)

@@ -14,8 +14,10 @@ and a corrupt or truncated one is a domain error.  All output is
 deterministic for fixed inputs, so repeated runs (cached or not) emit
 byte-identical JSON.  JSON output is ``json.dumps(result, indent=1,
 sort_keys=True)`` to the byte, written one top-level value at a time by
-``_write_json``; the ``enumerate`` listing is rendered straight from the
-table's levels, one format string per class and one chunk per level.
+``_write_json``.  The ``enumerate`` listing is rendered from the table's
+tree, one chunk per level in JSON: the text of each class's word is its
+letter's text followed by its parent's text, so no word is joined letter
+by letter (``_word_texts``).
 """
 
 from __future__ import annotations
@@ -192,21 +194,39 @@ _IDENTITY_JSON = '[\n  {\n   "i": 1,\n   "r": 0,\n   "word": []\n  }'
 _ELEMENT_JSON = ',\n  {{\n   "i": {},\n   "r": {},\n   "word": [\n    {}\n   ]\n  }}'
 
 
+def _word_texts(table: CosetTable, sep: str):
+    """The word text of each class, letters joined by `sep`, one list per level.
+
+    Class (r, i) is sigma_a times class (r-1, p) in ``table.tree``, and its
+    lex-least word is a followed by the parent's word, so its text is one
+    concatenation of the letter's text and the parent's.  Level 0 (the
+    identity) is the empty text and level 1 the letter alone.
+    """
+    letters = [str(a) for a in range(table.lie_type.rank + 1)]
+    heads = [a + sep for a in letters]
+    texts = [""]
+    yield texts
+    for r, flat in enumerate(table.tree, start=1):
+        if r == 1:
+            texts = [letters[a] for a in flat[::2]]
+        else:
+            texts = [heads[a] + texts[p - 1] for a, p in zip(flat[::2], flat[1::2])]
+        yield texts
+
+
 def _run_enumerate(spec: JobSpec, table: CosetTable):
-    """The listing of every class, rendered straight from ``table.levels``.
+    """The listing of every class, rendered from ``table.tree``.
 
     The JSON listing is one chunk per level, so no string of the whole
     listing is built.
     """
-    letter = tuple(map(str, range(table.lie_type.rank + 1))).__getitem__
     if spec.fmt == "json":
         fmt = _ELEMENT_JSON.format
         chunks = [_IDENTITY_JSON]
-        for r, level in enumerate(table.levels[1:], start=1):
-            chunks.append("".join([
-                fmt(i, r, ",\n    ".join(map(letter, w.word)))
-                for i, w in enumerate(level, start=1)
-            ]))
+        words = _word_texts(table, ",\n    ")
+        next(words)  # the identity opens the list
+        for r, texts in enumerate(words, start=1):
+            chunks.append("".join([fmt(i, r, w) for i, w in enumerate(texts, start=1)]))
         chunks.append("\n ]")
         return {
             "lie_type": str(table.lie_type),
@@ -217,7 +237,11 @@ def _run_enumerate(spec: JobSpec, table: CosetTable):
             "count": table.total,
             "elements": _Rendered(chunks),
         }
-    rows = [(str(r), str(i), ",".join(map(letter, w.word)) or "-") for r, i, w in table]
+    rows = [
+        (str(r), str(i), w or "-")
+        for r, texts in enumerate(_word_texts(table, ","))
+        for i, w in enumerate(texts, start=1)
+    ]
     if spec.fmt == "table":
         return _columns(["r", "i", "word"], rows)
     lines = [f"{table.lie_type} K={sorted(table.K)}: {table.total} classes"]

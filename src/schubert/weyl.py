@@ -39,9 +39,13 @@ So level r+1 is built from level r by one step, u -> sigma_i * u, taken when
 Each class is reached once, from its parent, and looping over i and then
 over the parent level in order lists each level in lexicographic order of
 the words.  So a level is fixed by its (letter, parent index) pairs, in
-increasing order, and that is all a cache file stores: ``save_binary``
-writes the pairs and ``CosetTable.load_binary`` rebuilds every class from
-them by the same step.
+increasing order.  ``enumerate_cosets`` records each pair as its step
+succeeds, and the table keeps them as ``tree``.  That is all a cache file
+stores: ``save_binary`` writes ``tree`` as it is and
+``CosetTable.load_binary`` rebuilds every class from it by the same step.
+The CLI listing builds each word's text from the tree too.  The index from
+a class's key to (r, i) is built on the first lookup, so a table that is
+only listed or saved never builds it.
 
 Most candidate steps fail the third test, so the step decides it on u's own
 rows before it builds the child's key.  Left multiplication by sigma_i adds
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .cartan import LieType, cartan_matrix
@@ -69,8 +73,10 @@ class EnumerationLimit(RuntimeError):
     """Raised when a coset enumeration would exceed its element budget."""
 
     def __init__(self, lie_type, K, max_elements):
+        # a long K is summed up by its size, so the message stays one short line
+        nodes = f"K={sorted(K)}" if len(K) <= 16 else f"{len(K)} nodes in K"
         super().__init__(
-            f"enumeration of {lie_type} with K={sorted(K)} exceeds "
+            f"enumeration of {lie_type} with {nodes} exceeds "
             f"{max_elements} representatives"
         )
 
@@ -271,19 +277,32 @@ class CosetTable:
     of their minimized words; class (r, i) (i is 1-based) is
     ``levels[r][i-1]``.  A table is *complete* when the enumeration was not
     truncated by ``max_length``.
+
+    ``tree`` is the lex-least-word tree that the enumeration recorded (or
+    the cache file held): ``tree[r-1]`` is level r >= 1 as one flat list
+    ``[a1, p1, a2, p2, ...]``, where class (r, i) is sigma_a times class
+    (r-1, p), p 1-based.  ``save_binary`` writes it as it is.  A table
+    built by hand may pass None; it cannot be saved or listed.  The index
+    from a class's key to (r, i) is built on the first lookup.
     """
 
-    def __init__(self, lie_type, K, levels, complete, max_length=None):
+    def __init__(self, lie_type, K, levels, complete, max_length=None, *, tree):
         self.lie_type = lie_type
         self.K = frozenset(K)
         self.levels = levels
         self.complete = complete
         self.max_length = max_length
-        self._index = {}  # packed key -> (r, i)
-        for r, level in enumerate(levels):
-            for i, w in enumerate(level):
-                self._index[w.inv_root_rows] = (r, i + 1)
+        self.tree = tree
         self._cache = {}
+
+    @cached_property
+    def _index(self):
+        """Packed key -> (r, i) of every class."""
+        return {
+            w.inv_root_rows: (r, i)
+            for r, level in enumerate(self.levels)
+            for i, w in enumerate(level, start=1)
+        }
 
     # -- queries -------------------------------------------------------
 
@@ -343,21 +362,16 @@ class CosetTable:
     def save_binary(self, path):
         """Write this table's lex-least-word tree, compactly and atomically.
 
-        ``tree[r-1]`` is level r >= 1 as one flat list ``[a1, p1, a2, p2,
-        ...]``: class (r, i) is sigma_a times class (r-1, p), p 1-based.
+        The file holds ``self.tree`` as it is (see the class docstring).
         """
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tree = []
-        for prev, level in zip(self.levels, self.levels[1:]):
-            parent = {u.word: p for p, u in enumerate(prev, start=1)}
-            tree.append([x for w in level for x in (w.word[0], parent[w.word[1:]])])
         obj = {
             "lie_type": str(self.lie_type),
             "K": sorted(self.K),
             "complete": self.complete,
             "max_length": self.max_length,
-            "tree": tree,
+            "tree": self.tree,
         }
         try:
             tmp.write_text(json.dumps(obj, separators=(",", ":"), sort_keys=True))
@@ -451,7 +465,7 @@ class CosetTable:
             beta = [len(level) for level in levels]
             if beta != beta[::-1]:
                 raise ValueError(f"marked complete, but level sizes {beta} are not palindromic")
-        return cls(lie_type, K, levels, complete, max_length)
+        return cls(lie_type, K, levels, complete, max_length, tree=tree)
 
 
 def enumerate_cosets(
@@ -480,6 +494,7 @@ def enumerate_cosets(
     steps = [_left_step(lie_type, i, K) for i in range(1, n + 1)]
     identity = WeylElement.identity(lie_type)
     levels = [[identity]]
+    tree = []
     count = 1
     complete = True
     while True:
@@ -489,15 +504,18 @@ def enumerate_cosets(
             break
         prev = levels[-1]
         level = []
-        for step in steps:
-            for u in prev:
+        flat = []
+        for a, step in enumerate(steps, start=1):
+            for p, u in enumerate(prev, start=1):
                 w = step(u)
                 if w is not None:
                     level.append(w)
+                    flat += (a, p)
         if not level:
             break
         count += len(level)
         if count > max_elements:
             raise EnumerationLimit(lie_type, K, max_elements)
         levels.append(level)
-    return CosetTable(lie_type, K, levels, complete, max_length)
+        tree.append(flat)
+    return CosetTable(lie_type, K, levels, complete, max_length, tree=tree)

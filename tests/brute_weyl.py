@@ -11,7 +11,9 @@ The package packs each root into one int.  The tuple arithmetic it had
 before, `_is_neg` and `right_multiply_rows` on tuples of coordinates, stays
 here as the oracle of the packed one, together with the earlier subword
 search `ascending_subword_solutions` and the tree step `built_left_step`
-that builds every candidate before testing it.
+that builds every candidate before testing it.  `word_tree` derives a
+table's (letter, parent) tree from its words, as the cache writer once did,
+to check the tree the enumeration records.
 """
 
 from fractions import Fraction
@@ -304,3 +306,16 @@ def built_left_step(u, i, K):
     if any(_is_neg(inv[b]) for b in range(i - 1)):
         return None
     return WeylElement(u.lie_type, tuple(map(pack_root, inv)), (i,) + u.word)
+
+
+def word_tree(table):
+    """The table's lex-least-word tree, found again from the words of its classes.
+
+    Level r >= 1 is one flat list [a1, p1, a2, p2, ...]: the word of class
+    (r, i) is a_i followed by the word of its parent (r-1, p_i), p 1-based.
+    """
+    tree = []
+    for prev, level in zip(table.levels, table.levels[1:]):
+        parent = {u.word: p for p, u in enumerate(prev, start=1)}
+        tree.append([x for w in level for x in (w.word[0], parent[w.word[1:]])])
+    return tree

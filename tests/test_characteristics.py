@@ -387,11 +387,11 @@ def test_dual_needs_a_complete_table_closed_under_duality():
         _dual(enumerate_cosets(F4, {1}, max_length=5), 2)
     good = enumerate_cosets(A2, {1, 2})
     (e,), (s1, s2), level2, (w0,) = good.levels
-    missing = CosetTable(A2, {1, 2}, [[e], [s1, s2], level2[:1], [w0]], True)
+    missing = CosetTable(A2, {1, 2}, [[e], [s1, s2], level2[:1], [w0]], True, tree=None)
     with pytest.raises(ValueError, match="no Poincare dual"):
         _dual(missing, 1)
     # s2 listed on level 2: its dual is found, but on level 2, not 1
-    moved = CosetTable(A2, {1, 2}, [[e], [s1], [s2] + level2, [w0]], True)
+    moved = CosetTable(A2, {1, 2}, [[e], [s1], [s2] + level2, [w0]], True, tree=None)
     with pytest.raises(ValueError, match="no Poincare dual on level 1"):
         _dual(moved, 2)
     with pytest.raises(ValueError, match="no Poincare dual"):
@@ -792,11 +792,30 @@ def test_degree1_product_rejects_classes_outside_the_table(f4_p1):
         multiply_vec_by_class(f4_p1, {(3, 1): 1}, SchubertClass(1, 2))
 
 
+def test_presentation_caches_no_pair_with_the_identity():
+    # each generator's first power is its class times the identity vector,
+    # which needs no pair product
+    table = enumerate_cosets(E6, {2})
+    gens = minimal_generators(table)
+    minimal_relations(table, gens, table.lmax)
+    pairs = [key for key in table._cache if key[0] == "pair"]
+    assert pairs
+    assert not [key for key in pairs if (0, 1) in key[1:]]
+    vec = {(0, 1): 3}
+    for cls in (SchubertClass(0, 1), SchubertClass(1, 1), SchubertClass(6, 2)):
+        assert multiply_vec_by_class(table, vec, cls) == {cls.key(): 3}
+    with pytest.raises(KeyError):
+        multiply_vec_by_class(table, vec, SchubertClass(6, 9))
+    with pytest.raises(KeyError):
+        multiply_vec_by_class(table, {(0, 2): 1}, SchubertClass(6, 2))
+
+
 def test_gysin_adds_no_monomial_cache_entries():
     for lie, i, up_to in [("F4", 1, 15), ("E7", 2, 20)]:
         table = enumerate_cosets(LieType.parse(lie), {i})
         gysin_analysis(table, i, up_to)
-        assert set(table._cache) == {("cover", r) for r in range(1, up_to + 1)}, lie
+        # the rows of A_1 are the identity times omega, which needs no cover data
+        assert set(table._cache) == {("cover", r) for r in range(2, up_to + 1)}, lie
 
 
 def test_gysin_matrices_match_general_path(f4_p1):

@@ -141,6 +141,24 @@ def test_resource_cap_exits_3(capsys, tmp_path):
     assert warm == cold
 
 
+def test_cap_message_on_a_long_k_is_one_short_line(capsys, monkeypatch):
+    # a short K is listed in full
+    code, _, err = run_cli(capsys, "enumerate", "E6", "--K", "1,2", "--max-elements", "10")
+    assert code == EXIT_RESOURCE
+    assert "K=[1, 2]" in err
+
+    # A3000/T is over the cap at level 1, so no step is built; the message
+    # gives the size of K, not its 3000 nodes
+    def no_steps(*args):
+        raise AssertionError("steps built for an enumeration over the cap at level 1")
+
+    monkeypatch.setattr("schubert.weyl._left_step", no_steps)
+    code, out, err = run_cli(capsys, "enumerate", "A3000", "--max-elements", "10")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "A3000" in err and "3000 nodes in K" in err and "exceeds 10 " in err
+
+
 def test_memory_error_exits_3(capsys, monkeypatch):
     # raised here without allocating; a real one comes from a table or a
     # product too large for the machine, e.g. the Cartan matrix of A20000
@@ -423,8 +441,10 @@ def test_stdout_digests_pinned(capsys, argv, json_digest, text_digest):
 
 
 # sha256 of the table format of `enumerate`, captured while the listing was
-# still built as one dict per class
+# still built as one dict per class (E6/T: while each word was still joined
+# letter by letter)
 PINNED_TABLE_DIGESTS = [
+    (["enumerate", "E6"], "1ee2c67c760f6b55af1843de94e22d4714e7327de7eddb1d663fdc14abca56d8"),
     (["enumerate", "F4"], "462c1b6b6f727e7f25b1402d1e1b85baa85ed94b9dbd911dc0b8b00b19fc8164"),
     (["enumerate", "E6", "--K", "2"],
      "398289e0d0aa0d9f711520693ae5ccfa5e906b2b1596d51f7cbacbfae193690e"),

@@ -29,6 +29,7 @@ from brute_weyl import (
     brute_minimal_reps,
     brute_right_descents,
     built_left_step,
+    word_tree,
     inverse_weight_matrix,
     pack_root,
     positive_roots,
@@ -412,6 +413,43 @@ def test_binary_cache_roundtrip(tmp_path):
             assert (got.word, got.inv_root_rows) == (w.word, w.inv_root_rows)
         assert cli_listing(loaded) == cli_listing(table)
         assert not list(tmp_path.glob(".*.tmp"))
+
+
+# the tables the tier-1 tests build, from a point to E6/T and E7/P2
+TREE_TABLES = [
+    (A2, set()), (A2, {1}), (A3, {2}), (A3, {1, 2, 3}), (B3, {1}), (B3, {3}),
+    (B3, {1, 2, 3}), (C3, {1, 2, 3}), (G2, {1}), (G2, {1, 2}), (D4, {2}),
+    (D4, {1, 2, 3, 4}), (F4, {1}), (F4, {4}), (F4, {1, 2, 3, 4}), (E6, {2}),
+    (E6, {1, 2, 3, 4, 5, 6}), (LieType.parse("E7"), {2}), (LieType.parse("E7"), {7}),
+]
+
+
+@pytest.mark.parametrize(
+    "lt,K", TREE_TABLES, ids=[f"{lt}-{''.join(map(str, sorted(K)))}" for lt, K in TREE_TABLES]
+)
+def test_recorded_tree_matches_words(lt, K, tmp_path):
+    # the (letter, parent) pairs the enumeration records are those found
+    # again from the words, on full, truncated and reloaded tables
+    table = enumerate_cosets(lt, K)
+    assert table.tree == word_tree(table)
+    path = tmp_path / "table.json"
+    table.save_binary(path)
+    assert CosetTable.load_binary(path).tree == table.tree
+    for max_length in (0, 1, 5):
+        part = enumerate_cosets(lt, K, max_length=max_length)
+        assert part.tree == word_tree(part) == table.tree[:max_length]
+    part.save_binary(path)
+    assert CosetTable.load_binary(path).tree == part.tree
+
+
+def test_index_is_built_on_first_lookup():
+    table = enumerate_cosets(F4, {1, 2, 3, 4})
+    assert "_index" not in vars(table)
+    assert cli_listing(table)
+    assert "_index" not in vars(table)
+    w = table.element(7, 3)
+    assert table.index_of(w) == (7, 3)
+    assert len(vars(table)["_index"]) == table.total
 
 
 class _OpenOnUnpickle:
