@@ -47,6 +47,14 @@ The CLI listing builds each word's text from the tree too.  The index from
 a class's key to (r, i) is built on the first lookup, so a table that is
 only listed or saved never builds it.
 
+No word is built by the step either.  A class keeps a link to its parent,
+and its word is its least left descent, the first negative row of its own
+key, followed by its parent's word.  ``WeylElement.word`` builds it on first
+access: it walks up the links, without recursion, to the nearest class whose
+word is known, and caches each word on the way back down.  So a sweep over a
+level costs one tuple per class, and a table that is only listed, saved or
+compared builds none.
+
 Most candidate steps fail the third test, so the step decides it on u's own
 rows before it builds the child's key.  Left multiplication by sigma_i adds
 a nonnegative multiple of the positive root u^{-1}(alpha_i) to the rows of
@@ -147,14 +155,21 @@ def _root_matrix(lie_type, word):
 
 
 class WeylElement:
-    """An element of the Weyl group of `lie_type`, keyed by the packed root matrix of w^{-1}."""
+    """An element of the Weyl group of `lie_type`, keyed by the packed root matrix of w^{-1}.
 
-    __slots__ = ("lie_type", "inv_root_rows", "_word")
+    ``word`` is built on first access and cached.  An element made by the
+    enumeration step holds its tree parent instead, from which the word is
+    built (see the module docstring); any other element falls back to
+    ``minimized_word``.
+    """
 
-    def __init__(self, lie_type, inv_root_rows, word=None):
+    __slots__ = ("lie_type", "inv_root_rows", "_word", "_parent")
+
+    def __init__(self, lie_type, inv_root_rows, word=None, parent=None):
         self.lie_type = lie_type
         self.inv_root_rows = inv_root_rows
         self._word = word
+        self._parent = parent
 
     # -- constructors ------------------------------------------------
 
@@ -193,9 +208,26 @@ class WeylElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        """The minimized word, cached."""
+        """The minimized word, built on first access and cached.
+
+        Walks up the parent links, without recursion, to the nearest
+        ancestor whose word is known, then builds each word on the way back
+        down (see the module docstring) and drops the link it replaces.
+        """
         if self._word is None:
-            self._word = self.minimized_word()
+            chain = []
+            w = self
+            while w._word is None and w._parent is not None:
+                chain.append(w)
+                w = w._parent
+            word = w._word
+            if word is None:
+                word = w._word = w.minimized_word()
+            for w in reversed(chain):
+                # the least left descent: the first negative row
+                i = next(i for i, row in enumerate(w.inv_root_rows, start=1) if row < 0)
+                word = w._word = (i,) + word
+                w._parent = None
         return self._word
 
     # -- plumbing ------------------------------------------------------
@@ -229,11 +261,12 @@ def _left_step(lie_type: LieType, i: int, K):
     """The tree step for letter i: a function taking u to its child sigma_i * u, or None.
 
     The child is longer than u, still minimal for K and has i as its least
-    left descent, so (i,) + u.word is its lex-least reduced word (see the
-    module docstring).  ``enumerate_cosets`` takes this step and
-    ``CosetTable.load_binary`` checks each cached class by it.  The
-    letter's reflection pairs and neighbour coefficients are bound once
-    here, not once per candidate.
+    left descent, so i followed by u's word is its lex-least reduced word
+    (see the module docstring).  The child keeps u as its parent and
+    builds that word only when it is asked for.  ``enumerate_cosets`` takes
+    this step and ``CosetTable.load_binary`` checks each cached class by
+    it.  The letter's reflection pairs and neighbour coefficients are bound
+    once here, not once per candidate.
 
     Most candidates fail the least-descent test, so it is decided on u's
     own rows before the child's key is built.  Row b of the child is u's
@@ -257,7 +290,7 @@ def _left_step(lie_type: LieType, i: int, K):
         for b, c in below:
             if rows[b] < c * rj:
                 return None
-        return WeylElement(lie_type, right_multiply_rows(rows, j, pairs), (i,) + u.word)
+        return WeylElement(lie_type, right_multiply_rows(rows, j, pairs), None, u)
 
     return step
 
@@ -346,13 +379,14 @@ class CosetTable:
                 yield r, i + 1, w
 
     def __eq__(self, other):
+        # equal keys are equal elements, and comparing them builds no word
         return (
             isinstance(other, CosetTable)
             and self.lie_type == other.lie_type
             and self.K == other.K
             and self.max_length == other.max_length
-            and [[w.word for w in lv] for lv in self.levels]
-            == [[w.word for w in lv] for lv in other.levels]
+            and [[w.inv_root_rows for w in lv] for lv in self.levels]
+            == [[w.inv_root_rows for w in lv] for lv in other.levels]
         )
 
     # -- serialization ---------------------------------------------------
@@ -483,9 +517,12 @@ def enumerate_cosets(
 
     Raises EnumerationLimit if more than `max_elements` representatives
     would be produced; pass `max_length` to truncate the grading instead
-    (the resulting table knows it is incomplete).
+    (the resulting table knows it is incomplete).  A negative `max_length`
+    raises ValueError.
     """
     K = _check_K(lie_type, K)
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length {max_length} is negative")
     # level 1 holds exactly the sigma_i with i in K, so the cap can fail
     # there before the O(n^2) set-up of the steps
     if K and max_length != 0 and 1 + len(K) > max_elements:

@@ -1,7 +1,9 @@
 """Tests for Weyl elements, words, and coset enumeration."""
 
 import json
+import sys
 import tempfile
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -375,6 +377,10 @@ def test_max_length_truncation():
     assert part.lmax == 3
     for r in range(4):
         assert [w.word for w in part.levels[r]] == [w.word for w in full.levels[r]]
+    point = enumerate_cosets(A2, {1}, max_length=0)
+    assert point.levels == [[WeylElement.identity(A2)]] and not point.complete
+    with pytest.raises(ValueError, match="max_length -1 is negative"):
+        enumerate_cosets(A2, {1}, max_length=-1)
 
 
 def test_table_lookup_roundtrip():
@@ -429,17 +435,75 @@ TREE_TABLES = [
 )
 def test_recorded_tree_matches_words(lt, K, tmp_path):
     # the (letter, parent) pairs the enumeration records are those found
-    # again from the words, on full, truncated and reloaded tables
+    # again from the words, and the words built along the parent links are
+    # the lex-least ones, on full, truncated and reloaded tables
     table = enumerate_cosets(lt, K)
-    assert table.tree == word_tree(table)
+    words = [[w.minimized_word() for w in level] for level in table.levels]
+    path = tmp_path / "table.json"
+    tables = [table]
+    for max_length in (None, 0, 1, 5):
+        part = enumerate_cosets(lt, K, max_length=max_length)
+        part.save_binary(path)
+        tables += [part, CosetTable.load_binary(path)]
+    for k, t in enumerate(tables):
+        # half the tables build their words from the top level down, so
+        # each top class walks its whole chain of parents
+        for level in reversed(t.levels) if k % 2 else t.levels:
+            for w in level:
+                w.word
+        assert [[w.word for w in level] for level in t.levels] == words[: t.lmax + 1]
+        assert word_tree(t) == t.tree == table.tree[: t.lmax]
+
+
+def test_words_are_built_on_demand(tmp_path):
+    # enumeration, a cache load, comparing tables and the CLI listing all
+    # leave each class with its parent link and no word
+    table = enumerate_cosets(E6, range(1, 7))
     path = tmp_path / "table.json"
     table.save_binary(path)
-    assert CosetTable.load_binary(path).tree == table.tree
-    for max_length in (0, 1, 5):
-        part = enumerate_cosets(lt, K, max_length=max_length)
-        assert part.tree == word_tree(part) == table.tree[:max_length]
-    part.save_binary(path)
-    assert CosetTable.load_binary(path).tree == part.tree
+    loaded = CosetTable.load_binary(path)
+    assert loaded == table
+    assert cli_listing(loaded) == cli_listing(table)
+    for t in (table, loaded):
+        assert t.total == 51840
+        assert not [(r, i) for r, i, w in t if r > 0 and w._word is not None]
+    # the first word asked for builds its parents' words, and only those
+    w = loaded.element(5, 7)
+    assert w.word == w.minimized_word()
+    built = [(r, i) for r, i, u in loaded if r > 0 and u._word is not None]
+    assert len(built) == 5 and built[-1] == (5, 7)
+
+
+def test_word_of_a_long_chain_needs_no_recursion():
+    # W^P of A_n with K = {1} is one chain s_k...s_1, so the top class
+    # reaches its known ancestor, the identity, through n parent links
+    n = 400
+    table = enumerate_cosets(LieType.parse(f"A{n}"), {1})
+    top = table.levels[-1][0]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    assert table.lmax == n > depth + 100
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        word = top.word
+    finally:
+        sys.setrecursionlimit(old)
+    assert word == top.minimized_word() == tuple(range(n, 0, -1))
+
+
+def test_enumeration_memory_pin():
+    # E6/T holds 51,840 classes, keyed by tuples of 6 packed roots, and
+    # traces 13.6 MiB; a word tuple per class would add about 9 MiB
+    tracemalloc.start()
+    try:
+        table = enumerate_cosets(E6, range(1, 7))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.total == 51840
+    assert current < 17 << 20
 
 
 def test_index_is_built_on_first_lookup():
