@@ -228,8 +228,8 @@ def _cover_data(table: CosetTable, r: int):
     )
     columns = tuple(zip(*c))
     identity = _identity_rows(n)
-    covers = [[] for _ in table.levels[r - 1]]
-    for k, w in enumerate(table.levels[r], start=1):
+    covers = [[] for _ in range(table.beta(r - 1))]
+    for k, w in enumerate(table.level(r), start=1):
         letters = w.word
         inv = w.inv_root_rows
         # row k: <w^{-1}(alpha_k), alpha_l^vee> for each l
@@ -274,10 +274,10 @@ def _dual(table: CosetTable, r: int):
     lt = table.lie_type
     pairs = reflection_pairs(lt)
     tau = opposition_involution(lt)
-    top = table.levels[table.lmax][0].inv_root_rows
+    top = table.keys[table.lmax][0]
     level = table.lmax - r
     duals = []
-    for i, u in enumerate(table.levels[r], start=1):
+    for i, u in enumerate(table.level(r), start=1):
         rows = top
         for a in reversed(u.word):
             rows = right_multiply_rows(rows, tau[a - 1] - 1, pairs)
@@ -318,7 +318,7 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
             )
         else:
             values = (
-                _characteristic_on_word(lt, w.word, [short, long]) for w in table.levels[r]
+                _characteristic_on_word(lt, w.word, [short, long]) for w in table.level(r)
             )
         result = {(r, i): val for i, val in enumerate(values, start=1) if val}
     elif table.complete:

@@ -40,20 +40,23 @@ Each class is reached once, from its parent, and looping over i and then
 over the parent level in order lists each level in lexicographic order of
 the words.  So a level is fixed by its (letter, parent index) pairs, in
 increasing order.  ``enumerate_cosets`` records each pair as its step
-succeeds, and the table keeps them as ``tree``.  That is all a cache file
-stores: ``save_binary`` writes ``tree`` as it is and
-``CosetTable.load_binary`` rebuilds every class from it by the same step.
-The CLI listing builds each word's text from the tree too.  The index from
-a class's key to (r, i) is built on the first lookup, so a table that is
-only listed or saved never builds it.
+succeeds, and the table keeps them as ``tree`` beside each level's list of
+packed keys.  That is all a cache file stores: ``save_binary`` writes
+``tree`` as it is and ``CosetTable.load_binary`` rebuilds every key from it
+by the same step.  The CLI listing builds each word's text from the tree
+too.  The index from a class's key to (r, i) is built on the first lookup,
+so a table that is only listed or saved never builds it.
 
-No word is built by the step either.  A class keeps a link to its parent,
-and its word is its least left descent, the first negative row of its own
-key, followed by its parent's word.  ``WeylElement.word`` builds it on first
-access: it walks up the links, without recursion, to the nearest class whose
-word is known, and caches each word on the way back down.  So a sweep over a
-level costs one tuple per class, and a table that is only listed, saved or
-compared builds none.
+The step takes keys to keys: it makes no ``WeylElement`` and no word.  A
+table makes the elements of a level the first time that level is read,
+after the levels below it (``CosetTable.level``).  Each links to its tree
+parent, and its word is its least left descent, the first negative row of
+its own key, followed by its parent's word.  ``WeylElement.word`` builds it
+on first access: it walks up the links, without recursion, to the nearest
+class whose word is known, and caches each word on the way back down.  So a
+table that is only listed, saved or compared makes no element, a product
+of degree r makes those of levels 0..r, and a sweep over a level costs one
+word tuple per class.
 
 Most candidate steps fail the third test, so the step decides it on u's own
 rows before it builds the child's key.  Left multiplication by sigma_i adds
@@ -157,10 +160,10 @@ def _root_matrix(lie_type, word):
 class WeylElement:
     """An element of the Weyl group of `lie_type`, keyed by the packed root matrix of w^{-1}.
 
-    ``word`` is built on first access and cached.  An element made by the
-    enumeration step holds its tree parent instead, from which the word is
-    built (see the module docstring); any other element falls back to
-    ``minimized_word``.
+    ``word`` is built on first access and cached.  An element that a
+    ``CosetTable`` makes from its tree holds its tree parent instead, from
+    which the word is built (see the module docstring); any other element
+    falls back to ``minimized_word``.
     """
 
     __slots__ = ("lie_type", "inv_root_rows", "_word", "_parent")
@@ -258,15 +261,16 @@ def _simple_roots_outside(n: int, K) -> frozenset:
 
 
 def _left_step(lie_type: LieType, i: int, K):
-    """The tree step for letter i: a function taking u to its child sigma_i * u, or None.
+    """The tree step for letter i: a function taking u's key to its child's, or None.
 
-    The child is longer than u, still minimal for K and has i as its least
-    left descent, so i followed by u's word is its lex-least reduced word
-    (see the module docstring).  The child keeps u as its parent and
-    builds that word only when it is asked for.  ``enumerate_cosets`` takes
-    this step and ``CosetTable.load_binary`` checks each cached class by
-    it.  The letter's reflection pairs and neighbour coefficients are bound
-    once here, not once per candidate.
+    Keys are packed rows (``WeylElement.inv_root_rows``).  The child
+    sigma_i * u is longer than u, still minimal for K and has i as its
+    least left descent, so i followed by u's word is its lex-least reduced
+    word (see the module docstring).  The step builds neither an element
+    nor a word.  ``enumerate_cosets`` takes this step and
+    ``CosetTable.load_binary`` checks each cached class by it.  The
+    letter's reflection pairs and neighbour coefficients are bound once
+    here, not once per candidate.
 
     Most candidates fail the least-descent test, so it is decided on u's
     own rows before the child's key is built.  Row b of the child is u's
@@ -282,15 +286,14 @@ def _left_step(lie_type: LieType, i: int, K):
     below = tuple((b, coeffs.get(b, 0)) for b in range(j))
     exits = _simple_roots_outside(lie_type.rank, K)
 
-    def step(u: WeylElement) -> WeylElement | None:
-        rows = u.inv_root_rows
+    def step(rows):
         rj = rows[j]
         if rj < 0 or rj in exits:
             return None
         for b, c in below:
             if rows[b] < c * rj:
                 return None
-        return WeylElement(lie_type, right_multiply_rows(rows, j, pairs), None, u)
+        return right_multiply_rows(rows, j, pairs)
 
     return step
 
@@ -306,60 +309,95 @@ def _check_K(lie_type: LieType, K) -> frozenset:
 class CosetTable:
     """Minimal representatives of W / W_P graded by length.
 
-    ``levels[r]`` lists the length-r representatives in lexicographic order
-    of their minimized words; class (r, i) (i is 1-based) is
-    ``levels[r][i-1]``.  A table is *complete* when the enumeration was not
-    truncated by ``max_length``.
+    ``keys[r]`` lists the packed keys (``WeylElement.inv_root_rows``) of
+    the length-r representatives in lexicographic order of their minimized
+    words; class (r, i) (i is 1-based) has key ``keys[r][i-1]``.  A table is
+    *complete* when the enumeration was not truncated by ``max_length``.
 
     ``tree`` is the lex-least-word tree that the enumeration recorded (or
     the cache file held): ``tree[r-1]`` is level r >= 1 as one flat list
     ``[a1, p1, a2, p2, ...]``, where class (r, i) is sigma_a times class
     (r-1, p), p 1-based.  ``save_binary`` writes it as it is.  A table
-    built by hand may pass None; it cannot be saved or listed.  The index
-    from a class's key to (r, i) is built on the first lookup.
+    built by hand may pass None; it cannot be saved or listed.
+
+    The sizes, the index from a class's key to (r, i) (built on the first
+    lookup), equality, saving and the CLI listing read only ``keys`` and
+    ``tree``.  The ``WeylElement``s of a level are built by ``level`` the
+    first time that level is read, after the levels below it, and kept:
+    each links to its tree parent, so its word is built from the parent's
+    (see the module docstring); with no tree, each word comes from
+    ``minimized_word``.  ``element``, iteration and ``levels`` go through
+    ``level``.
     """
 
-    def __init__(self, lie_type, K, levels, complete, max_length=None, *, tree):
+    def __init__(self, lie_type, K, keys, complete, max_length=None, *, tree):
         self.lie_type = lie_type
         self.K = frozenset(K)
-        self.levels = levels
+        self.keys = keys
         self.complete = complete
         self.max_length = max_length
         self.tree = tree
         self._cache = {}
+        self._levels = []
 
     @cached_property
     def _index(self):
         """Packed key -> (r, i) of every class."""
         return {
-            w.inv_root_rows: (r, i)
-            for r, level in enumerate(self.levels)
-            for i, w in enumerate(level, start=1)
+            key: (r, i)
+            for r, level in enumerate(self.keys)
+            for i, key in enumerate(level, start=1)
         }
+
+    def level(self, r: int) -> list[WeylElement]:
+        """The elements of level r, built after the levels below on first read and kept."""
+        built = self._levels
+        while len(built) <= r:
+            s = len(built)
+            if s == 0:
+                level = [WeylElement.identity(self.lie_type)]
+            elif self.tree is None:
+                level = [WeylElement(self.lie_type, key) for key in self.keys[s]]
+            else:
+                parents = built[s - 1]
+                level = [
+                    WeylElement(self.lie_type, key, None, parents[p - 1])
+                    for key, p in zip(self.keys[s], self.tree[s - 1][1::2])
+                ]
+            built.append(level)
+        return built[r]
+
+    @property
+    def levels(self) -> list[list[WeylElement]]:
+        """The elements of every level, ``levels[r]`` being ``level(r)``."""
+        self.level(self.lmax)
+        return self._levels
 
     # -- queries -------------------------------------------------------
 
     @property
     def lmax(self) -> int:
-        return len(self.levels) - 1
+        return len(self.keys) - 1
 
     @property
     def total(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(map(len, self.keys))
 
     @property
     def betti(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return tuple(map(len, self.keys))
 
     def beta(self, r: int) -> int:
-        if 0 <= r < len(self.levels):
-            return len(self.levels[r])
+        if 0 <= r < len(self.keys):
+            return len(self.keys[r])
         return 0
 
     def element(self, r: int, i: int) -> WeylElement:
-        if not (0 <= r < len(self.levels) and 1 <= i <= len(self.levels[r])):
+        keys = self.keys
+        if not (0 <= r < len(keys) and 1 <= i <= len(keys[r])):
             raise KeyError(f"no class ({r}, {i}) in table")
-        return self.levels[r][i - 1]
+        built = self._levels
+        return (built[r] if r < len(built) else self.level(r))[i - 1]
 
     def index_of(self, w: WeylElement) -> tuple[int, int]:
         try:
@@ -379,14 +417,13 @@ class CosetTable:
                 yield r, i + 1, w
 
     def __eq__(self, other):
-        # equal keys are equal elements, and comparing them builds no word
+        # equal keys are equal elements, and comparing them builds no element
         return (
             isinstance(other, CosetTable)
             and self.lie_type == other.lie_type
             and self.K == other.K
             and self.max_length == other.max_length
-            and [[w.inv_root_rows for w in lv] for lv in self.levels]
-            == [[w.inv_root_rows for w in lv] for lv in other.levels]
+            and self.keys == other.keys
         )
 
     # -- serialization ---------------------------------------------------
@@ -417,10 +454,12 @@ class CosetTable:
     def load_binary(cls, path):
         """Read a table written by ``save_binary``, re-checking every class.
 
-        Each class is rebuilt from its parent by the enumeration step, which
-        checks that it is a longer minimal representative whose lex-least
-        word starts with its letter.  The pairs of a level must be strictly
-        increasing (the order of the words), so no class is listed twice.
+        Each class's key is rebuilt from its parent's by the enumeration
+        step, which checks that it is a longer minimal representative whose
+        lex-least word starts with its letter; like ``enumerate_cosets``,
+        the load makes no ``WeylElement``.  The pairs of a level must be
+        strictly increasing (the order of the words), so no class is listed
+        twice.
         ``complete`` and ``max_length`` must match the levels as
         ``enumerate_cosets`` sets them, and a complete table must end in one
         class that no letter lengthens within W^P, with palindromic level
@@ -454,13 +493,13 @@ class CosetTable:
 
         n = lie_type.rank
         steps = [_left_step(lie_type, a, K) for a in range(1, n + 1)]
-        levels = [[WeylElement.identity(lie_type)]]
+        keys = [[_identity_rows(n)]]
         for r, flat in enumerate(tree, start=1):
             # one C-level type check per level
             if not (isinstance(flat, list) and flat and len(flat) % 2 == 0
                     and set(map(type, flat)) == {int}):
                 raise ValueError(f"level {r} is not a nonempty list of integer pairs")
-            parents = levels[-1]
+            parents = keys[-1]
             m = len(parents)
             level = []
             prev = 0
@@ -468,18 +507,18 @@ class CosetTable:
                 if not (1 <= a <= n and 1 <= p <= m):
                     raise ValueError(f"level {r}: pair ({a}, {p}) out of range")
                 # (a, p) in lex order, which is the lex order of the words
-                key = a * m + p
-                if key <= prev:
+                order = a * m + p
+                if order <= prev:
                     raise ValueError(f"level {r}: pairs not strictly increasing at ({a}, {p})")
-                prev = key
-                w = steps[a - 1](parents[p - 1])
-                if w is None:
+                prev = order
+                child = steps[a - 1](parents[p - 1])
+                if child is None:
                     raise ValueError(f"level {r}: ({a}, {p}) is not a step of the tree")
-                level.append(w)
-            levels.append(level)
+                level.append(child)
+            keys.append(level)
         # enumerate_cosets marks a table truncated exactly when it stopped
         # at level max_length
-        lmax = len(levels) - 1
+        lmax = len(keys) - 1
         if complete != (max_length is None or max_length > lmax) or (
             not complete and max_length != lmax
         ):
@@ -490,16 +529,14 @@ class CosetTable:
             # W^P is the interval [e, w_0^P] of left weak order, so only
             # w_0^P has no letter that lengthens it within W^P.  Poincare
             # duality makes the level sizes palindromic.
-            top = levels[-1]
+            top = keys[-1]
             exits = _simple_roots_outside(n, K)
-            if len(top) != 1 or any(
-                row > 0 and row not in exits for row in top[0].inv_root_rows
-            ):
+            if len(top) != 1 or any(row > 0 and row not in exits for row in top[0]):
                 raise ValueError(f"marked complete, but level {lmax} is not the top")
-            beta = [len(level) for level in levels]
+            beta = [len(level) for level in keys]
             if beta != beta[::-1]:
                 raise ValueError(f"marked complete, but level sizes {beta} are not palindromic")
-        return cls(lie_type, K, levels, complete, max_length, tree=tree)
+        return cls(lie_type, K, keys, complete, max_length, tree=tree)
 
 
 def enumerate_cosets(
@@ -519,6 +556,9 @@ def enumerate_cosets(
     would be produced; pass `max_length` to truncate the grading instead
     (the resulting table knows it is incomplete).  A negative `max_length`
     raises ValueError.
+
+    Each level is stored as its list of keys beside the recorded tree; the
+    table makes a level's elements when the level is first read.
     """
     K = _check_K(lie_type, K)
     if max_length is not None and max_length < 0:
@@ -529,30 +569,29 @@ def enumerate_cosets(
         raise EnumerationLimit(lie_type, K, max_elements)
     n = lie_type.rank
     steps = [_left_step(lie_type, i, K) for i in range(1, n + 1)]
-    identity = WeylElement.identity(lie_type)
-    levels = [[identity]]
+    keys = [[_identity_rows(n)]]
     tree = []
     count = 1
     complete = True
     while True:
-        if max_length is not None and len(levels) > max_length:
+        if max_length is not None and len(keys) > max_length:
             complete = False
-            levels = levels[: max_length + 1]
+            keys = keys[: max_length + 1]
             break
-        prev = levels[-1]
+        prev = keys[-1]
         level = []
         flat = []
         for a, step in enumerate(steps, start=1):
             for p, u in enumerate(prev, start=1):
-                w = step(u)
-                if w is not None:
-                    level.append(w)
+                child = step(u)
+                if child is not None:
+                    level.append(child)
                     flat += (a, p)
         if not level:
             break
         count += len(level)
         if count > max_elements:
             raise EnumerationLimit(lie_type, K, max_elements)
-        levels.append(level)
+        keys.append(level)
         tree.append(flat)
-    return CosetTable(lie_type, K, levels, complete, max_length, tree=tree)
+    return CosetTable(lie_type, K, keys, complete, max_length, tree=tree)

@@ -386,7 +386,7 @@ def test_dual_needs_a_complete_table_closed_under_duality():
     with pytest.raises(ValueError, match="complete"):
         _dual(enumerate_cosets(F4, {1}, max_length=5), 2)
     good = enumerate_cosets(A2, {1, 2})
-    (e,), (s1, s2), level2, (w0,) = good.levels
+    (e,), (s1, s2), level2, (w0,) = good.keys
     missing = CosetTable(A2, {1, 2}, [[e], [s1, s2], level2[:1], [w0]], True, tree=None)
     with pytest.raises(ValueError, match="no Poincare dual"):
         _dual(missing, 1)

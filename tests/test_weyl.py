@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert.cartan import LieType
+from schubert.cli import main
 from schubert.weyl import (
     CosetTable,
     EnumerationLimit,
@@ -272,11 +273,12 @@ def test_left_step_matches_brute(lt, K):
                 child = brute_length(lt, word) == len(word) and (
                     brute_right_descents(lt, word) <= K
                 ) and min(brute_all_reduced_words(lt, brute_matrix(lt, word))) == word
-                w = _left_step(lt, i, K)(u)
-                assert (w is not None) == child, (u.word, i)
+                rows = _left_step(lt, i, K)(u.inv_root_rows)
+                assert (rows is not None) == child, (u.word, i)
                 if child:
-                    # the matrix the step stores is that of w^-1
-                    assert w.word == word
+                    # the key the step returns is that of w^-1
+                    w = WeylElement(lt, rows)
+                    assert w.minimized_word() == word
                     assert inverse_weight_matrix(w) == brute_matrix(lt, word[::-1])
 
 
@@ -297,7 +299,8 @@ def test_left_step_matches_built_step(lt, K):
     for _, _, u in table:
         for i, step in enumerate(steps, start=1):
             expected = key(built_left_step(u, i, K))
-            assert key(step(u)) == expected, (u.word, i)
+            got = step(u.inv_root_rows)
+            assert key(None if got is None else WeylElement(lt, got)) == expected, (u.word, i)
             children += expected is not None
     assert children == table.total - 1
 
@@ -305,8 +308,8 @@ def test_left_step_matches_built_step(lt, K):
 def test_minimal_rep_examples():
     e = WeylElement.identity(F4)
     # sigma_1 is minimal for K={1}; sigma_2 lies in W_P
-    assert _left_step(F4, 1, {1})(e) == WeylElement.from_word(F4, (1,))
-    assert _left_step(F4, 2, {1})(e) is None
+    assert _left_step(F4, 1, {1})(e.inv_root_rows) == wd(F4, 1).inv_root_rows
+    assert _left_step(F4, 2, {1})(e.inv_root_rows) is None
     assert brute_right_descents(F4, (1,)) <= {1}
     assert not brute_right_descents(F4, (2,)) <= {1}
     assert enumerate_cosets(F4, set()).levels == [[e]]
@@ -445,7 +448,16 @@ def test_recorded_tree_matches_words(lt, K, tmp_path):
         part = enumerate_cosets(lt, K, max_length=max_length)
         part.save_binary(path)
         tables += [part, CosetTable.load_binary(path)]
+    middle_first = TREE_TABLES.index((lt, K)) % 2 == 0
     for k, t in enumerate(tables):
+        if middle_first and k:
+            # one middle level read first through `element` is built from
+            # the stored keys and tree before `levels` builds the rest
+            mid = (t.lmax + 1) // 2
+            level = [t.element(mid, i) for i in range(1, t.beta(mid) + 1)]
+            assert [w.inv_root_rows for w in level] == t.keys[mid] == table.keys[mid]
+            assert [w.word for w in level] == [w.minimized_word() for w in level] == words[mid]
+            assert all(a is b for a, b in zip(t.levels[mid], level))
         # half the tables build their words from the top level down, so
         # each top class walks its whole chain of parents
         for level in reversed(t.levels) if k % 2 else t.levels:
@@ -455,23 +467,47 @@ def test_recorded_tree_matches_words(lt, K, tmp_path):
         assert word_tree(t) == t.tree == table.tree[: t.lmax]
 
 
-def test_words_are_built_on_demand(tmp_path):
-    # enumeration, a cache load, comparing tables and the CLI listing all
-    # leave each class with its parent link and no word
+def _made_keys(monkeypatch):
+    """The key of every WeylElement made from now on, in order."""
+    made = []
+    init = WeylElement.__init__
+
+    def counted(self, lie_type, inv_root_rows, *args, **kwargs):
+        made.append(inv_root_rows)
+        init(self, lie_type, inv_root_rows, *args, **kwargs)
+
+    monkeypatch.setattr(WeylElement, "__init__", counted)
+    return made
+
+
+def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
+    # enumeration, saving, a cache load, comparing tables and the CLI
+    # listing read keys and the tree only: no class above level 0 is made
+    # an element
+    made = _made_keys(monkeypatch)
     table = enumerate_cosets(E6, range(1, 7))
     path = tmp_path / "table.json"
     table.save_binary(path)
     loaded = CosetTable.load_binary(path)
     assert loaded == table
     assert cli_listing(loaded) == cli_listing(table)
-    for t in (table, loaded):
-        assert t.total == 51840
-        assert not [(r, i) for r, i, w in t if r > 0 and w._word is not None]
+    assert loaded.total == table.total == 51840
+    assert {table.index_of_inv_root_rows(key)[0] for key in made} <= {0}
     # the first word asked for builds its parents' words, and only those
     w = loaded.element(5, 7)
     assert w.word == w.minimized_word()
     built = [(r, i) for r, i, u in loaded if r > 0 and u._word is not None]
     assert len(built) == 5 and built[-1] == (5, 7)
+    # an element made after that keeps its parent link and no word
+    assert not [(r, i) for r, i, u in table if r > 0 and u._word is not None]
+    # a cached product of degree 4 makes the elements of levels 0..4 only
+    argv = ["multiply", "E6", "3,2,1", "w4", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    del made[:]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert {table.index_of_inv_root_rows(key)[0] for key in made} == set(range(5))
 
 
 def test_word_of_a_long_chain_needs_no_recursion():
@@ -494,8 +530,9 @@ def test_word_of_a_long_chain_needs_no_recursion():
 
 
 def test_enumeration_memory_pin():
-    # E6/T holds 51,840 classes, keyed by tuples of 6 packed roots, and
-    # traces 13.6 MiB; a word tuple per class would add about 9 MiB
+    # E6/T holds 51,840 keys, tuples of 6 packed roots, beside its tree, and
+    # traces 10.4 MiB; an element per class would add about 3 MiB, and a
+    # word tuple per class about 9 MiB more
     tracemalloc.start()
     try:
         table = enumerate_cosets(E6, range(1, 7))
@@ -503,7 +540,7 @@ def test_enumeration_memory_pin():
     finally:
         tracemalloc.stop()
     assert table.total == 51840
-    assert current < 17 << 20
+    assert current < 12 << 20
 
 
 def test_index_is_built_on_first_lookup():
