@@ -49,14 +49,11 @@ so a table that is only listed or saved never builds it.
 
 The step takes keys to keys: it makes no ``WeylElement`` and no word.  A
 table makes the elements of a level the first time that level is read,
-after the levels below it (``CosetTable.level``).  Each links to its tree
-parent, and its word is its least left descent, the first negative row of
-its own key, followed by its parent's word.  ``WeylElement.word`` builds it
-on first access: it walks up the links, without recursion, to the nearest
-class whose word is known, and caches each word on the way back down.  So a
-table that is only listed, saved or compared makes no element, a product
-of degree r makes those of levels 0..r, and a sweep over a level costs one
-word tuple per class.
+after the levels below it (``CosetTable.level``), each with its word: the
+class with pair (a, p) has word a followed by the word of class p of the
+level below, one tuple concatenation.  So a table that is only listed,
+saved or compared makes no element, a product of degree r makes those of
+levels 0..r, and reading a level costs one word tuple per class.
 
 Most candidate steps fail the third test, so the step decides it on u's own
 rows before it builds the child's key.  Left multiplication by sigma_i adds
@@ -160,19 +157,17 @@ def _root_matrix(lie_type, word):
 class WeylElement:
     """An element of the Weyl group of `lie_type`, keyed by the packed root matrix of w^{-1}.
 
-    ``word`` is built on first access and cached.  An element that a
-    ``CosetTable`` makes from its tree holds its tree parent instead, from
-    which the word is built (see the module docstring); any other element
-    falls back to ``minimized_word``.
+    A ``CosetTable`` gives each element it makes its word from the tree
+    (see the module docstring); any other element builds ``word`` from
+    ``minimized_word`` on first access and caches it.
     """
 
-    __slots__ = ("lie_type", "inv_root_rows", "_word", "_parent")
+    __slots__ = ("lie_type", "inv_root_rows", "_word")
 
-    def __init__(self, lie_type, inv_root_rows, word=None, parent=None):
+    def __init__(self, lie_type, inv_root_rows, word=None):
         self.lie_type = lie_type
         self.inv_root_rows = inv_root_rows
         self._word = word
-        self._parent = parent
 
     # -- constructors ------------------------------------------------
 
@@ -211,26 +206,9 @@ class WeylElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        """The minimized word, built on first access and cached.
-
-        Walks up the parent links, without recursion, to the nearest
-        ancestor whose word is known, then builds each word on the way back
-        down (see the module docstring) and drops the link it replaces.
-        """
+        """The minimized word, built on first access and cached."""
         if self._word is None:
-            chain = []
-            w = self
-            while w._word is None and w._parent is not None:
-                chain.append(w)
-                w = w._parent
-            word = w._word
-            if word is None:
-                word = w._word = w.minimized_word()
-            for w in reversed(chain):
-                # the least left descent: the first negative row
-                i = next(i for i, row in enumerate(w.inv_root_rows, start=1) if row < 0)
-                word = w._word = (i,) + word
-                w._parent = None
+            self._word = self.minimized_word()
         return self._word
 
     # -- plumbing ------------------------------------------------------
@@ -323,11 +301,10 @@ class CosetTable:
     The sizes, the index from a class's key to (r, i) (built on the first
     lookup), equality, saving and the CLI listing read only ``keys`` and
     ``tree``.  The ``WeylElement``s of a level are built by ``level`` the
-    first time that level is read, after the levels below it, and kept:
-    each links to its tree parent, so its word is built from the parent's
-    (see the module docstring); with no tree, each word comes from
-    ``minimized_word``.  ``element``, iteration and ``levels`` go through
-    ``level``.
+    first time that level is read, after the levels below it, and kept,
+    each with its word from the tree (see the module docstring); with no
+    tree, each word comes from ``minimized_word``.  ``element``, iteration
+    and ``levels`` go through ``level``.
     """
 
     def __init__(self, lie_type, K, keys, complete, max_length=None, *, tree):
@@ -350,7 +327,7 @@ class CosetTable:
         }
 
     def level(self, r: int) -> list[WeylElement]:
-        """The elements of level r, built after the levels below on first read and kept."""
+        """The elements of level r with their words, built after the levels below on first read."""
         built = self._levels
         while len(built) <= r:
             s = len(built)
@@ -360,9 +337,10 @@ class CosetTable:
                 level = [WeylElement(self.lie_type, key) for key in self.keys[s]]
             else:
                 parents = built[s - 1]
+                flat = self.tree[s - 1]
                 level = [
-                    WeylElement(self.lie_type, key, None, parents[p - 1])
-                    for key, p in zip(self.keys[s], self.tree[s - 1][1::2])
+                    WeylElement(self.lie_type, key, (a,) + parents[p - 1].word)
+                    for key, a, p in zip(self.keys[s], flat[::2], flat[1::2])
                 ]
             built.append(level)
         return built[r]

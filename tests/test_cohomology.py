@@ -138,6 +138,22 @@ def test_minimal_generators_e6(e6_p2):
     assert minimal_relations(e6_p2, gens, 12).relation_degrees() == (6, 8, 9, 12)
 
 
+def test_minimal_generators_e7(e7_p2):
+    # the lowest-index rule picks other words than data.E7_WORDS for y3, y4
+    # and y5; the relations through 12 have the published degrees
+    gens = minimal_generators(e7_p2, up_to=12)
+    assert [(g.name, g.word) for g in gens] == [
+        ("w2", (2,)),
+        ("y3", (3, 4, 2)),
+        ("y4", (1, 3, 4, 2)),
+        ("y5", (3, 6, 5, 4, 2)),
+        ("y6", (1, 3, 6, 5, 4, 2)),
+        ("y7", (1, 3, 7, 6, 5, 4, 2)),
+        ("y9", (1, 5, 4, 3, 7, 6, 5, 4, 2)),
+    ]
+    assert minimal_relations(e7_p2, gens, 12).relation_degrees() == (6, 8, 9, 10, 12)
+
+
 def test_minimal_generators_requires_complete_table():
     table = enumerate_cosets(F4, {1}, max_length=4)
     with pytest.raises(ValueError, match="truncated"):

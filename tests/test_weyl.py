@@ -438,8 +438,8 @@ TREE_TABLES = [
 )
 def test_recorded_tree_matches_words(lt, K, tmp_path):
     # the (letter, parent) pairs the enumeration records are those found
-    # again from the words, and the words built along the parent links are
-    # the lex-least ones, on full, truncated and reloaded tables
+    # again from the words, and the words each level gets from the tree
+    # are the lex-least ones, on full, truncated and reloaded tables
     table = enumerate_cosets(lt, K)
     words = [[w.minimized_word() for w in level] for level in table.levels]
     path = tmp_path / "table.json"
@@ -458,11 +458,10 @@ def test_recorded_tree_matches_words(lt, K, tmp_path):
             assert [w.inv_root_rows for w in level] == t.keys[mid] == table.keys[mid]
             assert [w.word for w in level] == [w.minimized_word() for w in level] == words[mid]
             assert all(a is b for a, b in zip(t.levels[mid], level))
-        # half the tables build their words from the top level down, so
-        # each top class walks its whole chain of parents
-        for level in reversed(t.levels) if k % 2 else t.levels:
-            for w in level:
-                w.word
+        # half the tables read their top level first, so `level` builds
+        # every level below it on the way up
+        if k % 2:
+            assert len(t.level(t.lmax)) == t.beta(t.lmax)
         assert [[w.word for w in level] for level in t.levels] == words[: t.lmax + 1]
         assert word_tree(t) == t.tree == table.tree[: t.lmax]
 
@@ -493,13 +492,14 @@ def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
     assert cli_listing(loaded) == cli_listing(table)
     assert loaded.total == table.total == 51840
     assert {table.index_of_inv_root_rows(key)[0] for key in made} <= {0}
-    # the first word asked for builds its parents' words, and only those
-    w = loaded.element(5, 7)
-    assert w.word == w.minimized_word()
-    built = [(r, i) for r, i, u in loaded if r > 0 and u._word is not None]
-    assert len(built) == 5 and built[-1] == (5, 7)
-    # an element made after that keeps its parent link and no word
-    assert not [(r, i) for r, i, u in table if r > 0 and u._word is not None]
+    # reading level 5 makes the elements of levels 0..5, each with its
+    # word, and none above
+    del made[:]
+    loaded.level(5)
+    assert {loaded.index_of_inv_root_rows(key)[0] for key in made} == set(range(6))
+    assert len(loaded._levels) == 6
+    for level in loaded._levels:
+        assert [u._word for u in level] == [u.minimized_word() for u in level]
     # a cached product of degree 4 makes the elements of levels 0..4 only
     argv = ["multiply", "E6", "3,2,1", "w4", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -512,10 +512,9 @@ def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
 
 def test_word_of_a_long_chain_needs_no_recursion():
     # W^P of A_n with K = {1} is one chain s_k...s_1, so the top class
-    # reaches its known ancestor, the identity, through n parent links
+    # gets its word after n levels are built, each from the one below
     n = 400
     table = enumerate_cosets(LieType.parse(f"A{n}"), {1})
-    top = table.levels[-1][0]
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -523,6 +522,7 @@ def test_word_of_a_long_chain_needs_no_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
+        top = table.element(n, 1)
         word = top.word
     finally:
         sys.setrecursionlimit(old)
