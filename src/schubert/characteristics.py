@@ -246,8 +246,8 @@ def _cover_data(table: CosetTable, r: int):
                 row - sum(map(mul, pairing, coroot)) * beta
                 for row, pairing in zip(inv, pairings)
             )
-            u = table.index_of_inv_root_rows(rows)
-            if u is not None and u[0] == r - 1:
+            u = table.index_of_inv_root_rows(rows, r - 1)
+            if u is not None:
                 covers[u[1] - 1].append((k, coroot))
             roots = right_multiply_rows(roots, j0, pairs)
             coroot_images = right_multiply_rows(coroot_images, j0, copairs)
@@ -281,8 +281,8 @@ def _dual(table: CosetTable, r: int):
         rows = top
         for a in reversed(u.word):
             rows = right_multiply_rows(rows, tau[a - 1] - 1, pairs)
-        dual = table.index_of_inv_root_rows(rows)
-        if dual is None or dual[0] != level:
+        dual = table.index_of_inv_root_rows(rows, level)
+        if dual is None:
             raise ValueError(
                 f"class ({r}, {i}) has no Poincare dual on level {level} of the table"
             )

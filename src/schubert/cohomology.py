@@ -583,7 +583,7 @@ def restrict_to_parabolic(full_table: CosetTable, sub_table: CosetTable, vec) ->
     out = {}
     for (r, i), c in vec.items():
         w = full_table.element(r, i)
-        key = sub_table.index_of_inv_root_rows(w.inv_root_rows)
+        key = sub_table.index_of_inv_root_rows(w.inv_root_rows, r)
         if key is None:
             raise ValueError(f"class ({r},{i}) is not a class of the coarser table")
         out[key] = c

@@ -13,7 +13,9 @@ here as the oracle of the packed one, together with the earlier subword
 search `ascending_subword_solutions` and the tree step `built_left_step`
 that builds every candidate before testing it.  `word_tree` derives a
 table's (letter, parent) tree from its words, as the cache writer once did,
-to check the tree the enumeration records.
+to check the tree the enumeration records.  `exhaustive_tree` is the
+enumeration as it was before it skipped steps by the parents' first
+letters: the package's full step on every letter and every parent.
 """
 
 from fractions import Fraction
@@ -23,6 +25,8 @@ from schubert.cartan import LieType, cartan_matrix
 from schubert.weyl import (
     WeylElement,
     _ROOT_BITS,
+    _identity_rows,
+    _left_step,
     _root_matrix,
     reflection_pairs,
     unpack_root,
@@ -319,3 +323,29 @@ def word_tree(table):
         parent = {u.word: p for p, u in enumerate(prev, start=1)}
         tree.append([x for w in level for x in (w.word[0], parent[w.word[1:]])])
     return tree
+
+
+def exhaustive_tree(lie_type, K, max_length=None):
+    """(keys, tree) of W^P by the full step on every letter and every parent.
+
+    Level r+1 lists sigma_i * u for i = 1..n and then each u of level r in
+    order, wherever ``_left_step`` accepts it, so it is the (letter, parent)
+    order ``enumerate_cosets`` records, found without its pruning.
+    """
+    n = lie_type.rank
+    steps = [_left_step(lie_type, i, K) for i in range(1, n + 1)]
+    keys = [[_identity_rows(n)]]
+    tree = []
+    while max_length is None or len(keys) <= max_length:
+        level, flat = [], []
+        for a, step in enumerate(steps, start=1):
+            for p, u in enumerate(keys[-1], start=1):
+                child = step(u)
+                if child is not None:
+                    level.append(child)
+                    flat += (a, p)
+        if not level:
+            break
+        keys.append(level)
+        tree.append(flat)
+    return keys, tree

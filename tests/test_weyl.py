@@ -32,6 +32,7 @@ from brute_weyl import (
     brute_minimal_reps,
     brute_right_descents,
     built_left_step,
+    exhaustive_tree,
     word_tree,
     inverse_weight_matrix,
     pack_root,
@@ -305,6 +306,64 @@ def test_left_step_matches_built_step(lt, K):
     assert children == table.total - 1
 
 
+RANK5_TYPES = (
+    [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+    + ["C3", "C4", "C5", "D4", "D5", "F4", "G2"]
+)
+
+
+def _assert_matches_exhaustive(lt, K):
+    for max_length in (None, 0, 1, 5):
+        table = enumerate_cosets(lt, K, max_length=max_length)
+        assert (table.keys, table.tree) == exhaustive_tree(lt, K, max_length), (K, max_length)
+
+
+@pytest.mark.parametrize("name", RANK5_TYPES)
+def test_enumerate_matches_exhaustive_tree(name):
+    # skipping steps by the parents' first letters leaves the keys and the
+    # tree of trying every letter on every parent, for K empty, each
+    # singleton, one pair and all nodes, complete and truncated
+    lt = LieType.parse(name)
+    n = lt.rank
+    Ks = {frozenset(), frozenset({1, n}), frozenset(range(1, n + 1))}
+    Ks |= {frozenset({k}) for k in range(1, n + 1)}
+    for K in sorted(Ks, key=sorted):
+        _assert_matches_exhaustive(lt, K)
+
+
+@pytest.mark.parametrize(
+    "name,K", [("E6", range(1, 7)), ("E6", {2}), ("E7", {2}), ("E7", {7})],
+    ids=["E6/T", "E6/P2", "E7/P2", "E7/P7"],
+)
+def test_enumerate_matches_exhaustive_tree_on_e_types(name, K):
+    _assert_matches_exhaustive(LieType.parse(name), K)
+
+
+def test_enumeration_takes_the_full_step_about_once_per_class(monkeypatch):
+    # on E6/T the full step runs once per parent whose first letter is a
+    # smaller neighbour of the letter, about once per class, where trying
+    # every letter on every parent runs it 6 * 51,840 times
+    calls = []
+
+    def counted(lie_type, i, K):
+        step = _left_step(lie_type, i, K)
+
+        def counted_step(rows):
+            calls.append(i)
+            return step(rows)
+
+        return counted_step
+
+    monkeypatch.setattr("schubert.weyl._left_step", counted)
+    monkeypatch.setattr("brute_weyl._left_step", counted)
+    table = enumerate_cosets(E6, range(1, 7))
+    assert table.total == 51840
+    assert len(calls) <= 51840
+    del calls[:]
+    exhaustive_tree(E6, range(1, 7))
+    assert len(calls) == 311040
+
+
 def test_minimal_rep_examples():
     e = WeylElement.identity(F4)
     # sigma_1 is minimal for K={1}; sigma_2 lies in W_P
@@ -491,12 +550,13 @@ def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
     assert loaded == table
     assert cli_listing(loaded) == cli_listing(table)
     assert loaded.total == table.total == 51840
-    assert {table.index_of_inv_root_rows(key)[0] for key in made} <= {0}
+    level_of = {key: r for r, level in enumerate(table.keys) for key in level}
+    assert {level_of[key] for key in made} <= {0}
     # reading level 5 makes the elements of levels 0..5, each with its
     # word, and none above
     del made[:]
     loaded.level(5)
-    assert {loaded.index_of_inv_root_rows(key)[0] for key in made} == set(range(6))
+    assert {level_of[key] for key in made} == set(range(6))
     assert len(loaded._levels) == 6
     for level in loaded._levels:
         assert [u._word for u in level] == [u.minimized_word() for u in level]
@@ -507,7 +567,7 @@ def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
     del made[:]
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
-    assert {table.index_of_inv_root_rows(key)[0] for key in made} == set(range(5))
+    assert {level_of[key] for key in made} == set(range(5))
 
 
 def test_word_of_a_long_chain_needs_no_recursion():
@@ -544,13 +604,15 @@ def test_enumeration_memory_pin():
 
 
 def test_index_is_built_on_first_lookup():
+    # the index is per level: a lookup builds only the level of its length
     table = enumerate_cosets(F4, {1, 2, 3, 4})
-    assert "_index" not in vars(table)
+    assert table._index == {}
     assert cli_listing(table)
-    assert "_index" not in vars(table)
+    assert table._index == {}
     w = table.element(7, 3)
     assert table.index_of(w) == (7, 3)
-    assert len(vars(table)["_index"]) == table.total
+    assert list(table._index) == [7]
+    assert len(table._index[7]) == table.beta(7)
 
 
 class _OpenOnUnpickle:
