@@ -541,21 +541,28 @@ def expand_polynomial(table: CosetTable, poly: IntPolynomial, words) -> dict:
     """Schubert expansion {(r, i): coeff} of a polynomial in named classes.
 
     `words` maps each variable name to a reduced word resolving a class of
-    the table.
+    the table, of length the variable's degree in ``poly.ring``.  A variable
+    without a word, or with a word of no class or of another length, raises
+    ValueError.
     """
-    used = [
-        name
-        for i, name in enumerate(poly.ring.names)
-        if any(e[i] for e in poly.terms)
-    ]
+    ring = poly.ring
     classes = {}
-    for name in used:
+    for k, name in enumerate(ring.names):
+        if not any(e[k] for e in poly.terms):
+            continue
+        if name not in words:
+            raise ValueError(f"variable {name} has no word")
+        word = tuple(words[name])
         try:
-            classes[name] = table.class_of_word(tuple(words[name]))
+            r, i = table.class_of_word(word)
         except KeyError:
             raise ValueError(
-                f"variable {name}: no class for word {words.get(name)} in the table"
+                f"variable {name}: no class for word {list(word)} in the table"
             ) from None
+        if not len(word) == r == ring.degrees[k]:
+            raise ValueError(f"variable {name} of degree {ring.degrees[k]}: "
+                             f"word {list(word)} is not a reduced word of that length")
+        classes[name] = (r, i)
     out = {}
     for exps, coeff in poly.terms.items():
         mono = []

@@ -42,12 +42,12 @@ the words.  So a level is fixed by its (letter, parent index) pairs, in
 increasing order.  ``enumerate_cosets`` records each pair as its step
 succeeds, and the table keeps them as ``tree`` beside each level's list of
 packed keys.  That is all a cache file stores: ``save_binary`` writes
-``tree`` as it is and ``CosetTable.load_binary`` rebuilds every key from it
-by the same step.  The CLI listing builds each word's text from the tree
-too.  The index from a class's key to its place i on level r is built one
-level at a time, on the first lookup in that level, so a table that is only
-listed or saved never builds one, and a product of degree r builds those of
-the levels it reads.
+``tree`` as it is, and ``CosetTable.load_binary`` enumerates the table once
+and accepts the file only if it is what ``save_binary`` writes for it.  The
+CLI listing builds each word's text from the tree too.  The index from a
+class's key to its place i on level r is built one level at a time, on the
+first lookup in that level, so a table that is only listed or saved never
+builds one, and a product of degree r builds those of the levels it reads.
 
 The step takes keys to keys: it makes no ``WeylElement`` and no word.  A
 table makes the elements of a level the first time that level is read,
@@ -78,8 +78,7 @@ A level lists its classes in (letter, parent) order, so those with first
 letter f are one contiguous block, and ``enumerate_cosets`` runs the full
 step only on the blocks of i's smaller neighbours.  On E6/T that is 51,813
 full steps for 51,839 children, where trying every letter on every parent
-takes 311,040.  ``CosetTable.load_binary`` checks a file it does not trust,
-so it takes the full step on every recorded pair.
+takes 311,040.
 """
 
 from __future__ import annotations
@@ -267,8 +266,7 @@ def _left_step(lie_type: LieType, i: int, K):
     least left descent, so i followed by u's word is its lex-least reduced
     word (see the module docstring).  The step builds neither an element
     nor a word.  ``enumerate_cosets`` takes this step where u's first
-    letter leaves it open, and ``CosetTable.load_binary`` checks each
-    cached class by it.  The letter's reflection pairs and neighbour
+    letter leaves it open.  The letter's reflection pairs and neighbour
     coefficients are bound once here, not once per candidate.
 
     Most candidates fail the least-descent test, so it is decided on u's
@@ -313,11 +311,11 @@ class CosetTable:
     words; class (r, i) (i is 1-based) has key ``keys[r][i-1]``.  A table is
     *complete* when the enumeration was not truncated by ``max_length``.
 
-    ``tree`` is the lex-least-word tree that the enumeration recorded (or
-    the cache file held): ``tree[r-1]`` is level r >= 1 as one flat list
-    ``[a1, p1, a2, p2, ...]``, where class (r, i) is sigma_a times class
-    (r-1, p), p 1-based.  ``save_binary`` writes it as it is.  A table
-    built by hand may pass None; it cannot be saved or listed.
+    ``tree`` is the lex-least-word tree that the enumeration recorded:
+    ``tree[r-1]`` is level r >= 1 as one flat list ``[a1, p1, a2, p2, ...]``,
+    where class (r, i) is sigma_a times class (r-1, p), p 1-based.
+    ``save_binary`` writes it as it is.  A table built by hand may pass
+    None; it cannot be saved or listed.
 
     The sizes, the index from a class's key to (r, i) (one dict per level,
     built on the first lookup in that level; ``index_of`` looks on the
@@ -437,7 +435,8 @@ class CosetTable:
     def save_binary(self, path):
         """Write this table's lex-least-word tree, compactly and atomically.
 
-        The file holds ``self.tree`` as it is (see the class docstring).
+        The file holds ``self.tree`` as it is (see the class docstring);
+        ``load_binary`` accepts a file only if it holds what this writes.
         """
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -455,92 +454,44 @@ class CosetTable:
             tmp.unlink(missing_ok=True)
 
     @classmethod
-    def load_binary(cls, path):
-        """Read a table written by ``save_binary``, re-checking every class.
+    def load_binary(cls, path, lie_type, K, *, max_elements=DEFAULT_MAX_ELEMENTS):
+        """The table of (lie_type, K), checked against a file ``save_binary`` wrote.
 
-        Each class's key is rebuilt from its parent's by the enumeration
-        step, which checks that it is a longer minimal representative whose
-        lex-least word starts with its letter; like ``enumerate_cosets``,
-        the load makes no ``WeylElement``.  The pairs of a level must be
-        strictly increasing (the order of the words), so no class is listed
-        twice.
-        ``complete`` and ``max_length`` must match the levels as
-        ``enumerate_cosets`` sets them, and a complete table must end in one
-        class that no letter lengthens within W^P, with palindromic level
-        sizes.  Any other file raises ValueError.
+        A header of another type or K, or of a truncated table, raises
+        ValueError before anything is enumerated.  Otherwise the table is
+        enumerated once under `max_elements` and returned if the file holds
+        what ``save_binary`` writes for it, JSON types compared strictly;
+        if not, ValueError names the first field or level that differs.
         """
-        try:
-            return cls._from_tree(json.loads(Path(path).read_bytes()))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: corrupt coset-table cache ({exc})") from None
-
-    @classmethod
-    def _from_tree(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object")
-        lie_type, K, complete, max_length, tree = (
-            obj.get(k) for k in ("lie_type", "K", "complete", "max_length", "tree")
-        )
-        if not isinstance(lie_type, str):
-            raise ValueError("lie_type is not a string")
-        lie_type = LieType.parse(lie_type)
-        # type(x) is int, since JSON true and 1.0 compare equal to 1
-        if not (isinstance(K, list) and all(type(j) is int for j in K)):
-            raise ValueError("K is not a list of integers")
         K = _check_K(lie_type, K)
-        if not isinstance(complete, bool):
-            raise ValueError("complete is not a boolean")
-        if not (max_length is None or type(max_length) is int):
-            raise ValueError("max_length is not an integer")
-        if not isinstance(tree, list):
-            raise ValueError("tree is not a list")
 
-        n = lie_type.rank
-        steps = [_left_step(lie_type, a, K) for a in range(1, n + 1)]
-        keys = [[_identity_rows(n)]]
-        for r, flat in enumerate(tree, start=1):
+        def corrupt(reason):
+            return ValueError(f"{path}: corrupt coset-table cache ({reason})")
+
+        try:
+            obj = json.loads(Path(path).read_bytes())
+        except (ValueError, RecursionError) as exc:
+            raise corrupt(exc) from None
+        fields = ["K", "complete", "lie_type", "max_length", "tree"]  # sorted
+        if not (isinstance(obj, dict) and sorted(obj) == fields):
+            raise corrupt(f"not a JSON object with the fields {fields}")
+        held, nodes = obj["lie_type"], obj["K"]
+        # type(j) is int, since JSON true and 1.0 compare equal to 1
+        if held != str(lie_type) or nodes != sorted(K) or any(type(j) is not int for j in nodes):
+            raise ValueError(f"cache file {path} holds {held} K={nodes}, "
+                             f"not {lie_type} K={sorted(K)}")
+        # `is`, since JSON 1 == true
+        if obj["complete"] is not True or obj["max_length"] is not None:
+            raise corrupt("header is not complete: true, max_length: null")
+        table = _grade(lie_type, K, None, max_elements)
+        tree = obj["tree"]
+        if not (isinstance(tree, list) and len(tree) == table.lmax):
+            raise corrupt(f"tree does not have {table.lmax} levels")
+        for r, (flat, level) in enumerate(zip(tree, table.tree), start=1):
             # one C-level type check per level
-            if not (isinstance(flat, list) and flat and len(flat) % 2 == 0
-                    and set(map(type, flat)) == {int}):
-                raise ValueError(f"level {r} is not a nonempty list of integer pairs")
-            parents = keys[-1]
-            m = len(parents)
-            level = []
-            prev = 0
-            for a, p in zip(flat[::2], flat[1::2]):
-                if not (1 <= a <= n and 1 <= p <= m):
-                    raise ValueError(f"level {r}: pair ({a}, {p}) out of range")
-                # (a, p) in lex order, which is the lex order of the words
-                order = a * m + p
-                if order <= prev:
-                    raise ValueError(f"level {r}: pairs not strictly increasing at ({a}, {p})")
-                prev = order
-                child = steps[a - 1](parents[p - 1])
-                if child is None:
-                    raise ValueError(f"level {r}: ({a}, {p}) is not a step of the tree")
-                level.append(child)
-            keys.append(level)
-        # enumerate_cosets marks a table truncated exactly when it stopped
-        # at level max_length
-        lmax = len(keys) - 1
-        if complete != (max_length is None or max_length > lmax) or (
-            not complete and max_length != lmax
-        ):
-            raise ValueError(f"complete={complete} and max_length={max_length} "
-                             f"disagree with the {lmax + 1} levels")
-        if complete:
-            # a complete table ends in the single longest representative:
-            # W^P is the interval [e, w_0^P] of left weak order, so only
-            # w_0^P has no letter that lengthens it within W^P.  Poincare
-            # duality makes the level sizes palindromic.
-            top = keys[-1]
-            exits = _simple_roots_outside(n, K)
-            if len(top) != 1 or any(row > 0 and row not in exits for row in top[0]):
-                raise ValueError(f"marked complete, but level {lmax} is not the top")
-            beta = [len(level) for level in keys]
-            if beta != beta[::-1]:
-                raise ValueError(f"marked complete, but level sizes {beta} are not palindromic")
-        return cls(lie_type, K, keys, complete, max_length, tree=tree)
+            if flat != level or set(map(type, flat)) != {int}:
+                raise corrupt(f"level {r} differs from the enumeration")
+        return table
 
 
 def enumerate_cosets(
@@ -567,6 +518,14 @@ def enumerate_cosets(
     blocks, and the step for letter i looks only at the blocks the module
     docstring leaves open: the full step on the blocks of i's smaller
     neighbours, and Deodhar's test alone on the blocks above i.
+    """
+    return _grade(lie_type, K, max_length, max_elements)
+
+
+def _grade(lie_type, K, max_length, max_elements) -> CosetTable:
+    """The body of ``enumerate_cosets``, which ``CosetTable.load_binary`` calls
+    too: a wrapper bound to the module name then counts only the enumerations
+    asked for.
     """
     K = _check_K(lie_type, K)
     if max_length is not None and max_length < 0:

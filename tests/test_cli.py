@@ -191,14 +191,64 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     assert out1 == run_cli(capsys, "enumerate", "F4", "--K", "1")[1]  # and uncached
 
 
-def test_cache_content_mismatch_is_domain_error(capsys, tmp_path):
+def test_cache_content_mismatch_is_domain_error(capsys, tmp_path, monkeypatch):
     run_cli(capsys, "enumerate", "A2", "--K", "1", "--cache-dir", str(tmp_path))
     (tmp_path / "A2-K2.json").write_bytes((tmp_path / "A2-K1.json").read_bytes())
-    code, _, err = run_cli(
-        capsys, "enumerate", "A2", "--K", "2", "--cache-dir", str(tmp_path)
+    # an E8/T header in the E6/T slot, and K=[true] in the A2/P1 slot: JSON
+    # true compares equal to 1, but it is not what a cold run writes
+    (tmp_path / "E6-K1_2_3_4_5_6.json").write_text(
+        '{"K":[1,2,3,4,5,6,7,8],"complete":true,"lie_type":"E8","max_length":null,"tree":[]}'
     )
-    assert code == EXIT_DOMAIN
-    assert "cache file" in err
+    raw = (tmp_path / "A2-K1.json").read_text()
+    (tmp_path / "A2-K1.json").write_text(raw.replace('"K":[1]', '"K":[true]'))
+
+    # a header of another table is rejected before anything is enumerated
+    def no_grading(*args):
+        raise AssertionError("enumerated for a cache file of another table")
+
+    monkeypatch.setattr("schubert.weyl._grade", no_grading)
+    cases = [(["A2", "--K", "2"], "A2 K=[1]"), (["E6"], "E8 K=[1, 2, 3"),
+             (["A2", "--K", "1"], "A2 K=[True]")]
+    for argv, held in cases:
+        code, out, err = run_cli(capsys, "enumerate", *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "cache file" in err and f"holds {held}" in err
+        assert "Traceback" not in err
+
+
+def _b3t_without_two_leaves():
+    """The B3/T cache file without the classes [1,2] and [1,2,1,3,2,1,3].
+
+    Neither is the parent of another class, so the rest is still a tree
+    with palindromic level sizes; the parents are renumbered.
+    """
+    table = enumerate_cosets(LieType.parse("B3"), {1, 2, 3})
+    gone = {(1, 2), (1, 2, 1, 3, 2, 1, 3)}
+    renumber = [{1: 1}]
+    tree = []
+    for r, flat in enumerate(table.tree, start=1):
+        kept, flat_kept = {}, []
+        for i, (a, p) in enumerate(zip(flat[::2], flat[1::2]), start=1):
+            if table.element(r, i).word not in gone:
+                kept[i] = len(kept) + 1
+                flat_kept += [a, renumber[-1][p]]
+        renumber.append(kept)
+        tree.append(flat_kept)
+    assert sum(map(len, tree)) == 2 * (table.total - 3)
+    obj = {"K": [1, 2, 3], "complete": True, "lie_type": "B3", "max_length": None, "tree": tree}
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def test_cache_missing_classes_is_domain_error(capsys, tmp_path):
+    # every class the file lists is a true class in its place of the tree,
+    # but two are left out, so the file is not the table
+    (tmp_path / "B3-K1_2_3.json").write_text(_b3t_without_two_leaves())
+    argv = ["multiply", "B3", "w1", "w2", "--format", "text"]
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "corrupt coset-table cache (level 2 differs from the enumeration)" in err
+    assert "Traceback" not in err
+    assert run_cli(capsys, *argv) == (EXIT_OK, "1*s[2,1] + 1*s[2,3]\n", "")
 
 
 def _edit(change):
@@ -246,45 +296,50 @@ LISTING_FORMAT = (
 # (K, change to the cache file, the reason the load gives) for A2.  Level
 # r >= 1 is a flat list of (letter, parent) pairs: K={1} is [[1,1], [2,1]]
 # for the words [1]; [2,1], and the full flag K={1,2} is [[1,1,2,1],
-# [1,2,2,1], [1,2]] for [1], [2]; [1,2], [2,1]; [1,2,1].
-NOT_PAIRS = "not a nonempty list of integer pairs"
-NOT_A_STEP = "is not a step of the tree"
-NOT_INCREASING = "pairs not strictly increasing"
+# [1,2,2,1], [1,2]] for [1], [2]; [1,2], [2,1]; [1,2,1].  The load checks the
+# file against a fresh enumeration, so it names the first level that differs.
+NOT_AN_OBJECT = "not a JSON object with the fields ['K', 'complete', 'lie_type', 'max_length', 'tree']"
+NOT_FULL = "header is not complete: true, max_length: null"
+
+
+def differs(r):
+    return f"level {r} differs from the enumeration"
+
+
 CORRUPT_CACHES = {
     "truncated": ("1", lambda raw: raw[: len(raw) // 2], "Expecting"),
     "garbage": ("1", lambda raw: b"\x80\x04\x95\xff not a cache \xfe", "codec"),
-    "json-list": ("1", lambda raw: b'["A2", [1], true]', "not a JSON object"),
-    "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}', "complete"),
-    "listing-format": ("1", lambda raw: LISTING_FORMAT, "tree is not a list"),
-    "complete-not-bool": ("1", _edit(lambda obj: obj.update(complete=1)), "not a boolean"),
-    "letter-0": ("1", _set(1, 0, 0), "pair (0, 1) out of range"),
-    "letter-rank+1": ("1", _set(1, 0, 3), "pair (3, 1) out of range"),
+    "json-list": ("1", lambda raw: b'["A2", [1], true]', NOT_AN_OBJECT),
+    "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}', NOT_AN_OBJECT),
+    "listing-format": ("1", lambda raw: LISTING_FORMAT, NOT_AN_OBJECT),
+    "complete-not-bool": ("1", _edit(lambda obj: obj.update(complete=1)), NOT_FULL),
+    "letter-0": ("1", _set(1, 0, 0), differs(1)),
+    "letter-rank+1": ("1", _set(1, 0, 3), differs(1)),
     # true and 1.0 compare equal to 1
-    "letter-true": ("1", _set(1, 0, True), NOT_PAIRS),
-    "parent-0": ("1", _set(2, 1, 0), "pair (2, 0) out of range"),
-    "tail-not-a-class": ("1", _set(2, 1, 2), "pair (2, 2) out of range"),  # one parent
-    "parent-float": ("1", _set(2, 1, 1.0), NOT_PAIRS),
-    "odd-length": ("1", _set_level(2, [2, 1, 2]), NOT_PAIRS),
-    "empty-level": ("1", _edit(lambda obj: obj["tree"].insert(1, [])), NOT_PAIRS),
-    "not-reduced": ("1", _set(2, 0, 1), NOT_A_STEP),  # [1,1]
-    "not-minimal": ("1", _set(1, 0, 2), NOT_A_STEP),  # [2] is not minimal for K={1}
+    "letter-true": ("1", _set(1, 0, True), differs(1)),
+    "parent-0": ("1", _set(2, 1, 0), differs(2)),
+    "tail-not-a-class": ("1", _set(2, 1, 2), differs(2)),  # one parent
+    "parent-float": ("1", _set(2, 1, 1.0), differs(2)),
+    "odd-length": ("1", _set_level(2, [2, 1, 2]), differs(2)),
+    "empty-level": ("1", _edit(lambda obj: obj["tree"].insert(1, [])), "does not have 2 levels"),
+    "not-reduced": ("1", _set(2, 0, 1), differs(2)),  # [1,1]
+    "not-minimal": ("1", _set(1, 0, 2), differs(1)),  # [2] is not minimal for K={1}
     # [2,1,2] is the element [1,2,1], whose lex-least word starts with 1
-    "not-minimized": ("1,2", _set_level(3, [2, 1]), NOT_A_STEP),
-    "out-of-position": ("1,2", _set_level(1, [2, 1, 1, 1]), NOT_INCREASING),
-    "duplicate-class": ("1,2", _set_level(1, [1, 1, 1, 1]), NOT_INCREASING),
+    "not-minimized": ("1,2", _set_level(3, [2, 1]), differs(3)),
+    "out-of-position": ("1,2", _set_level(1, [2, 1, 1, 1]), differs(1)),
+    "duplicate-class": ("1,2", _set_level(1, [1, 1, 1, 1]), differs(1)),
     # without the leaf [1,2], the level sizes 1, 2, 1, 1 end in the top class
     "not-palindromic": (
-        "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [2, 1], [1, 1]])),
-        "not palindromic",
+        "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [2, 1], [1, 1]])), differs(2),
     ),
-    "top-level-dropped": ("1", _edit(_drop_top_level), "level 1 is not the top"),
-    "marked-truncated": ("1", _edit(_mark_truncated), "marked truncated"),
-    "truncation-marks-disagree": ("1", _edit(_truncated_without_max_length), "disagree"),
+    "top-level-dropped": ("1", _edit(_drop_top_level), "does not have 2 levels"),
+    "marked-truncated": ("1", _edit(_mark_truncated), NOT_FULL),
+    "truncation-marks-disagree": ("1", _edit(_truncated_without_max_length), NOT_FULL),
     # full flag: keep [], [1], [2], [1,2]; the top class [1,2] has no tree
     # child, but sigma_2 lengthens it to [1,2,1]
     "top-not-longest": (
         "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [1, 2]])),
-        "level 2 is not the top",
+        "does not have 3 levels",
     ),
 }
 
@@ -319,7 +374,7 @@ def test_corrupt_cache_check_survives_optimize(subprocess_env, tmp_path):
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
     )
     assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
-    assert "corrupt coset-table cache (level 2: (1, 1) is not a step of the tree)" in proc.stderr
+    assert "corrupt coset-table cache (level 2 differs from the enumeration)" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

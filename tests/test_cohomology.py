@@ -536,6 +536,26 @@ def test_expand_polynomial_unknown_word(f4_p1, f4_gens):
         expand_polynomial(f4_p1, poly, {"y3": (2,)})
 
 
+def test_expand_polynomial_names_a_variable_without_a_word(f4_p1, f4_gens):
+    poly = parse_polynomial(f4_gens.ring, "w1*y3")
+    with pytest.raises(ValueError, match="^variable y3 has no word$"):
+        expand_polynomial(f4_p1, poly, {"w1": (1,)})
+
+
+def test_expand_polynomial_rejects_a_word_of_another_degree():
+    # w2 has degree 1, so the class of [2,1] would make w1 + w2 inhomogeneous
+    table = enumerate_cosets(A2, {1, 2})
+    ring = PolyRing(("w1", "w2"), (1, 1))
+    poly = parse_polynomial(ring, "w1 + w2")
+    assert expand_polynomial(table, poly, {"w1": (1,), "w2": (2,)}) == {(1, 1): 1, (1, 2): 1}
+    with pytest.raises(ValueError, match=r"variable w2 of degree 1: word \[2, 1\] is not"):
+        expand_polynomial(table, poly, {"w1": (1,), "w2": (2, 1)})
+    # a word of the variable's length that is not reduced
+    y = parse_polynomial(PolyRing(("y",), (2,)), "y")
+    with pytest.raises(ValueError, match=r"variable y of degree 2: word \[1, 1\] is not"):
+        expand_polynomial(table, y, {"y": (1, 1)})
+
+
 def test_invariant_on_parabolic_c2(f4_p1):
     c2 = weyl_orbit_invariants(F4, {1}, 4)[1]
     vec = invariant_on_parabolic(f4_p1, c2)

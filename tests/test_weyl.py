@@ -473,7 +473,7 @@ def test_binary_cache_roundtrip(tmp_path):
         table = enumerate_cosets(lt, K)
         path = tmp_path / f"{lt}.json"
         table.save_binary(path)
-        loaded = CosetTable.load_binary(path)
+        loaded = CosetTable.load_binary(path, lt, K)
         assert loaded == table
         assert loaded.complete == table.complete
         for r, i, w in table:
@@ -502,11 +502,22 @@ def test_recorded_tree_matches_words(lt, K, tmp_path):
     table = enumerate_cosets(lt, K)
     words = [[w.minimized_word() for w in level] for level in table.levels]
     path = tmp_path / "table.json"
-    tables = [table]
+    table.save_binary(path)
+    tables = [table, CosetTable.load_binary(path, lt, K)]
+    simple = WeylElement.identity(lt).inv_root_rows
+    exits = {simple[j - 1] for j in range(1, lt.rank + 1) if j not in K}
     for max_length in (None, 0, 1, 5):
         part = enumerate_cosets(lt, K, max_length=max_length)
-        part.save_binary(path)
-        tables += [part, CosetTable.load_binary(path)]
+        tables.append(part)
+        if part.complete:
+            # Poincare duality, and one top class w_0^P, which no letter
+            # lengthens within W^P (each row is negative or a simple root
+            # alpha_j, j not in K)
+            assert part.betti == part.betti[::-1]
+            (top,) = part.keys[part.lmax]
+            assert all(row < 0 or row in exits for row in top)
+        else:
+            assert part.lmax == max_length
     middle_first = TREE_TABLES.index((lt, K)) % 2 == 0
     for k, t in enumerate(tables):
         if middle_first and k:
@@ -546,7 +557,7 @@ def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
     table = enumerate_cosets(E6, range(1, 7))
     path = tmp_path / "table.json"
     table.save_binary(path)
-    loaded = CosetTable.load_binary(path)
+    loaded = CosetTable.load_binary(path, E6, range(1, 7))
     assert loaded == table
     assert cli_listing(loaded) == cli_listing(table)
     assert loaded.total == table.total == 51840
@@ -631,7 +642,7 @@ def test_binary_cache_rejects_pickle(tmp_path):
     # unpickling this payload would create `marker`
     path.write_bytes(pickle.dumps(_OpenOnUnpickle(str(marker))))
     with pytest.raises(ValueError, match="corrupt coset-table cache"):
-        CosetTable.load_binary(path)
+        CosetTable.load_binary(path, A2, {1})
     assert not marker.exists()
 
 
@@ -645,7 +656,7 @@ def test_json_export_stable(tmp_path):
         "lie_type": "A3", "K": [2], "complete": True, "max_length": None,
         "tree": [[2, 1], [1, 1, 3, 1], [1, 2], [2, 1]],
     }
-    loaded = CosetTable.load_binary(p1)
+    loaded = CosetTable.load_binary(p1, A3, {2})
     assert json.loads(cli_listing(loaded)) == listing_obj(table)
     # re-exporting the loaded table is byte-identical
     loaded.save_binary(p2)
@@ -653,24 +664,34 @@ def test_json_export_stable(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "complete, max_length, ok",
+    "complete, max_length, consistent",
     [(True, None, True), (True, 3, True), (False, 2, True), (True, 2, False),
      (True, -4, False), (False, None, False), (False, 0, False), (False, 3, False)],
 )
-def test_load_checks_truncation_marks(tmp_path, complete, max_length, ok):
-    # A2/P1 has levels 0..2; enumerate_cosets marks a table truncated exactly
-    # when it stopped at level max_length
-    path = tmp_path / "a2.json"
-    path.write_text(json.dumps({
+def test_load_checks_truncation_marks(tmp_path, monkeypatch, complete, max_length, consistent):
+    # A2/P1 has levels 0..2; `consistent` marks the headers enumerate_cosets
+    # gives them (it marks a table truncated exactly when it stopped at level
+    # max_length).  Only full enumerations are cached, so every header but
+    # complete: true, max_length: null is rejected before anything is
+    # enumerated, consistent or not.
+    obj = {
         "lie_type": "A2", "K": [1], "complete": complete, "max_length": max_length,
         "tree": [[1, 1], [2, 1]],
-    }))
-    if ok:
-        table = CosetTable.load_binary(path)
-        assert (table.complete, table.max_length, table.lmax) == (complete, max_length, 2)
+    }
+    if consistent:
+        table = enumerate_cosets(A2, {1}, max_length=max_length)
+        assert (table.complete, table.max_length, table.tree) == (complete, max_length, obj["tree"])
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(obj))
+    if (complete, max_length) == (True, None):
+        assert CosetTable.load_binary(path, A2, {1}) == enumerate_cosets(A2, {1})
     else:
-        with pytest.raises(ValueError, match="disagree with the 3 levels"):
-            CosetTable.load_binary(path)
+        def no_grading(*args):
+            raise AssertionError("enumerated for a truncated header")
+
+        monkeypatch.setattr("schubert.weyl._grade", no_grading)
+        with pytest.raises(ValueError, match="header is not complete: true, max_length: null"):
+            CosetTable.load_binary(path, A2, {1})
 
 
 # The tables of the round-trip property, each with the bytes of its file
@@ -694,18 +715,18 @@ def _int_slots(obj):
     return slots
 
 
-def _load_bytes(raw):
+def _load_bytes(raw, k):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.json"
         path.write_bytes(raw)
-        return CosetTable.load_binary(path)
+        return CosetTable.load_binary(path, *ROUND_TRIP_TABLES[k])
 
 
 @given(k=st.integers(0, len(ROUND_TRIP_TABLES) - 1), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_cache_round_trip_and_single_int_changes(k, data):
     table, raw = _saved(k)
-    loaded = _load_bytes(raw)
+    loaded = _load_bytes(raw, k)
     assert [[(w.word, w.inv_root_rows) for w in level] for level in loaded.levels] == [
         [(w.word, w.inv_root_rows) for w in level] for level in table.levels
     ]
@@ -713,7 +734,7 @@ def test_cache_round_trip_and_single_int_changes(k, data):
     container, at = data.draw(st.sampled_from(_int_slots(obj)))
     container[at] = data.draw(st.integers(-2, 2 * len(max(table.levels, key=len)) + 2))
     try:
-        changed = _load_bytes(json.dumps(obj).encode())
+        changed = _load_bytes(json.dumps(obj).encode(), k)
     except ValueError:
         return
     # a change that loads names the same table
