@@ -49,7 +49,7 @@ def build():
     invariants = weyl_orbit_invariants(lie_type, {1}, SEED)
     fiber_ring = PolyRing(("w2", "w3", "w4"), (1, 1, 1))
     fiber = Presentation(
-        tuple(Generator(f"w{i}", 2, (i,)) for i in (2, 3, 4)),
+        tuple(Generator(f"w{i}", (i,)) for i in (2, 3, 4)),
         tuple(invariants[r - 1].substitute({"w1": 0}, fiber_ring)
               for r in FIBER_DEGREES),
     )

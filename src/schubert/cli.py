@@ -118,7 +118,11 @@ def parse_node_list(text: str, rank: int) -> tuple[int, ...]:
 
 
 def parse_class_token(table: CosetTable, token: str) -> SchubertClass:
-    """Resolve "3,2,1" / "4.2" / "w3" against the table (domain errors)."""
+    """Resolve "3,2,1" / "4.2" / "w3" against the table (domain errors).
+
+    A word resolves through ``CosetTable.class_of_word``; its ValueError or
+    KeyError becomes a ValueError prefixed with the token.
+    """
     tok = token.strip()
     m = _SHORT_TOKEN.match(tok)
     if m:
@@ -133,19 +137,10 @@ def parse_class_token(table: CosetTable, token: str) -> SchubertClass:
         raise CliParseError(
             f"cannot parse class {token!r} (use a word '3,2,1', a pair '4.2', or 'wN')"
         )
-    rank = table.lie_type.rank
-    bad = [a for a in word if not 1 <= a <= rank]
-    if bad:
-        raise ValueError(f"{token!r}: letter {bad[0]} outside 1..{rank}")
     try:
-        r, i = table.class_of_word(word)
-    except KeyError:
-        raise ValueError(
-            f"{token!r}: word {list(word)} is not a minimal representative of the table"
-        ) from None
-    if len(word) != r:
-        raise ValueError(f"{token!r}: word {list(word)} is not reduced")
-    return SchubertClass(r, i)
+        return SchubertClass(*table.class_of_word(word))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{token!r}: {exc.args[0]}") from None
 
 
 def _cache_path(cache_dir: Path, lie_type: LieType, K) -> Path:

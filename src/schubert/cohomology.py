@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .cartan import LieType, reflect_weight
-from .characteristics import SchubertClass, expand_class_monomial, multiply_vec_by_class
+from .characteristics import SchubertClass, multiply_vec_by_class
 from .intlinalg import (
     AbelianGroupStructure,
     SparseIntLattice,
@@ -67,50 +67,48 @@ def _name_sort_key(name: str, half_degree: int):
 class Generator:
     """A named polynomial generator backed by a Schubert class.
 
-    `degree` is the cohomological (even) degree; `word` is a reduced word
-    of the indexing Weyl element, so the class can be resolved in any
-    coset table containing it.
+    `word` is a reduced word of the indexing Weyl element, so the class can
+    be resolved in any coset table containing it.  The cohomological degree
+    `degree` is twice its length, `half_degree` its length.
     """
 
     name: str
-    degree: int
     word: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.degree != 2 * len(self.word):
-            raise ValueError(
-                f"generator {self.name}: degree {self.degree} does not match "
-                f"word length {len(self.word)}"
-            )
+    @property
+    def degree(self) -> int:
+        return 2 * len(self.word)
 
     @property
     def half_degree(self) -> int:
-        return self.degree // 2
+        return len(self.word)
+
+
+def _ring_of(generators) -> PolyRing:
+    return PolyRing(tuple(g.name for g in generators), tuple(g.half_degree for g in generators))
 
 
 class GeneratorSet:
     """An ordered set of generators bound to classes of one coset table.
 
-    Each monomial it expands is memoized read-only on the set, not on the
-    table, so the memo goes with the set.
+    Each word resolves through ``CosetTable.class_of_word``; a word that is
+    not reduced or names no class of the table raises ValueError naming the
+    generator, and repeated names raise in ``PolyRing``.  Each monomial it
+    expands is memoized read-only on the set, not on the table, so the memo
+    goes with the set.
     """
 
     def __init__(self, table: CosetTable, generators):
         self.table = table
         gens = sorted(generators, key=lambda g: _name_sort_key(g.name, g.half_degree))
         self.generators = tuple(gens)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
-        self.ring = PolyRing(tuple(names), tuple(g.half_degree for g in gens))
+        self.ring = _ring_of(gens)
         self._classes = {}
         for g in gens:
             try:
                 self._classes[g.name] = SchubertClass(*table.class_of_word(g.word))
-            except KeyError:
-                raise ValueError(
-                    f"generator {g.name}: word {g.word} is not a class of the table"
-                ) from None
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"generator {g.name}: {exc.args[0]}") from None
         self._products = {(0,) * len(gens): MappingProxyType({(0, 1): 1})}
 
     def expand_exponents(self, exponents):
@@ -218,7 +216,7 @@ def minimal_generators(table: CosetTable, up_to=None) -> GeneratorSet:
             while name in taken:
                 name += "x"
             taken.add(name)
-            chosen.append(Generator(name, 2 * m, word))
+            chosen.append(Generator(name, word))
         probe = GeneratorSet(table, chosen)
     return probe
 
@@ -290,10 +288,7 @@ class Presentation:
 
     @property
     def ring(self) -> PolyRing:
-        return PolyRing(
-            tuple(g.name for g in self.generators),
-            tuple(g.half_degree for g in self.generators),
-        )
+        return _ring_of(self.generators)
 
     def relation_degrees(self) -> tuple[int, ...]:
         return tuple(r.degree() for r in self.relations)
@@ -488,11 +483,12 @@ def weight_polynomial(ring: PolyRing, vec) -> IntPolynomial:
     return IntPolynomial(ring, terms)
 
 
-def weight_orbit(lie_type: LieType, K, seed: int, limit: int = ORBIT_LIMIT):
+def weight_orbit(lie_type: LieType, K, seed: int):
     """Orbit of a fundamental weight under the reflections outside K.
 
     Breadth-first closure; within a level the reflections are applied in
-    ascending index, so the output order is deterministic.
+    ascending index, so the output order is deterministic.  An orbit of
+    more than ``ORBIT_LIMIT`` weights (read at call time) raises ValueError.
     """
     n = lie_type.rank
     if not 1 <= seed <= n:
@@ -511,8 +507,8 @@ def weight_orbit(lie_type: LieType, K, seed: int, limit: int = ORBIT_LIMIT):
                     seen.add(w)
                     orbit.append(w)
                     fresh.append(w)
-            if len(orbit) > limit:
-                raise ValueError(f"orbit size exceeds limit {limit}")
+            if len(orbit) > ORBIT_LIMIT:
+                raise ValueError(f"orbit size exceeds limit {ORBIT_LIMIT}")
         frontier = fresh
     return orbit
 
@@ -528,9 +524,9 @@ def elementary_symmetric(ring: PolyRing, forms):
     return es[1:]
 
 
-def weyl_orbit_invariants(lie_type: LieType, K, seed: int, limit: int = ORBIT_LIMIT):
+def weyl_orbit_invariants(lie_type: LieType, K, seed: int):
     """e_r of the weight orbit, r = 1..orbit size, in the weight ring."""
-    orbit = weight_orbit(lie_type, K, seed, limit)
+    orbit = weight_orbit(lie_type, K, seed)
     return elementary_symmetric(weight_ring(lie_type.rank), orbit)
 
 
@@ -540,43 +536,30 @@ def weyl_orbit_invariants(lie_type: LieType, K, seed: int, limit: int = ORBIT_LI
 def expand_polynomial(table: CosetTable, poly: IntPolynomial, words) -> dict:
     """Schubert expansion {(r, i): coeff} of a polynomial in named classes.
 
-    `words` maps each variable name to a reduced word resolving a class of
-    the table, of length the variable's degree in ``poly.ring``.  A variable
-    without a word, or with a word of no class or of another length, raises
-    ValueError.
+    `words` maps each variable that occurs to a word of length its degree in
+    ``poly.ring``; a variable without a word, or with a word of another
+    length, raises ValueError.  The words are bound as a `GeneratorSet`,
+    which raises ValueError for a word that is not reduced or names no
+    class of the table.
     """
     ring = poly.ring
-    classes = {}
+    used = []
     for k, name in enumerate(ring.names):
         if not any(e[k] for e in poly.terms):
             continue
         if name not in words:
             raise ValueError(f"variable {name} has no word")
         word = tuple(words[name])
-        try:
-            r, i = table.class_of_word(word)
-        except KeyError:
-            raise ValueError(
-                f"variable {name}: no class for word {list(word)} in the table"
-            ) from None
-        if not len(word) == r == ring.degrees[k]:
+        if len(word) != ring.degrees[k]:
             raise ValueError(f"variable {name} of degree {ring.degrees[k]}: "
-                             f"word {list(word)} is not a reduced word of that length")
-        classes[name] = (r, i)
+                             f"word {list(word)} has length {len(word)}")
+        used.append(Generator(name, word))
+    gens = GeneratorSet(table, used)
     out = {}
-    for exps, coeff in poly.terms.items():
-        mono = []
-        for name, e in zip(poly.ring.names, exps):
-            if e:
-                mono.extend([classes[name]] * e)
-        vec = expand_class_monomial(table, mono)
-        for key, c in vec.items():
-            s = out.get(key, 0) + coeff * c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+    for exps, coeff in poly.rename_into(gens.ring).terms.items():
+        for key, c in gens.expand_exponents(exps).items():
+            out[key] = out.get(key, 0) + coeff * c
+    return {key: c for key, c in out.items() if c}
 
 
 def restrict_to_parabolic(full_table: CosetTable, sub_table: CosetTable, vec) -> dict:
@@ -663,9 +646,7 @@ def assemble_full_flag(fiber: Presentation, base: Presentation, glue) -> Present
     if len(set(names)) != len(names):
         raise ValueError("fiber and base generator names overlap")
     generators.sort(key=lambda g: _name_sort_key(g.name, g.half_degree))
-    ring = PolyRing(
-        tuple(g.name for g in generators), tuple(g.half_degree for g in generators)
-    )
+    ring = _ring_of(generators)
     base_names = {g.name for g in base.generators}
     kill_base = {name: 0 for name in base_names}
     fiber_pending = [h.rename_into(ring) for h in fiber.relations]
@@ -701,9 +682,7 @@ def assemble_full_flag(fiber: Presentation, base: Presentation, glue) -> Present
         rel, name, coeff = hit
         solved = (rel - coeff * ring.variable(name)) * (-coeff)
         generators = [g for g in generators if g.name != name]
-        ring = PolyRing(
-            tuple(g.name for g in generators), tuple(g.half_degree for g in generators)
-        )
+        ring = _ring_of(generators)
         mapping = {name: solved.rename_into(ring)}
         relations = [
             r.substitute(mapping, ring) for r in relations if r is not rel

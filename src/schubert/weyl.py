@@ -318,8 +318,8 @@ class CosetTable:
     None; it cannot be saved or listed.
 
     The sizes, the index from a class's key to (r, i) (one dict per level,
-    built on the first lookup in that level; ``index_of`` looks on the
-    level of the element's length), equality, saving and the CLI listing
+    built on the first lookup in that level; ``class_of_word`` looks on the
+    level of the word's length), equality, saving and the CLI listing
     read only ``keys`` and ``tree``.  The ``WeylElement``s of a level are
     built by ``level`` the first time that level is read, after the levels
     below it, and kept, each with its word from the tree (see the module
@@ -396,13 +396,6 @@ class CosetTable:
         built = self._levels
         return (built[r] if r < len(built) else self.level(r))[i - 1]
 
-    def index_of(self, w: WeylElement) -> tuple[int, int]:
-        # the class of w can only lie on the level of its length
-        found = self.index_of_inv_root_rows(w.inv_root_rows, len(w.word))
-        if found is None:
-            raise KeyError(f"{w!r} is not a representative in this table")
-        return found
-
     def index_of_inv_root_rows(self, rows, r: int):
         """(r, i) of the class of level r whose key is `rows`, or None."""
         if not 0 <= r < len(self.keys):
@@ -411,7 +404,19 @@ class CosetTable:
         return None if i is None else (r, i)
 
     def class_of_word(self, word) -> tuple[int, int]:
-        return self.index_of(WeylElement.from_word(self.lie_type, word))
+        """(r, i) of the class whose element has this reduced word; r = len(word).
+
+        Raises ValueError for a letter outside 1..n or a word that is not
+        reduced, and KeyError for a reduced word of no class of the table.
+        """
+        word = tuple(word)
+        w = WeylElement.from_word(self.lie_type, word)
+        if len(w.word) != len(word):
+            raise ValueError(f"word {list(word)} is not reduced")
+        found = self.index_of_inv_root_rows(w.inv_root_rows, len(word))
+        if found is None:
+            raise KeyError(f"word {list(word)} is not a minimal representative of the table")
+        return found
 
     def __iter__(self):
         for r, level in enumerate(self.levels):

@@ -5,7 +5,17 @@ with its own echelon sweep over list vectors, stays here so the sparse one
 can be compared against it.
 """
 
-from schubert.intlinalg import _xgcd
+
+def _xgcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0, by recursive Euclid.
+
+    Kept apart from the package's iterative version, so a fault there is
+    not shared by this oracle.
+    """
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, x, y = _xgcd(b, a % b)
+    return g, y, x - (a // b) * y
 
 
 class IntLattice:

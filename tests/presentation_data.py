@@ -16,9 +16,7 @@ from schubert.cohomology import Generator, GeneratorSet
 def generator_set(table, named_words):
     """A GeneratorSet from {name: word} or an iterable of (name, word) pairs."""
     pairs = named_words.items() if isinstance(named_words, dict) else named_words
-    return GeneratorSet(
-        table, [Generator(name, 2 * len(word), tuple(word)) for name, word in pairs]
-    )
+    return GeneratorSet(table, [Generator(name, tuple(word)) for name, word in pairs])
 
 
 # Generator words on the parabolic quotient (and their pullbacks on G/T).

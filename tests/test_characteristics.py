@@ -642,10 +642,9 @@ def _drop_one_classes(table, letters):
         u = WeylElement.from_word(table.lie_type, letters[:p] + letters[p + 1:])
         if len(u.word) != len(letters) - 1:
             continue
-        try:
-            out[p] = table.index_of(u)
-        except KeyError:
-            pass
+        found = table.index_of_inv_root_rows(u.inv_root_rows, len(letters) - 1)
+        if found is not None:
+            out[p] = found
     return out
 
 

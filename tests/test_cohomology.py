@@ -17,6 +17,7 @@ from classical_forms import (
     spin_relations_reduced,
     symplectic_forms,
 )
+from schubert import cohomology
 from schubert.cartan import LieType
 from schubert.cli import main
 from schubert.cohomology import (
@@ -61,19 +62,25 @@ def e6_gens(e6_p2):
 # -- generator sets ---------------------------------------------------------
 
 
-def test_generator_degree_must_match_word():
-    with pytest.raises(ValueError, match="does not match"):
-        Generator("y3", 4, (3, 2, 1))
-
-
 def test_generator_set_rejects_duplicates(f4_p1):
     with pytest.raises(ValueError, match="duplicate"):
         data.generator_set(f4_p1, [("w1", (1,)), ("w1", (1,))])
 
 
 def test_generator_set_rejects_foreign_word(f4_p1):
-    with pytest.raises(ValueError, match="not a class"):
-        data.generator_set(f4_p1, [("w2", (2,))])  # not a minimal rep
+    with pytest.raises(ValueError, match=r"^generator w2: word \[2\] is not a minimal rep"):
+        data.generator_set(f4_p1, [("w2", (2,))])
+
+
+def test_generator_set_rejects_a_word_that_is_not_reduced():
+    # (1, 1) is a word of the identity: bound to the class (0, 1), it made
+    # minimal_relations return the relation y2 = 0
+    table = enumerate_cosets(A2, {1, 2})
+    with pytest.raises(ValueError, match=r"^generator y2: word \[1, 1\] is not reduced$"):
+        data.generator_set(table, [("w1", (1,)), ("w2", (2,)), ("y2", (1, 1))])
+    gens = data.generator_set(table, [("w1", (1,)), ("w2", (2,)), ("y2", (1, 2))])
+    relations = [str(r) for r in minimal_relations(table, gens, 3).relations]
+    assert relations == ["w1^2 - w1*w2 + w2^2", "y2 + w1^2 - w1*w2", "w2*y2"]
 
 
 def test_generator_set_orders_by_degree(f4_p1):
@@ -491,9 +498,10 @@ def test_weight_orbit_e6_verbatim():
     assert weight_orbit(E6, {2}, 6) == data.E6_ORBIT
 
 
-def test_weight_orbit_limit_guard():
-    with pytest.raises(ValueError, match="limit"):
-        weight_orbit(F4, {1}, 4, limit=3)
+def test_weight_orbit_limit_guard(monkeypatch):
+    monkeypatch.setattr(cohomology, "ORBIT_LIMIT", 3)
+    with pytest.raises(ValueError, match="limit 3"):
+        weight_orbit(F4, {1}, 4)
 
 
 def test_elementary_symmetric_small():
@@ -532,8 +540,9 @@ def test_orbit_restriction_is_special_unitary():
 
 def test_expand_polynomial_unknown_word(f4_p1, f4_gens):
     poly = parse_polynomial(f4_gens.ring, "y3")
-    with pytest.raises(ValueError, match="no class"):
-        expand_polynomial(f4_p1, poly, {"y3": (2,)})
+    # reduced and of length 3, but it ends in 3, not in the parabolic node 1
+    with pytest.raises(ValueError, match=r"^generator y3: word \[1, 2, 3\] is not a minimal rep"):
+        expand_polynomial(f4_p1, poly, {"y3": (1, 2, 3)})
 
 
 def test_expand_polynomial_names_a_variable_without_a_word(f4_p1, f4_gens):
@@ -548,11 +557,11 @@ def test_expand_polynomial_rejects_a_word_of_another_degree():
     ring = PolyRing(("w1", "w2"), (1, 1))
     poly = parse_polynomial(ring, "w1 + w2")
     assert expand_polynomial(table, poly, {"w1": (1,), "w2": (2,)}) == {(1, 1): 1, (1, 2): 1}
-    with pytest.raises(ValueError, match=r"variable w2 of degree 1: word \[2, 1\] is not"):
+    with pytest.raises(ValueError, match=r"^variable w2 of degree 1: word \[2, 1\] has length 2$"):
         expand_polynomial(table, poly, {"w1": (1,), "w2": (2, 1)})
     # a word of the variable's length that is not reduced
     y = parse_polynomial(PolyRing(("y",), (2,)), "y")
-    with pytest.raises(ValueError, match=r"variable y of degree 2: word \[1, 1\] is not"):
+    with pytest.raises(ValueError, match=r"^generator y: word \[1, 1\] is not reduced$"):
         expand_polynomial(table, y, {"y": (1, 1)})
 
 
@@ -572,10 +581,10 @@ def _f4_assembly_inputs():
         invariants[r - 1].substitute({"w1": 0}, fiber_ring) for r in (2, 4, 6)
     )
     fiber = Presentation(
-        tuple(Generator(f"w{i}", 2, (i,)) for i in (2, 3, 4)), fiber_rels
+        tuple(Generator(f"w{i}", (i,)) for i in (2, 3, 4)), fiber_rels
     )
     base_gens = tuple(
-        Generator(name, 2 * len(word), word) for name, word in sorted(data.F4_WORDS.items())
+        Generator(name, word) for name, word in sorted(data.F4_WORDS.items())
     )
     base_ring = PolyRing(
         tuple(g.name for g in base_gens), tuple(g.half_degree for g in base_gens)

@@ -448,14 +448,25 @@ def test_max_length_truncation():
 def test_table_lookup_roundtrip():
     table = enumerate_cosets(F4, {1})
     for r, i, w in table:
-        assert table.index_of(w) == (r, i)
+        assert table.class_of_word(w.word) == (r, i)
         assert table.element(r, i) is w
     assert table.class_of_word((3, 2, 1)) == (3, 1)
     with pytest.raises(KeyError):
         table.element(0, 2)
     with pytest.raises(KeyError):
         # sigma_2 is not a minimal representative for K={1}
-        table.index_of(WeylElement.from_word(F4, (2,)))
+        table.class_of_word((2,))
+
+
+def test_class_of_word_checks_the_word():
+    table = enumerate_cosets(F4, {1})
+    with pytest.raises(ValueError, match=r"^word \[1, 1\] is not reduced$"):
+        table.class_of_word((1, 1))
+    # reduced, but it ends in 2, not in the parabolic node 1
+    with pytest.raises(KeyError, match=r"word \[1, 2\] is not a minimal representative"):
+        table.class_of_word((1, 2))
+    with pytest.raises(ValueError, match=r"^word \[5\] has a letter outside 1..4$"):
+        table.class_of_word((5,))
 
 
 def test_invalid_k_rejected():
@@ -621,7 +632,7 @@ def test_index_is_built_on_first_lookup():
     assert cli_listing(table)
     assert table._index == {}
     w = table.element(7, 3)
-    assert table.index_of(w) == (7, 3)
+    assert table.class_of_word(w.word) == (7, 3)
     assert list(table._index) == [7]
     assert len(table._index[7]) == table.beta(7)
 
