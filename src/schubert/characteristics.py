@@ -76,9 +76,6 @@ class SchubertExpansion:
     def items(self):
         return sorted(self.coeffs.items())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __str__(self):
         if not self.coeffs:
             return "0"

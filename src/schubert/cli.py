@@ -10,7 +10,8 @@ out (a ``MemoryError``: one line on stderr, nothing on stdout).
 Coset tables are cached under --cache-dir; without the flag nothing is
 persisted, so the arguments alone decide a run.  A cache file holds the
 lex-least-word tree of a full enumeration (see ``CosetTable.save_binary``).
-A warm run checks it against one fresh enumeration, held to --max-elements
+A warm run enumerates once, held to --max-elements, and accepts the file
+only if it is byte for byte what a cold run writes
 (``CosetTable.load_binary``); any other file is a domain error.  All output
 is deterministic for fixed inputs, so repeated runs (cached or not) emit
 byte-identical JSON.  JSON output is ``json.dumps(result, indent=1,
@@ -120,27 +121,26 @@ def parse_node_list(text: str, rank: int) -> tuple[int, ...]:
 def parse_class_token(table: CosetTable, token: str) -> SchubertClass:
     """Resolve "3,2,1" / "4.2" / "w3" against the table (domain errors).
 
-    A word resolves through ``CosetTable.class_of_word``; its ValueError or
-    KeyError becomes a ValueError prefixed with the token.
+    A pair resolves through ``CosetTable.element`` and a word through
+    ``CosetTable.class_of_word``; their ValueError or KeyError becomes a
+    ValueError prefixed with the token.
     """
     tok = token.strip()
-    m = _SHORT_TOKEN.match(tok)
-    if m:
-        word = (int(m.group(1)),)
-    elif _PAIR_TOKEN.match(tok):
-        r, i = (int(g) for g in _PAIR_TOKEN.match(tok).groups())
-        table.element(r, i)  # raises KeyError when absent
-        return SchubertClass(r, i)
-    elif _WORD_TOKEN.match(tok):
-        word = tuple(int(p) for p in tok.split(","))
-    else:
-        raise CliParseError(
-            f"cannot parse class {token!r} (use a word '3,2,1', a pair '4.2', or 'wN')"
-        )
+    short, pair = _SHORT_TOKEN.match(tok), _PAIR_TOKEN.match(tok)
     try:
-        return SchubertClass(*table.class_of_word(word))
+        if short:
+            return SchubertClass(*table.class_of_word((int(short.group(1)),)))
+        if pair:
+            r, i = (int(g) for g in pair.groups())
+            table.element(r, i)  # raises KeyError when absent
+            return SchubertClass(r, i)
+        if _WORD_TOKEN.match(tok):
+            return SchubertClass(*table.class_of_word(int(p) for p in tok.split(",")))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{token!r}: {exc.args[0]}") from None
+    raise CliParseError(
+        f"cannot parse class {token!r} (use a word '3,2,1', a pair '4.2', or 'wN')"
+    )
 
 
 def _cache_path(cache_dir: Path, lie_type: LieType, K) -> Path:

@@ -131,9 +131,6 @@ class GeneratorSet:
             self._products[exponents] = vec
         return vec
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.generators)
-
     def __iter__(self):
         return iter(self.generators)
 

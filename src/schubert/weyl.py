@@ -43,11 +43,11 @@ increasing order.  ``enumerate_cosets`` records each pair as its step
 succeeds, and the table keeps them as ``tree`` beside each level's list of
 packed keys.  That is all a cache file stores: ``save_binary`` writes
 ``tree`` as it is, and ``CosetTable.load_binary`` enumerates the table once
-and accepts the file only if it is what ``save_binary`` writes for it.  The
-CLI listing builds each word's text from the tree too.  The index from a
-class's key to its place i on level r is built one level at a time, on the
-first lookup in that level, so a table that is only listed or saved never
-builds one, and a product of degree r builds those of the levels it reads.
+and accepts the file only if its bytes are exactly those.  The CLI listing
+builds each word's text from the tree too.  The index from a class's key to
+its place i on level r is built one level at a time, on the first lookup in
+that level, so a table that is only listed or saved never builds one, and a
+product of degree r builds those of the levels it reads.
 
 The step takes keys to keys: it makes no ``WeylElement`` and no word.  A
 table makes the elements of a level the first time that level is read,
@@ -314,8 +314,8 @@ class CosetTable:
     ``tree`` is the lex-least-word tree that the enumeration recorded:
     ``tree[r-1]`` is level r >= 1 as one flat list ``[a1, p1, a2, p2, ...]``,
     where class (r, i) is sigma_a times class (r-1, p), p 1-based.
-    ``save_binary`` writes it as it is.  A table built by hand may pass
-    None; it cannot be saved or listed.
+    The cache file is its compact JSON beside the header (``_file_bytes``).
+    A table built by hand may pass None; it cannot be saved or listed.
 
     The sizes, the index from a class's key to (r, i) (one dict per level,
     built on the first lookup in that level; ``class_of_word`` looks on the
@@ -435,16 +435,8 @@ class CosetTable:
 
     # -- serialization ---------------------------------------------------
 
-    # The names keep "binary" because the benchmark's tracer wraps these two
-    # methods by name and reads the path from their second argument.
-    def save_binary(self, path):
-        """Write this table's lex-least-word tree, compactly and atomically.
-
-        The file holds ``self.tree`` as it is (see the class docstring);
-        ``load_binary`` accepts a file only if it holds what this writes.
-        """
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    def _file_bytes(self) -> bytes:
+        """The bytes of this table's cache file: its header and ``tree``, compact JSON."""
         obj = {
             "lie_type": str(self.lie_type),
             "K": sorted(self.K),
@@ -452,50 +444,34 @@ class CosetTable:
             "max_length": self.max_length,
             "tree": self.tree,
         }
+        return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode()
+
+    # The names keep "binary" because the benchmark's tracer wraps these two
+    # methods by name and reads the path from their second argument.
+    def save_binary(self, path):
+        """Write ``_file_bytes`` atomically; ``load_binary`` accepts exactly these bytes."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(obj, separators=(",", ":"), sort_keys=True))
+            tmp.write_bytes(self._file_bytes())
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
 
     @classmethod
     def load_binary(cls, path, lie_type, K, *, max_elements=DEFAULT_MAX_ELEMENTS):
-        """The table of (lie_type, K), checked against a file ``save_binary`` wrote.
+        """The table of (lie_type, K), if `path` holds the bytes ``save_binary`` writes for it.
 
-        A header of another type or K, or of a truncated table, raises
-        ValueError before anything is enumerated.  Otherwise the table is
-        enumerated once under `max_elements` and returned if the file holds
-        what ``save_binary`` writes for it, JSON types compared strictly;
-        if not, ValueError names the first field or level that differs.
+        The file is read first, so an unreadable path fails before anything
+        is enumerated.  Then the table is enumerated once under
+        `max_elements`, as a cold run would, and returned if the file's
+        bytes are its ``_file_bytes``; any other file raises ValueError.
         """
-        K = _check_K(lie_type, K)
-
-        def corrupt(reason):
-            return ValueError(f"{path}: corrupt coset-table cache ({reason})")
-
-        try:
-            obj = json.loads(Path(path).read_bytes())
-        except (ValueError, RecursionError) as exc:
-            raise corrupt(exc) from None
-        fields = ["K", "complete", "lie_type", "max_length", "tree"]  # sorted
-        if not (isinstance(obj, dict) and sorted(obj) == fields):
-            raise corrupt(f"not a JSON object with the fields {fields}")
-        held, nodes = obj["lie_type"], obj["K"]
-        # type(j) is int, since JSON true and 1.0 compare equal to 1
-        if held != str(lie_type) or nodes != sorted(K) or any(type(j) is not int for j in nodes):
-            raise ValueError(f"cache file {path} holds {held} K={nodes}, "
-                             f"not {lie_type} K={sorted(K)}")
-        # `is`, since JSON 1 == true
-        if obj["complete"] is not True or obj["max_length"] is not None:
-            raise corrupt("header is not complete: true, max_length: null")
+        raw = Path(path).read_bytes()
         table = _grade(lie_type, K, None, max_elements)
-        tree = obj["tree"]
-        if not (isinstance(tree, list) and len(tree) == table.lmax):
-            raise corrupt(f"tree does not have {table.lmax} levels")
-        for r, (flat, level) in enumerate(zip(tree, table.tree), start=1):
-            # one C-level type check per level
-            if flat != level or set(map(type, flat)) != {int}:
-                raise corrupt(f"level {r} differs from the enumeration")
+        if raw != table._file_bytes():
+            raise ValueError(f"{path}: corrupt coset-table cache "
+                             f"(not the table of {lie_type} K={sorted(table.K)})")
         return table
 
 

@@ -328,7 +328,7 @@ def test_criterion_8_special_unitary_presentations(acceptance_record):
             lt = LieType.parse(f"A{n - 1}")
             table = enumerate_cosets(lt, range(1, n))
             gens = minimal_generators(table)
-            assert gens.degrees() == (2,) * (n - 1)
+            assert tuple(g.degree for g in gens) == (2,) * (n - 1)
             # relation degrees can exceed the top level (n=2: relation w1^2
             # in degree 2 over a 1-dimensional flag), so sweep a bit past it
             up_to = table.lmax + 2

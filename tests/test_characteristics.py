@@ -186,7 +186,7 @@ def test_pieri_on_projective_grassmannian(a3_full):
 
 def test_expansion_beyond_dimension_is_zero(f4_p1):
     top = SchubertClass(15, 1)
-    assert expand_product(f4_p1, [top, top]).is_zero()
+    assert not expand_product(f4_p1, [top, top]).coeffs
 
 
 def test_expansion_on_truncated_table_errors():
@@ -552,7 +552,7 @@ def test_monomials_leave_no_cache_entries(factors, expected):
 def test_product_sweeps_cache_only_table_data():
     table = enumerate_cosets(F4, {1})
     w1, y3 = SchubertClass(1, 1), SchubertClass(3, 1)
-    assert not expand_product(table, [w1, y3, y3, w1, w1]).is_zero()
+    assert expand_product(table, [w1, y3, y3, w1, w1]).coeffs
     gens = minimal_generators(table)
     x = gens.ring.variable
     words = {g.name: g.word for g in gens}

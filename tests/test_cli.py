@@ -112,6 +112,14 @@ def test_domain_errors_exit_2(capsys, argv):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("token", ["9.9", "0.2"])  # no level 9; level 0 holds one class
+def test_pair_of_no_class_names_the_token(capsys, token):
+    r, i = (int(g) for g in token.split("."))
+    code, out, err = run_cli(capsys, "multiply", "F4", "--K", "1", token)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"domain error: '{token}': no class ({r}, {i}) in table\n"
+
+
 @pytest.mark.parametrize("token", ["1,2,2", "1,1"])  # s1 and the identity
 def test_non_reduced_word_is_domain_error(capsys, token):
     code, out, err = run_cli(capsys, "multiply", "F4", "--K", "1", token, "w1")
@@ -191,7 +199,12 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     assert out1 == run_cli(capsys, "enumerate", "F4", "--K", "1")[1]  # and uncached
 
 
-def test_cache_content_mismatch_is_domain_error(capsys, tmp_path, monkeypatch):
+def not_the_table(path, table):
+    """The stderr line of a cache file at `path` that is not `table` ("E6 K=[1, 2]")."""
+    return f"domain error: {path}: corrupt coset-table cache (not the table of {table})\n"
+
+
+def test_cache_content_mismatch_is_domain_error(capsys, tmp_path):
     run_cli(capsys, "enumerate", "A2", "--K", "1", "--cache-dir", str(tmp_path))
     (tmp_path / "A2-K2.json").write_bytes((tmp_path / "A2-K1.json").read_bytes())
     # an E8/T header in the E6/T slot, and K=[true] in the A2/P1 slot: JSON
@@ -202,18 +215,19 @@ def test_cache_content_mismatch_is_domain_error(capsys, tmp_path, monkeypatch):
     raw = (tmp_path / "A2-K1.json").read_text()
     (tmp_path / "A2-K1.json").write_text(raw.replace('"K":[1]', '"K":[true]'))
 
-    # a header of another table is rejected before anything is enumerated
-    def no_grading(*args):
-        raise AssertionError("enumerated for a cache file of another table")
-
-    monkeypatch.setattr("schubert.weyl._grade", no_grading)
-    cases = [(["A2", "--K", "2"], "A2 K=[1]"), (["E6"], "E8 K=[1, 2, 3"),
-             (["A2", "--K", "1"], "A2 K=[True]")]
-    for argv, held in cases:
+    cases = [("A2-K2.json", ["A2", "--K", "2"], "A2 K=[2]"),
+             ("E6-K1_2_3_4_5_6.json", ["E6"], "E6 K=[1, 2, 3, 4, 5, 6]"),
+             ("A2-K1.json", ["A2", "--K", "1"], "A2 K=[1]")]
+    for name, argv, table in cases:
         code, out, err = run_cli(capsys, "enumerate", *argv, "--cache-dir", str(tmp_path))
-        assert (code, out) == (EXIT_DOMAIN, "")
-        assert "cache file" in err and f"holds {held}" in err
-        assert "Traceback" not in err
+        assert (code, out, err) == (EXIT_DOMAIN, "", not_the_table(tmp_path / name, table))
+    # the file is checked against the enumeration a cold run of the same
+    # arguments makes, so a table over --max-elements is a resource limit
+    # whatever its file holds
+    argv = ["enumerate", "E6", "--max-elements", "10"]
+    cold = run_cli(capsys, *argv)
+    assert cold[0] == EXIT_RESOURCE
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == cold
 
 
 def _b3t_without_two_leaves():
@@ -245,9 +259,9 @@ def test_cache_missing_classes_is_domain_error(capsys, tmp_path):
     (tmp_path / "B3-K1_2_3.json").write_text(_b3t_without_two_leaves())
     argv = ["multiply", "B3", "w1", "w2", "--format", "text"]
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert "corrupt coset-table cache (level 2 differs from the enumeration)" in err
-    assert "Traceback" not in err
+    assert (code, out, err) == (
+        EXIT_DOMAIN, "", not_the_table(tmp_path / "B3-K1_2_3.json", "B3 K=[1, 2, 3]")
+    )
     assert run_cli(capsys, *argv) == (EXIT_OK, "1*s[2,1] + 1*s[2,3]\n", "")
 
 
@@ -293,75 +307,66 @@ LISTING_FORMAT = (
     b'"max_length":null}'
 )
 
-# (K, change to the cache file, the reason the load gives) for A2.  Level
-# r >= 1 is a flat list of (letter, parent) pairs: K={1} is [[1,1], [2,1]]
-# for the words [1]; [2,1], and the full flag K={1,2} is [[1,1,2,1],
-# [1,2,2,1], [1,2]] for [1], [2]; [1,2], [2,1]; [1,2,1].  The load checks the
-# file against a fresh enumeration, so it names the first level that differs.
-NOT_AN_OBJECT = "not a JSON object with the fields ['K', 'complete', 'lie_type', 'max_length', 'tree']"
-NOT_FULL = "header is not complete: true, max_length: null"
-
-
-def differs(r):
-    return f"level {r} differs from the enumeration"
-
-
+# (K, change to the cache file) for A2.  Level r >= 1 is a flat list of
+# (letter, parent) pairs: K={1} is [[1,1], [2,1]] for the words [1]; [2,1],
+# and the full flag K={1,2} is [[1,1,2,1], [1,2,2,1], [1,2]] for [1], [2];
+# [1,2], [2,1]; [1,2,1].  The load accepts only the bytes a cold run writes,
+# so every case gets the one message of `not_the_table`.  `_edit` writes
+# with json.dumps' default separators, which alone change the bytes (the
+# default-separators case); in its other cases the value change is the case.
 CORRUPT_CACHES = {
-    "truncated": ("1", lambda raw: raw[: len(raw) // 2], "Expecting"),
-    "garbage": ("1", lambda raw: b"\x80\x04\x95\xff not a cache \xfe", "codec"),
-    "json-list": ("1", lambda raw: b'["A2", [1], true]', NOT_AN_OBJECT),
-    "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}', NOT_AN_OBJECT),
-    "listing-format": ("1", lambda raw: LISTING_FORMAT, NOT_AN_OBJECT),
-    "complete-not-bool": ("1", _edit(lambda obj: obj.update(complete=1)), NOT_FULL),
-    "letter-0": ("1", _set(1, 0, 0), differs(1)),
-    "letter-rank+1": ("1", _set(1, 0, 3), differs(1)),
+    "truncated": ("1", lambda raw: raw[: len(raw) // 2]),
+    "garbage": ("1", lambda raw: b"\x80\x04\x95\xff not a cache \xfe"),
+    "json-list": ("1", lambda raw: b'["A2", [1], true]'),
+    "json-missing-keys": ("1", lambda raw: b'{"lie_type": "A2", "K": [1]}'),
+    "listing-format": ("1", lambda raw: LISTING_FORMAT),
+    "complete-not-bool": ("1", _edit(lambda obj: obj.update(complete=1))),
+    "letter-0": ("1", _set(1, 0, 0)),
+    "letter-rank+1": ("1", _set(1, 0, 3)),
     # true and 1.0 compare equal to 1
-    "letter-true": ("1", _set(1, 0, True), differs(1)),
-    "parent-0": ("1", _set(2, 1, 0), differs(2)),
-    "tail-not-a-class": ("1", _set(2, 1, 2), differs(2)),  # one parent
-    "parent-float": ("1", _set(2, 1, 1.0), differs(2)),
-    "odd-length": ("1", _set_level(2, [2, 1, 2]), differs(2)),
-    "empty-level": ("1", _edit(lambda obj: obj["tree"].insert(1, [])), "does not have 2 levels"),
-    "not-reduced": ("1", _set(2, 0, 1), differs(2)),  # [1,1]
-    "not-minimal": ("1", _set(1, 0, 2), differs(1)),  # [2] is not minimal for K={1}
+    "letter-true": ("1", _set(1, 0, True)),
+    "parent-0": ("1", _set(2, 1, 0)),
+    "tail-not-a-class": ("1", _set(2, 1, 2)),  # one parent
+    "parent-float": ("1", _set(2, 1, 1.0)),
+    "odd-length": ("1", _set_level(2, [2, 1, 2])),
+    "empty-level": ("1", _edit(lambda obj: obj["tree"].insert(1, []))),
+    "not-reduced": ("1", _set(2, 0, 1)),  # [1,1]
+    "not-minimal": ("1", _set(1, 0, 2)),  # [2] is not minimal for K={1}
     # [2,1,2] is the element [1,2,1], whose lex-least word starts with 1
-    "not-minimized": ("1,2", _set_level(3, [2, 1]), differs(3)),
-    "out-of-position": ("1,2", _set_level(1, [2, 1, 1, 1]), differs(1)),
-    "duplicate-class": ("1,2", _set_level(1, [1, 1, 1, 1]), differs(1)),
+    "not-minimized": ("1,2", _set_level(3, [2, 1])),
+    "out-of-position": ("1,2", _set_level(1, [2, 1, 1, 1])),
+    "duplicate-class": ("1,2", _set_level(1, [1, 1, 1, 1])),
     # without the leaf [1,2], the level sizes 1, 2, 1, 1 end in the top class
     "not-palindromic": (
-        "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [2, 1], [1, 1]])), differs(2),
+        "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [2, 1], [1, 1]])),
     ),
-    "top-level-dropped": ("1", _edit(_drop_top_level), "does not have 2 levels"),
-    "marked-truncated": ("1", _edit(_mark_truncated), NOT_FULL),
-    "truncation-marks-disagree": ("1", _edit(_truncated_without_max_length), NOT_FULL),
+    "top-level-dropped": ("1", _edit(_drop_top_level)),
+    "marked-truncated": ("1", _edit(_mark_truncated)),
+    "truncation-marks-disagree": ("1", _edit(_truncated_without_max_length)),
     # full flag: keep [], [1], [2], [1,2]; the top class [1,2] has no tree
     # child, but sigma_2 lengthens it to [1,2,1]
-    "top-not-longest": (
-        "1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [1, 2]])),
-        "does not have 3 levels",
-    ),
+    "top-not-longest": ("1,2", _edit(lambda obj: obj.update(tree=[[1, 1, 2, 1], [1, 2]]))),
+    # the JSON value a cold run writes, in other bytes
+    "default-separators": ("1,2", _edit(lambda obj: None)),
+    "trailing-newline": ("1,2", lambda raw: raw + b"\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
 def test_corrupt_cache_is_domain_error(capsys, tmp_path, case):
-    K, corrupt, reason = CORRUPT_CACHES[case]
+    K, corrupt = CORRUPT_CACHES[case]
     argv = ["enumerate", "A2", "--K", K, "--cache-dir", str(tmp_path)]
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     (path,) = tmp_path.glob("A2-K*.json")
     path.write_bytes(corrupt(path.read_bytes()))
-    code, out, err = run_cli(capsys, *argv)
-    assert code == EXIT_DOMAIN
-    assert "domain error" in err and "corrupt coset-table cache" in err
-    assert reason in err
-    assert "Traceback" not in err
-    assert out == ""
+    table = f"A2 K=[{K.replace(',', ', ')}]"
+    assert run_cli(capsys, *argv) == (EXIT_DOMAIN, "", not_the_table(path, table))
 
 
 def test_corrupt_cache_check_survives_optimize(subprocess_env, tmp_path):
     # the pair (1, 1) of level 2 is the word [1,1], which is not reduced
-    (tmp_path / "A2-K1.json").write_text(
+    path = tmp_path / "A2-K1.json"
+    path.write_text(
         '{"K":[1],"complete":true,"lie_type":"A2","max_length":null,"tree":[[1,1],[1,1]]}'
     )
     code = (
@@ -373,9 +378,9 @@ def test_corrupt_cache_check_survives_optimize(subprocess_env, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
     )
-    assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
-    assert "corrupt coset-table cache (level 2 differs from the enumeration)" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_DOMAIN, "", not_the_table(path, "A2 K=[1]")
+    )
 
 
 def _cache_dir_is_a_file(tmp_path):

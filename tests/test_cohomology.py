@@ -132,7 +132,7 @@ def test_minimal_generators_a2_full():
 def test_minimal_generators_f4(f4_p1):
     gens = minimal_generators(f4_p1)
     assert {g.name: g.word for g in gens} == data.F4_WORDS
-    assert gens.degrees() == (2, 6, 8, 12)
+    assert tuple(g.degree for g in gens) == (2, 6, 8, 12)
 
 
 def test_minimal_generators_e6(e6_p2):
@@ -141,7 +141,7 @@ def test_minimal_generators_e6(e6_p2):
     # presentation shape must agree regardless.
     gens = minimal_generators(e6_p2)
     assert [g.name for g in gens] == ["w2", "y3", "y4", "y6"]
-    assert gens.degrees() == (2, 6, 8, 12)
+    assert tuple(g.degree for g in gens) == (2, 6, 8, 12)
     assert minimal_relations(e6_p2, gens, 12).relation_degrees() == (6, 8, 9, 12)
 
 

@@ -679,12 +679,11 @@ def test_json_export_stable(tmp_path):
     [(True, None, True), (True, 3, True), (False, 2, True), (True, 2, False),
      (True, -4, False), (False, None, False), (False, 0, False), (False, 3, False)],
 )
-def test_load_checks_truncation_marks(tmp_path, monkeypatch, complete, max_length, consistent):
+def test_load_checks_truncation_marks(tmp_path, complete, max_length, consistent):
     # A2/P1 has levels 0..2; `consistent` marks the headers enumerate_cosets
     # gives them (it marks a table truncated exactly when it stopped at level
-    # max_length).  Only full enumerations are cached, so every header but
-    # complete: true, max_length: null is rejected before anything is
-    # enumerated, consistent or not.
+    # max_length).  Only the bytes of the full table load, so every one of
+    # these headers is rejected, consistent or not; those bytes load.
     obj = {
         "lie_type": "A2", "K": [1], "complete": complete, "max_length": max_length,
         "tree": [[1, 1], [2, 1]],
@@ -694,15 +693,12 @@ def test_load_checks_truncation_marks(tmp_path, monkeypatch, complete, max_lengt
         assert (table.complete, table.max_length, table.tree) == (complete, max_length, obj["tree"])
     path = tmp_path / "a2.json"
     path.write_text(json.dumps(obj))
-    if (complete, max_length) == (True, None):
-        assert CosetTable.load_binary(path, A2, {1}) == enumerate_cosets(A2, {1})
-    else:
-        def no_grading(*args):
-            raise AssertionError("enumerated for a truncated header")
-
-        monkeypatch.setattr("schubert.weyl._grade", no_grading)
-        with pytest.raises(ValueError, match="header is not complete: true, max_length: null"):
-            CosetTable.load_binary(path, A2, {1})
+    with pytest.raises(ValueError) as exc:
+        CosetTable.load_binary(path, A2, {1})
+    assert str(exc.value) == f"{path}: corrupt coset-table cache (not the table of A2 K=[1])"
+    full = enumerate_cosets(A2, {1})
+    full.save_binary(path)
+    assert CosetTable.load_binary(path, A2, {1}) == full
 
 
 # The tables of the round-trip property, each with the bytes of its file
@@ -745,7 +741,7 @@ def test_cache_round_trip_and_single_int_changes(k, data):
     container, at = data.draw(st.sampled_from(_int_slots(obj)))
     container[at] = data.draw(st.integers(-2, 2 * len(max(table.levels, key=len)) + 2))
     try:
-        changed = _load_bytes(json.dumps(obj).encode(), k)
+        changed = _load_bytes(json.dumps(obj, separators=(",", ":"), sort_keys=True).encode(), k)
     except ValueError:
         return
     # a change that loads names the same table
