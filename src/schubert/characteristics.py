@@ -28,21 +28,25 @@ the table caches only pair products, cover data and duals, each bounded by
 the size of the table.  A factor of degree one skips the operator: by
 Chevalley's formula the coefficient of s_w in omega_l * s_u, for a class
 w = u * s_beta one level up, is the alpha_l^vee-coordinate of the coroot
-beta^vee.  The pairs (w, beta^vee) of each class u ("cover data") come
-from one walk along each target's word and are stored per source u, so a
-product by omega_l reads only the rows of the vector's own classes.  Any
-other factor goes through `expand_pair`.
+beta^vee.  The pairs (w, beta^vee) of each class u ("cover data") are
+built one level from the one below, with no word: a class w with least
+left descent a is sigma_a * v for a class v one level down, and its drops
+(the classes u with w = u * s_beta) are v itself, with beta = v^{-1}(alpha_a),
+and sigma_a times each drop of v that lands in a class, with v's beta.
+The same suffix gives the same beta, and left lengthening keeps every
+right descent, so no other drop can land in a class.  The pairs are stored
+per source u, so a product by omega_l reads only the rows of the vector's
+own classes.  Any other factor goes through `expand_pair`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache
 from types import MappingProxyType
 
 from .weyl import (
     CosetTable,
-    _identity_rows,
     opposition_involution,
     reflection_pairs,
     right_multiply_rows,
@@ -189,67 +193,116 @@ def expand_product(table: CosetTable, factors) -> SchubertExpansion:
 # Internal vectors are plain dicts {(r, i): coeff} on table classes.
 
 
+@lru_cache(maxsize=None)
+def _root_lengths(lie_type):
+    """Squared lengths of the simple roots as small ints, the shortest being 1.
+
+    C[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j), so along each bond
+    |alpha_j|^2 / |alpha_i|^2 = C[j][i] / C[i][j], and the diagram is
+    connected.  Those ratios are 1, 2, 3, 1/2 or 1/3, and one type has at
+    most two root lengths, so starting node 1 at 6 keeps every length an
+    int.
+    """
+    c = cartan_matrix(lie_type)
+    n = lie_type.rank
+    lengths = [6] + [0] * (n - 1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if c[i][j] and not lengths[j]:
+                lengths[j] = lengths[i] * c[j][i] // c[i][j]
+                todo.append(j)
+    shortest = min(lengths)
+    return tuple(x // shortest for x in lengths)
+
+
 def _cover_data(table: CosetTable, r: int):
     """Per class u of level r - 1: the pairs (k, beta^vee) with (r, k) = u * s_beta.
 
-    Rows are in increasing k.  They are filled by one walk along the word
-    (i_1..i_m) of each target w of level r: dropping position p leaves
-    u = s_{i_1}...s_{i_{p-1}} s_{i_{p+1}}...s_{i_m}, and w = u * s_beta for
-    the root beta = s_{i_m}...s_{i_{p+1}}(alpha_{i_p}).  By Chevalley's
-    formula the coefficient of s_w in omega_l * s_u is the
-    alpha_l^vee-coordinate of beta^vee.  A drop that is not a class of
-    level r - 1 is skipped; a dropped word that is not reduced can still
-    give a shorter class, as 2,2,1 gives s_1 in B3.  The walk from the
-    right end of the word carries the images of the simple roots and of
-    the simple coroots under s_{i_m}...s_{i_{p+1}}, which gives beta and
-    beta^vee.  Classes are keyed by the packed root matrix of their
-    inverse, and u^{-1} = s_beta * w^{-1}, so the key of u has rows
-    u^{-1}(alpha_k) = w^{-1}(alpha_k) - <w^{-1}(alpha_k), beta^vee> * beta,
-    formed on packed ints since the packing is linear.  Both walks carry
-    packed vectors: the images of the simple coroots are roots of the dual
-    system, whose coordinates obey the same bound.  The coroot pairings of
-    w^{-1}'s rows are read once per target from its decoded rows, and each
-    beta^vee is decoded once.
+    Rows are in increasing k.  By Chevalley's formula the coefficient of
+    s_w in omega_l * s_u is the alpha_l^vee-coordinate of beta^vee.  The
+    pairs come from the "drops" of each target w of level r: the classes u
+    of level r - 1 left by deleting one letter of w's word, each with its
+    beta.  They are built level by level, each from the drops of the level
+    below, with no word and no ``WeylElement``.  Let a be w's least left
+    descent (the first negative row of its key) and v = sigma_a * w, the
+    class of level r - 1 whose key is w's key right-multiplied by sigma_a.
+    The word of w is a followed by the word of v, so
+
+    * deleting a leaves v, with beta = v^{-1}(alpha_a), row a of v's key;
+    * deleting a later letter leaves sigma_a * u' for the drop u' of v at
+      that letter, with the same beta, since the letters right of it, which
+      give beta, are the same.  It is a drop of w exactly when sigma_a * u'
+      is a class of level r - 1.  The drops of v that the level below keeps
+      are all that can pass: left lengthening keeps every right descent, so
+      a u' that is not reduced or not in W^P never lands in level r - 1.
+
+    beta^vee = 2 beta / (beta, beta) has alpha_l^vee-coordinate
+    beta_l * |alpha_l|^2 / |alpha_a|^2, as W preserves root length; the
+    division is checked to be exact.  Each level's cache entry holds its
+    rows by source and its drops by target, which the level above reads.
+    Levels are filled upward from the highest one cached; level 1, whose
+    classes sigma_a drop only to the identity, is kept only when asked for.
     """
-    key = ("cover", r)
-    cached = table._cache.get(key)
+    cache = table._cache
+    cached = cache.get(("cover", r))
     if cached is not None:
-        return cached
+        return cached[0]
+    s = r - 1
+    while s > 0 and ("cover", s) not in cache:
+        s -= 1
+    # the identity, alone on level 0, has no drops
+    drops = cache[("cover", s)][1] if s else ((),)
+    for level in range(s + 1, r + 1):
+        entry = _cover_step(table, level, drops)
+        drops = entry[1]
+        if level > 1 or level == r:
+            cache[("cover", level)] = entry
+    return entry[0]
+
+
+def _cover_step(table: CosetTable, r: int, drops_below):
+    """The cache entry of level r from the drops by target of level r - 1."""
     lt = table.lie_type
-    c = cartan_matrix(lt)
-    pairs = reflection_pairs(lt)
     n = lt.rank
-    # s_j acts on coroot coordinates through the transposed Cartan matrix
-    copairs = tuple(
-        tuple((k, c[j][k]) for k in range(n) if c[j][k]) for j in range(n)
-    )
-    columns = tuple(zip(*c))
-    identity = _identity_rows(n)
+    pairs = reflection_pairs(lt)
+    lengths = _root_lengths(lt)
+    index = table._level_index(r - 1)
+    keys_below = table.keys[r - 2] if r > 1 else ()
+    coroots = {}
     covers = [[] for _ in range(table.beta(r - 1))]
-    for k, w in enumerate(table.level(r), start=1):
-        letters = w.word
-        inv = w.inv_root_rows
-        # row k: <w^{-1}(alpha_k), alpha_l^vee> for each l
-        pairings = []
-        for row in inv:
-            coords = unpack_root(row, n)
-            pairings.append(tuple(sum(map(mul, coords, col)) for col in columns))
-        roots = coroot_images = identity
-        for p in range(r - 1, -1, -1):
-            j0 = letters[p] - 1
-            beta = roots[j0]
-            coroot = unpack_root(coroot_images[j0], n)
-            rows = tuple(
-                row - sum(map(mul, pairing, coroot)) * beta
-                for row, pairing in zip(inv, pairings)
-            )
-            u = table.index_of_inv_root_rows(rows, r - 1)
+    drops = []
+    for k, key in enumerate(table.keys[r], start=1):
+        j = 0
+        while key[j] > 0:
+            j += 1
+        v_key = right_multiply_rows(key, j, pairs)
+        v = index[v_key]
+        beta = v_key[j]
+        coroot = coroots.get((j, beta))
+        if coroot is None:
+            coroot = coroots[j, beta] = _coroot(unpack_root(beta, n), lengths, j)
+        row = [(v, coroot)]
+        for u_below, co in drops_below[v - 1]:
+            u = index.get(right_multiply_rows(keys_below[u_below - 1], j, pairs))
             if u is not None:
-                covers[u[1] - 1].append((k, coroot))
-            roots = right_multiply_rows(roots, j0, pairs)
-            coroot_images = right_multiply_rows(coroot_images, j0, copairs)
-    table._cache[key] = covers = tuple(map(tuple, covers))
-    return covers
+                row.append((u, co))
+        drops.append(tuple(row))
+        for u, co in row:
+            covers[u - 1].append((k, co))
+    return tuple(map(tuple, covers)), tuple(drops)
+
+
+def _coroot(root, lengths, j):
+    """Simple-coroot coordinates of beta^vee for a root beta as long as alpha_{j+1}."""
+    out = []
+    for x, length in zip(root, lengths):
+        q, rem = divmod(x * length, lengths[j])
+        if rem:
+            raise ArithmeticError(f"coroot of {root} is not integral")
+        out.append(q)
+    return tuple(out)
 
 
 def _dual(table: CosetTable, r: int):

@@ -30,6 +30,7 @@ from schubert.characteristics import (
 )
 
 from along_word import characteristic_with_word, subwords_equal_to
+from cover_walk import cover_rows_by_walk
 from brute_weyl import (
     ascending_subword_solutions,
     brute_all_reduced_words,
@@ -722,6 +723,64 @@ def test_coroot_walk_matches_operator(lie, K):
             sums = _operator_sums(lt, w.word, drops)
             expected.update(((u, k), sums[p]) for p, u in drops.items())
         assert _cover_pairs(table, r) == expected, r
+
+
+# (lie type, K, max_length): the truncated E6/T stops at level 9
+WORD_WALK_TABLES = [(lie, K, None) for lie, K in COROOT_WALK_TABLES] + [
+    ("E7", (2,), None),
+    ("E8", (8,), None),
+    ("E6", (1, 2, 3, 4, 5, 6), 9),
+]
+
+
+@pytest.mark.parametrize(
+    "lie, K, max_length",
+    WORD_WALK_TABLES,
+    ids=[f"{lie}-K{''.join(map(str, K))}" for lie, K, _ in WORD_WALK_TABLES],
+)
+def test_cover_data_matches_the_word_walk(lie, K, max_length):
+    # the rows built level by level equal the walk along each target's
+    # word, tuple for tuple: order, targets and coroots
+    table = enumerate_cosets(LieType.parse(lie), set(K), max_length=max_length)
+    for r in range(1, table.lmax + 1):
+        assert _cover_data(table, r) == cover_rows_by_walk(table, r), r
+
+
+def test_cover_data_builds_no_elements():
+    table = enumerate_cosets(LieType.parse("E7"), {2})
+    top = _cover_data(table, table.lmax)
+    assert table._levels == []
+    # every level below is kept on the way up except level 1
+    assert set(table._cache) == {("cover", r) for r in range(2, table.lmax + 1)}
+    assert top == cover_rows_by_walk(table, table.lmax)
+
+
+@pytest.mark.parametrize("lie, K", [("E7", (2,)), ("F4", (1, 2, 3, 4)), ("G2", (1, 2))])
+def test_cover_data_needs_no_tree(lie, K):
+    table = enumerate_cosets(LieType.parse(lie), set(K))
+    bare = CosetTable(
+        table.lie_type, table.K, table.keys, table.complete, table.max_length, tree=None
+    )
+    for r in range(1, table.lmax + 1):
+        assert _cover_data(bare, r) == _cover_data(table, r), r
+    assert bare._levels == []
+
+
+@pytest.mark.parametrize(
+    "lie, lengths",
+    [("A3", (1, 1, 1)), ("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("F4", (2, 2, 1, 1)),
+     ("G2", (1, 3)), ("E8", (1,) * 8)],
+)
+def test_root_lengths(lie, lengths):
+    assert characteristics._root_lengths(LieType.parse(lie)) == lengths
+
+
+def test_coroot_checks_the_division():
+    # beta = alpha_1 + alpha_2 in G2 is short, so beta^vee = alpha_1^vee + 3 alpha_2^vee
+    assert characteristics._coroot((1, 1), (1, 3), 0) == (1, 3)
+    # the same coordinates read as a long root would need 1/3 of alpha_1^vee
+    with pytest.raises(ArithmeticError, match="not integral"):
+        characteristics._coroot((1, 1), (1, 3), 1)
 
 
 # F4/T only for its pairs: the operator path over its 1,152 classes is slow

@@ -463,7 +463,8 @@ def test_multiply_text_output_pinned(capsys, argv, text):
 
 # sha256 of stdout, JSON and text, captured before JSON got its own writer
 # and the enumeration step its row test (E6/T: before roots were packed into
-# ints); any change to an output byte fails.
+# ints; the whole E7/P2 Gysin listing: while each level's Chevalley covers
+# were walked along every target's word); any change to an output byte fails.
 E6T_JSON_DIGEST = "1cdfe3103698cf548cff9667c689b34784ffab77f2f43cd3ba362ba0bc62635c"
 PINNED_DIGESTS = [
     (["enumerate", "E6"], E6T_JSON_DIGEST,
@@ -483,6 +484,9 @@ PINNED_DIGESTS = [
     (["gysin", "E6", "--K", "2", "--degree", "12"],
      "0e4be0ae3f555590419cfbc36cb1164e1efa29cd4753e0ac619d272943a909a6",
      "1019397afe809b05ae312289a30e1a10ba733943d28b2fb52cfde2b50268d7ce"),
+    (["gysin", "E7", "--K", "2", "--degree", "85"],
+     "d5be3c4b78845abe93ddabc8666b9c1d311e04f1204337c7438c65f93aaa1820",
+     "43679cfeff9be796891e7d04a8ed8365b5e91cab21ee5d5a761c0a16bfafef8f"),
     (["multiply", "E6", "--K", "2", "3.1", "4.2", "2.1"],
      "dcd1f9eca78f3f871cd1fe555877023a00a8b6ae07398489eddedc8655a8f572",
      "4bf0c2ea844ac46e0932b62037a967ea3a39c8a4076e8bd7e337c83abb654eda"),
