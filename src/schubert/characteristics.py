@@ -390,15 +390,17 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
             return {}
         raise ValueError(f"degree {r_target} exceeds the truncated table")
     if cls.r <= 1 or r_in == 0:  # validates membership; expand_pair checks the others
-        table.element(cls.r, cls.i)
+        table.check_class(cls.r, cls.i)
         for ukey in vec:
-            table.element(*ukey)
+            table.check_class(*ukey)
     if cls.r == 0:
         return dict(vec)
     if r_in == 0:  # c times the identity
         return {cls.key(): c for c in vec.values() if c}
     if cls.r == 1:
-        l0 = table.element(1, cls.i).word[0] - 1
+        # sigma_a's key has its first negative row at a - 1
+        key = table.keys[1][cls.i - 1]
+        l0 = next(j for j, row in enumerate(key) if row < 0)
         covers = _cover_data(table, r_target)
     out = {}
     for ukey, cu in vec.items():

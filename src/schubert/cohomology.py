@@ -39,11 +39,11 @@ from .characteristics import SchubertClass, multiply_vec_by_class
 from .intlinalg import (
     AbelianGroupStructure,
     SparseIntLattice,
+    _cokernel_of_hermite,
     _mat_mul,
     cokernel_structure,
     diagonalize_with_unit_minor,
     hermite_with_transform,
-    kernel_basis,
     smith_with_transforms,
     solve_left,
     unimodular_inverse,
@@ -441,7 +441,17 @@ class GysinTable:
 
 
 def gysin_analysis(table: CosetTable, i: int, up_to: int) -> GysinTable:
-    """Groups of G/P^s from the cup-with-omega matrices A_r on G/P."""
+    """Groups of G/P^s from the cup-with-omega matrices A_r on G/P.
+
+    Each A_r is factored once, as U * A_r = H in row Hermite form.  The odd
+    group is free on the kernel, the rows of U facing zero rows of H, as in
+    `kernel_basis`.  The even group is the cokernel of A_r, read off H,
+    which has the same row span: entries above a pivot p are reduced into
+    [0, p), so above a unit pivot they are 0, and each unit pivot with its
+    row and column splits off as Z/1.  Only the rows with a pivot other
+    than 1, on the columns that are not unit pivots, go through a Smith
+    form (see `intlinalg._cokernel_of_hermite`).
+    """
     if set(table.K) != {i}:
         raise ValueError(f"table was built for K={sorted(table.K)}, expected K={{{i}}}")
     even, odd, kernels, mats = {}, {}, {}, {}
@@ -455,8 +465,9 @@ def gysin_analysis(table: CosetTable, i: int, up_to: int) -> GysinTable:
             vec = multiply_vec_by_class(table, {(r - 1, j): 1}, omega)
             rows.append([vec.get((r, k), 0) for k in range(1, beta_cur + 1)])
         mats[r] = rows
-        even[2 * r] = cokernel_structure(rows)
-        kern = kernel_basis(rows)
+        h, u = hermite_with_transform(rows)
+        even[2 * r] = _cokernel_of_hermite(h, beta_cur)
+        kern = [list(u[k]) for k, row in enumerate(h) if not any(row)]
         odd[2 * r - 1] = AbelianGroupStructure(len(kern))
         kernels[2 * r - 1] = kern
     return GysinTable(table.lie_type, i, up_to, even, odd, kernels, mats)

@@ -15,7 +15,13 @@ Conventions:
   positive invariant factors in a divisibility chain.
 * `solve_left(M, targets)` solves x * M = t over Z for every target row t
   against one Hermite form of M.
-* `cokernel_structure(M)` describes Z^cols / (row span of M).
+* `cokernel_structure(M)` describes Z^cols / (row span of M) from the
+  Hermite form H of M (U is unimodular, so H has M's row span).  Entries
+  above a pivot p are reduced into [0, p), so above a unit pivot they are
+  0 and a unit-pivot column holds only its 1: column operations clear
+  that row, which splits off as Z/1.  Only the block of the rows with a
+  pivot other than 1, on the columns that are not unit pivots, goes
+  through a Smith form.
 * `SparseIntLattice` maintains an integer row span of sparse vectors
   incrementally (membership is divisibility-aware, so it is genuine
   lattice membership, not rational).
@@ -341,16 +347,37 @@ class AbelianGroupStructure:
         return " + ".join(parts) if parts else "0"
 
 
+def _cokernel_of_hermite(h, cols) -> AbelianGroupStructure:
+    """Structure of Z^cols modulo the row span of h, a row Hermite form.
+
+    The entries above a pivot p are reduced into [0, p) and those below it
+    are 0, so the column of a unit pivot holds only its 1 (this is
+    checked).  Column operations, which keep the cokernel, then clear the
+    rest of that row without touching any other row: each unit pivot
+    splits off a trivial summand Z/1.  The other nonzero rows are 0 in
+    every unit-pivot column, so the torsion is the invariant factors above
+    1 of their block on the remaining columns, and only that block, when
+    it is nonempty, goes through `smith_with_transforms`.  The nonzero rows
+    of an echelon form are independent, so the free rank is cols - rank.
+    """
+    rank = sum(1 for row in h if any(row))  # the nonzero rows come first
+    pivots = [next(c for c, x in enumerate(row) if x) for row in h[:rank]]
+    units = {c for row, c in zip(h, pivots) if row[c] == 1}
+    if sum(1 for row in h for c in units if row[c]) != len(units):
+        raise ArithmeticError("a unit pivot's column holds another nonzero entry")
+    rest = [c for c in range(cols) if c not in units]
+    block = [[row[c] for c in rest] for row, p in zip(h, pivots) if p not in units]
+    torsion = ()
+    if block:
+        _, d, _ = smith_with_transforms(block)
+        torsion = tuple(d[k][k] for k in range(len(block)) if d[k][k] > 1)
+    return AbelianGroupStructure(cols - rank, torsion)
+
+
 def cokernel_structure(M) -> AbelianGroupStructure:
-    """Structure of Z^cols modulo the row span of M."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return AbelianGroupStructure(cols)
-    _, d, _ = smith_with_transforms(M)
-    invariants = [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
-    torsion = tuple(x for x in invariants if x > 1)
-    return AbelianGroupStructure(cols - len(invariants), torsion)
+    """Structure of Z^cols modulo the row span of M, from its Hermite form."""
+    h, _ = hermite_with_transform(M)
+    return _cokernel_of_hermite(h, len(M[0]) if M else 0)
 
 
 @dataclass

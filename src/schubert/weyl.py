@@ -389,10 +389,14 @@ class CosetTable:
             return len(self.keys[r])
         return 0
 
-    def element(self, r: int, i: int) -> WeylElement:
+    def check_class(self, r: int, i: int) -> None:
+        """Raise KeyError unless (r, i) is a class of the table; builds no element."""
         keys = self.keys
         if not (0 <= r < len(keys) and 1 <= i <= len(keys[r])):
             raise KeyError(f"no class ({r}, {i}) in table")
+
+    def element(self, r: int, i: int) -> WeylElement:
+        self.check_class(r, i)
         built = self._levels
         return (built[r] if r < len(built) else self.level(r))[i - 1]
 

@@ -874,6 +874,7 @@ def test_gysin_adds_no_monomial_cache_entries():
         gysin_analysis(table, i, up_to)
         # the rows of A_1 are the identity times omega, which needs no cover data
         assert set(table._cache) == {("cover", r) for r in range(2, up_to + 1)}, lie
+        assert table._levels == [], lie  # nor does any row build a WeylElement
 
 
 def test_gysin_matrices_match_general_path(f4_p1):

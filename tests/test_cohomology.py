@@ -10,6 +10,7 @@ import pytest
 
 import presentation_data as data
 import smith_relations
+from smith_cokernel import smith_cokernel
 from classical_forms import (
     special_unitary_forms,
     spin_even_forms,
@@ -17,7 +18,7 @@ from classical_forms import (
     spin_relations_reduced,
     symplectic_forms,
 )
-from schubert import cohomology
+from schubert import cohomology, intlinalg
 from schubert.cartan import LieType
 from schubert.cli import main
 from schubert.cohomology import (
@@ -40,7 +41,12 @@ from schubert.cohomology import (
     weight_ring,
     weyl_orbit_invariants,
 )
-from schubert.intlinalg import AbelianGroupStructure, SparseIntLattice, determinant
+from schubert.intlinalg import (
+    AbelianGroupStructure,
+    SparseIntLattice,
+    determinant,
+    kernel_basis,
+)
 from schubert.intpoly import PolyRing, monomial_exponents, parse_polynomial
 from schubert.weyl import enumerate_cosets
 
@@ -480,6 +486,61 @@ def test_gysin_euler_consistency(f4_p1):
         odd = table.group(2 * r - 1).free_rank
         even = table.group(2 * r).free_rank
         assert odd - even == f4_p1.beta(r - 1) - f4_p1.beta(r)
+
+
+# every Gysin table the suite builds, as (type, node), plus the torsion
+# tables G2/P2, C3/P3 and D4/P2
+GYSIN_TORSION_TABLES = [("G2", 2), ("C3", 3), ("D4", 2)]
+GYSIN_TABLES = [
+    ("A2", 1), ("A2", 2), ("B3", 1), ("B3", 2), ("B3", 3), ("F4", 1), ("F4", 2),
+    ("F4", 3), ("F4", 4), ("E6", 2), ("E7", 2), *GYSIN_TORSION_TABLES,
+]
+
+
+@pytest.mark.parametrize("lie, node", GYSIN_TABLES, ids=[f"{a}/P{b}" for a, b in GYSIN_TABLES])
+def test_gysin_groups_match_smith_oracle(lie, node):
+    table = enumerate_cosets(LieType.parse(lie), {node})
+    gy = gysin_analysis(table, node, table.lmax + 1)
+    assert sorted(gy.matrices) == list(range(1, table.lmax + 2))
+    for r, rows in gy.matrices.items():
+        assert gy.even[2 * r] == smith_cokernel(rows), r
+        assert gy.odd_kernels[2 * r - 1] == kernel_basis(rows), r
+        assert gy.odd[2 * r - 1] == AbelianGroupStructure(len(gy.odd_kernels[2 * r - 1]))
+    if (lie, node) in GYSIN_TORSION_TABLES:
+        assert any(g.torsion for g in gy.even.values())
+
+
+def _count_factorisations(monkeypatch):
+    """Row counts of each Hermite and Smith form computed from here on."""
+    seen = {"hermite": [], "smith": []}
+
+    def counted(name, f):
+        def wrapper(m):
+            seen[name].append(len(m))
+            return f(m)
+
+        return wrapper
+
+    hermite = counted("hermite", intlinalg.hermite_with_transform)
+    for module in (intlinalg, cohomology):
+        monkeypatch.setattr(module, "hermite_with_transform", hermite)
+    monkeypatch.setattr(intlinalg, "smith_with_transforms", counted("smith", intlinalg.smith_with_transforms))
+    return seen
+
+
+def test_gysin_factors_each_level_once(monkeypatch):
+    # one Hermite form per level; a Smith form only for the rows whose
+    # pivot is not 1, which on E7/P2 are never more than 3
+    table = enumerate_cosets(LieType.parse("E7"), {2})
+    seen = _count_factorisations(monkeypatch)
+    gysin_analysis(table, 2, 20)
+    assert len(seen["hermite"]) == 20
+    assert len(seen["smith"]) == 13 and max(seen["smith"]) <= 3
+    for lie, node in [("A3", 2), ("B3", 3)]:  # no pivot other than 1
+        table = enumerate_cosets(LieType.parse(lie), {node})
+        seen = _count_factorisations(monkeypatch)
+        gysin_analysis(table, node, table.lmax + 1)
+        assert len(seen["hermite"]) == table.lmax + 1 and seen["smith"] == [], lie
 
 
 def test_gysin_requires_matching_table(f4_full):

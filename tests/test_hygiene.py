@@ -18,10 +18,12 @@ import schubert
 ROOT = Path(__file__).resolve().parents[1]
 
 # Exported names that nothing outside the tests uses, kept on purpose:
-# `characteristic` is README's library example, and `parse_polynomial`
-# reads back the polynomial text format of README.  Any other name that
-# only tests use lives in `tests/`, as acceptance data or an oracle.
-EXPORTED_FOR_TESTS = {"characteristic", "parse_polynomial"}
+# `characteristic` is README's library example, `parse_polynomial` reads
+# back the polynomial text format of README, and `kernel_basis` is the
+# documented left kernel, which `gysin_analysis` reads off the Hermite form
+# it already has and the benchmark's tracer wraps by name.  Any other name
+# that only tests use lives in `tests/`, as acceptance data or an oracle.
+EXPORTED_FOR_TESTS = {"characteristic", "kernel_basis", "parse_polynomial"}
 
 # Public methods of exported classes that nothing outside the tests calls.
 METHODS_FOR_TESTS = set()

@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from schubert.cohomology import minimal_generators, structure_matrix
@@ -29,6 +29,7 @@ from schubert.intlinalg import (
 
 from dense_lattice import IntLattice
 from fraction_determinant import fraction_determinant
+from smith_cokernel import smith_cokernel
 
 
 def mat_mul(A, B):
@@ -338,6 +339,71 @@ def test_cokernel_examples():
     assert cokernel_structure([[1, 0], [0, 1]]).is_trivial()
     assert cokernel_structure([[0, 0]]) == AbelianGroupStructure(2)
     assert cokernel_structure([[4], [6]]) == AbelianGroupStructure(0, (2,))
+
+
+def _unimodular(draw, n):
+    """A product of row swaps, sign flips and row additions on the n x n identity."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        elif draw(st.booleans()):
+            m[i], m[j] = m[j], m[i]
+        else:
+            k = draw(st.integers(-3, 3))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@st.composite
+def cokernel_inputs(draw):
+    """Matrices of 1..6 x 1..6, among them 1 x n, n x 1, zero rows and columns.
+
+    Half are plain entries in -6..6; the others are U * D * V with U, V
+    unimodular and D diagonal, so torsion and non-unit pivots occur.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["any", "one row", "one column"]))
+    rows, cols = (1 if shape == "one row" else rows), (1 if shape == "one column" else cols)
+    if draw(st.booleans()):
+        m = [[draw(st.integers(-6, 6)) for _ in range(cols)] for _ in range(rows)]
+    else:
+        diag = [draw(st.sampled_from([0, 1, 1, 2, 3, 4, 6, 12])) for _ in range(min(rows, cols))]
+        d = [[diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+        m = mat_mul(mat_mul(_unimodular(draw, rows), d), _unimodular(draw, cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    return [
+        [0 if r in zero_rows or c in zero_cols else x for c, x in enumerate(row)]
+        for r, row in enumerate(m)
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cokernel_inputs())
+def test_cokernel_matches_smith_of_the_whole_matrix(m):
+    assert cokernel_structure(m) == smith_cokernel(m)
+
+
+def test_cokernel_inputs_reach_torsion_and_non_unit_pivots():
+    # the drawn cases exercise the non-unit block, not only unit pivots
+    seen = {"torsion": 0, "free": 0, "unit": 0, "non-unit": 0}
+
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(cokernel_inputs())
+    def record(m):
+        h, _ = hermite_with_transform(m)
+        pivots = [next(x for x in row if x) for row in h if any(row)]
+        group = smith_cokernel(m)
+        seen["torsion"] += bool(group.torsion)
+        seen["free"] += bool(group.free_rank)
+        seen["unit"] += 1 in pivots
+        seen["non-unit"] += any(p != 1 for p in pivots)
+
+    record()
+    assert min(seen.values()) >= 20, seen
 
 
 def test_group_structure_rendering():
