@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import add
 from types import MappingProxyType
 
 from .cartan import LieType, reflect_weight
@@ -271,8 +272,10 @@ def graded_ideal_span(ring: PolyRing, relations, m: int) -> SparseIntLattice:
         d = rel.degree()
         if d is None or d > m:
             continue
+        terms = rel.terms.items()
         for e in monomial_exponents(ring, m - d):
-            lat.add((ring.monomial(e) * rel).terms)
+            # the multiple by x^e: every exponent shifted by e
+            lat.add({tuple(map(add, e, k)): c for k, c in terms})
     return lat
 
 

@@ -14,19 +14,23 @@ When A is the Cartan matrix of a reduced word (a_{ij} = -C[w_j][w_i] for
 i < j), T_A computes Schubert-basis structure constants; see
 `schubert.characteristics`.
 
-The implementation processes one level at a time: the input is split by the
-exponent r of x_m, each slice is multiplied by the (r-1)-st power of the
-substituted linear form, and the merged result recurses once.  Merging
-collapses common subexpressions across the whole polynomial, which is what
-makes repeated evaluation cheap.
+The implementation processes one level at a time.  At level d the input
+splits by the exponent r of x_d into slices S_r, x_d dropped (r = 0 and
+zero coefficients are skipped), and the form the next level reads is
+sum_r S_r * L^(r-1), with L = sum_k a_{kd} x_k the substituted linear form.
+Horner's rule computes it without any power of L: acc = S_top, then
+acc = S_r + L * acc for r from top - 1 down to 1.  Terms merge after every
+multiplication by L, so common subexpressions collapse across the whole
+polynomial at each step, which is what makes repeated evaluation cheap.
 
 Exponent vectors are packed into single ints, B = m.bit_length() bits per
-variable with x_1 lowest, so 2^B > m.  A form of degree d in d variables
-has every exponent at most d, and each level step lowers the degree and the
-number of variables by one, so every exponent stays at most m and below
-2^B: adding two packed vectors whose sum is such a vector never carries
-from one field into the next.  Reading the exponent of x_d is then one
-shift, dropping it one mask, and multiplying monomials one int addition.
+variable with x_1 lowest, so 2^B > m.  Each level's input is a form of
+degree d in d variables, d <= m, and inside its step every acc is
+homogeneous in x_1..x_{d-1} of degree d - r <= d - 1, so no exponent ever
+exceeds m and every one stays below 2^B: adding the unit of x_k to a packed
+vector whose sum is such a vector never carries from one field into the
+next.  Reading the exponent of x_d is then one shift, dropping it one mask,
+and multiplying monomials one int addition.
 """
 
 from __future__ import annotations
@@ -55,13 +59,6 @@ class StrictUpperMatrix:
         ):
             raise ValueError("rows must form a strict upper triangle")
 
-    @classmethod
-    def from_entry_fn(cls, size, fn) -> "StrictUpperMatrix":
-        rows = tuple(
-            tuple(fn(i, j) for j in range(i + 1, size)) for i in range(size)
-        )
-        return cls(size, rows)
-
     def column(self, j: int) -> tuple[int, ...]:
         """Entries a_{0j}..a_{j-1,j} above position j."""
         return tuple(self.rows[i][j - i - 1] for i in range(j))
@@ -77,9 +74,11 @@ def cartan_matrix_of_word(lie_type: LieType, word) -> StrictUpperMatrix:
     w = tuple(word)
     if not w:
         raise ValueError("the empty word has no Cartan matrix")
-    return StrictUpperMatrix.from_entry_fn(
-        len(w), lambda i, j: -c[w[j] - 1][w[i] - 1]
-    )
+    # neg[a][b] = -C[b][a] for letters a and b; a letter outside the type
+    # is a KeyError
+    neg = {a: {b: -row[a - 1] for b, row in enumerate(c, 1)} for a in range(1, len(c) + 1)}
+    rows = tuple(tuple(map(neg[w[i]].__getitem__, w[i + 1:])) for i in range(len(w)))
+    return StrictUpperMatrix(len(w), rows)
 
 
 def evaluate_exponents(A: StrictUpperMatrix, terms) -> int:
@@ -106,26 +105,28 @@ def evaluate_exponents(A: StrictUpperMatrix, terms) -> int:
     while m > 1:
         shift = bits * (m - 1)
         mask = (1 << shift) - 1
-        # the substituted linear form sum_k a_{km} x_k as (unit of x_k, a_{km})
+        # the substituted linear form L = sum_k a_{km} x_k as (unit of x_k, a_{km})
         lf = [(1 << bits * k, a) for k, a in enumerate(A.column(m - 1)) if a]
-        pows = [{0: 1}]  # powers of the linear form, built on demand
-        merged = {}
+        slices = {}  # r -> S_r, the terms of cur with x_m^r, x_m dropped
         for key, c in cur.items():
             r = key >> shift
-            if r == 0 or c == 0:  # 2 in 5 merged terms cancel on E6/P2
-                continue
-            while len(pows) < r:
-                nxt = {}
-                for e, c0 in pows[-1].items():
+            if r and c:  # about 1 term in 7 has cancelled on E6/P2
+                s = slices.get(r)
+                if s is None:
+                    s = slices[r] = {}
+                s[key & mask] = c
+        # Horner: sum_r S_r * L^(r-1) = S_1 + L*(S_2 + L*(S_3 + ...)),
+        # accumulated in cur once its terms are all in the slices
+        cur = {}
+        for r in range(max(slices, default=0), 0, -1):
+            nxt = slices.pop(r, {})
+            get = nxt.get
+            for e, c in cur.items():
+                if c:
                     for unit, a in lf:
                         k2 = e + unit
-                        nxt[k2] = nxt.get(k2, 0) + c0 * a
-                pows.append(nxt)
-            base = key & mask
-            for e2, c2 in pows[r - 1].items():
-                k2 = base + e2
-                merged[k2] = merged.get(k2, 0) + c * c2
-        cur = merged
+                        nxt[k2] = get(k2, 0) + c * a
+            cur = nxt
         m -= 1
     return cur.get(1, 0)
 

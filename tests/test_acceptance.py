@@ -23,6 +23,7 @@ from brute_weyl import brute_right_descents
 from classical_forms import special_unitary_forms, spin_relations_reduced
 from grassmannian import partition_class_maps
 from lr_oracle import schur_product_in_box
+from strict_upper import from_entry_fn
 from schubert.cartan import LieType
 from schubert.characteristics import (
     SchubertClass,
@@ -43,7 +44,7 @@ from schubert.cohomology import (
     weyl_orbit_invariants,
 )
 from schubert.intpoly import PolyRing, monomial_exponents, parse_polynomial
-from schubert.triangular import StrictUpperMatrix, evaluate_exponents
+from schubert.triangular import evaluate_exponents
 from schubert.weyl import WeylElement, enumerate_cosets
 
 EXTENDED = pytest.mark.skipif(
@@ -76,7 +77,7 @@ def test_criterion_1_operator_normalization(acceptance_record):
     with criterion(acceptance_record, "operator identity on 200 random matrices", 1.0):
         for _ in range(200):
             m = rng.randint(1, 8)
-            A = StrictUpperMatrix.from_entry_fn(m, lambda i, j: rng.randint(-3, 3))
+            A = from_entry_fn(m, lambda i, j: rng.randint(-3, 3))
             assert evaluate_exponents(A, {(1,) * m: 1}) == 1
 
 

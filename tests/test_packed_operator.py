@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 from schubert import characteristics
 from schubert.cartan import LieType
 from schubert.cohomology import minimal_generators
-from schubert.triangular import StrictUpperMatrix, evaluate_exponents
+from schubert.triangular import evaluate_exponents
 from schubert.weyl import enumerate_cosets
 
+from brute_triangular import brute_t_operator
+from strict_upper import from_entry_fn
 from tuple_operator import tuple_evaluate_exponents
 
 
 def random_matrix(m, rng):
-    return StrictUpperMatrix.from_entry_fn(m, lambda i, j: rng.randint(-3, 3))
+    return from_entry_fn(m, lambda i, j: rng.randint(-3, 3))
 
 
 @given(data=st.data())
@@ -49,7 +51,7 @@ def _chain_matrix(m):
     cheap while x_1 collects exponents up to m - 1.
     """
     rng = random.Random(m)
-    return StrictUpperMatrix.from_entry_fn(
+    return from_entry_fn(
         m,
         lambda i, j: rng.choice((-3, -2, -1, 1, 2, 3)) if i == 0 or j == i + 1 else 0,
     )
@@ -63,6 +65,32 @@ def test_pure_powers_at_bit_width_boundaries(m, power_of):
     expected = tuple_evaluate_exponents(a, {exp: 1})
     assert evaluate_exponents(a, {exp: 1}) == expected
     assert (expected != 0) == (power_of == "x_m")
+
+
+def test_gapped_slices_zero_and_cancelling_terms():
+    # L = 2*x_5 at the top level, so each term's image there is one monomial;
+    # the other columns are random and nonzero
+    rng = random.Random(6)
+    a = from_entry_fn(
+        6, lambda i, j: 2 * (i == 4) if j == 5 else rng.choice((-3, -2, -1, 1, 2, 3))
+    )
+    # x_6 exponents 1, 3 and 6 only: the Horner slices 2, 4 and 5 are empty
+    kept = {
+        (0, 0, 0, 0, 0, 6): 1,
+        (1, 1, 1, 0, 0, 3): 2,
+        (1, 1, 1, 1, 1, 1): -1,
+    }
+    terms = {
+        **kept,
+        (0, 1, 0, 1, 1, 3): 0,  # a zero coefficient
+        # images 3 * 2^2 and -12 times x_2 x_3 x_5^3: they cancel at level 6
+        (0, 1, 1, 0, 1, 3): 3,
+        (0, 1, 1, 0, 3, 1): -12,
+    }
+    expected = tuple_evaluate_exponents(a, terms)
+    assert expected == brute_t_operator(6, lambda i, j: a.column(j)[i], terms)
+    assert evaluate_exponents(a, terms) == expected
+    assert evaluate_exponents(a, kept) == expected != 0
 
 
 def test_f4_p1_generator_pass_replays_against_oracle(monkeypatch):
@@ -83,7 +111,7 @@ def test_f4_p1_generator_pass_replays_against_oracle(monkeypatch):
 
 # ------------------------------------------------------------- input check
 
-A3 = StrictUpperMatrix.from_entry_fn(3, lambda i, j: 1)
+A3 = from_entry_fn(3, lambda i, j: 1)
 
 BAD_TERMS = {
     "too-short": ({(1, 2): 1}, "2 variables, matrix has size 3"),
@@ -106,7 +134,7 @@ def test_exponent_check_survives_optimize(subprocess_env):
     code = (
         "from schubert.triangular import StrictUpperMatrix, evaluate_exponents\n"
         "assert False\n"  # stripped under -O, so this line proves -O is on
-        "a = StrictUpperMatrix.from_entry_fn(3, lambda i, j: 1)\n"
+        "a = StrictUpperMatrix(3, ((1, 1), (1,), ()))\n"
         "evaluate_exponents(a, {(4, 0, -1): 1})\n"
     )
     proc = subprocess.run(

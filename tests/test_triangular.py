@@ -6,15 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubert.cartan import LieType
+from schubert.cartan import LieType, cartan_matrix
 from schubert.intpoly import IntPolynomial, PolyRing
 from schubert.triangular import (
     StrictUpperMatrix,
     cartan_matrix_of_word,
     evaluate_exponents,
 )
+from schubert.weyl import WeylElement
 
 from brute_triangular import brute_t_operator
+from strict_upper import from_entry_fn
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -38,7 +40,7 @@ def x_ring(m):
 
 
 def random_matrix(m, rng):
-    return StrictUpperMatrix.from_entry_fn(m, lambda i, j: rng.randint(-3, 3))
+    return from_entry_fn(m, lambda i, j: rng.randint(-3, 3))
 
 
 # ------------------------------------------------------------- structure
@@ -46,7 +48,7 @@ def random_matrix(m, rng):
 
 def test_strict_upper_matrix_shape():
     dense = [[0, 5, 7], [0, 0, -2], [0, 0, 0]]
-    a = StrictUpperMatrix.from_entry_fn(3, lambda i, j: dense[i][j])
+    a = from_entry_fn(3, lambda i, j: dense[i][j])
     assert a.size == 3
     assert a.rows == ((5, 7), (-2,), ())
     assert a.column(1) == (5,)
@@ -68,6 +70,33 @@ def test_cartan_matrix_of_word_examples():
     assert f4.rows == ((2, 0), (1,), ())
     with pytest.raises(ValueError):
         cartan_matrix_of_word(A2, ())
+
+
+# every type of rank at most 8: (family, lowest rank, highest rank)
+RANK_8_TYPES = [
+    f"{family}{n}"
+    for family, lo, hi in (
+        ("A", 1, 8), ("B", 2, 8), ("C", 3, 8), ("D", 4, 8), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)
+    )
+    for n in range(lo, hi + 1)
+]
+
+
+@pytest.mark.parametrize("name", RANK_8_TYPES)
+def test_cartan_matrix_of_word_matches_entrywise_build(name):
+    lt = LieType.parse(name)
+    c = cartan_matrix(lt)
+    rng = random.Random(name)
+    for _ in range(20):
+        raw = [rng.randint(1, lt.rank) for _ in range(rng.randint(1, 40))]
+        w = WeylElement.from_word(lt, raw).word  # a reduced word
+        if not w:
+            continue
+        expected = from_entry_fn(len(w), lambda i, j: -c[w[j] - 1][w[i] - 1])
+        assert cartan_matrix_of_word(lt, w) == expected, w
+    for bad in ((0, 1), (1, lt.rank + 1)):
+        with pytest.raises(KeyError):
+            cartan_matrix_of_word(lt, bad)
 
 
 # ------------------------------------------------------------- evaluation
