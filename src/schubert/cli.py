@@ -280,8 +280,17 @@ def _run_giambelli(spec: JobSpec, table: CosetTable):
 
 
 def _run_presentation(spec: JobSpec, table: CosetTable):
-    up_to = spec.degree if spec.degree is not None else table.lmax
+    """Generators and minimal relations, the relations swept through ``up_to``.
+
+    Without ``--degree`` the sweep runs to lmax + g, g the largest
+    generator level; `minimal_relations` shows that no later degree adds a
+    relation.  Sweeping only to lmax would miss relations such as w1^4 = 0
+    on CP^3 (A3/P1), whose degree lies above the top level.
+    """
     gens = minimal_generators(table, up_to=spec.degree)
+    up_to = spec.degree
+    if up_to is None:
+        up_to = table.lmax + max(gens.ring.degrees, default=0)
     pres = minimal_relations(table, gens, up_to)
     if spec.fmt == "json":
         return {

@@ -30,9 +30,11 @@ Conventions:
   Sylvester's identity, and checked.
 
 Transforms are re-multiplied against the input as an exact postcondition,
-and for sizes up to 12 the transform determinants are checked to be +-1.
-A failed postcondition or an inexact division raises ArithmeticError
-(also under ``python -O``).
+each product stepping over the nonzeros of its cheaper factor (see
+`_mat_mul`), and for sizes up to 12 the transform determinants are
+checked to be +-1.  A failed postcondition or an inexact division raises
+ArithmeticError (also under ``python -O``).  A ragged matrix (rows of
+different lengths) raises ValueError before any elimination.
 """
 
 from __future__ import annotations
@@ -42,22 +44,23 @@ from dataclasses import dataclass
 DET_CHECK_LIMIT = 12
 
 
-def _copy(M):
-    return [list(row) for row in M]
-
-
 def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _mat_mul(A, B):
-    """The exact product A * B: each row is the sum of a * B[k] over its nonzero a = A[i][k].
+    """The exact product A * B, stepping over the nonzeros of the cheaper factor.
 
-    The products this module checks have a sparse left factor (the
-    transforms U and P, 85% zeros on the E6/P2 presentation), so skipping
-    zero entries beats a dot product per entry.  Ragged B, or a row of A
-    whose length is not the number of rows of B, raises ValueError.  An
-    empty B has no columns, so each row of the product is empty.
+    The one kernel, `_rows_times`, adds a * B[k] into row i for each
+    nonzero a = A[i][k]: a vector step of length cols(B) per nonzero of A.
+    When nnz(B) * rows(A) < nnz(A) * cols(B) it is cheaper to step over
+    B's nonzeros instead, so the product is computed as (B^T * A^T)^T with
+    the same kernel; the ints are the same either way.  (A Hermite
+    transform U is mostly nonzero while the Chevalley matrices it
+    multiplies have about 3 nonzeros per row, so U * A takes the second
+    route.)  Ragged B, or a row of A whose length is not the number of
+    rows of B, raises ValueError.  An empty B has no columns, so each row
+    of the product is empty.  Rows may be tuples.
     """
     k = len(B)
     if any(len(row) != k for row in A) or len(set(map(len, B))) > 1:
@@ -65,6 +68,17 @@ def _mat_mul(A, B):
             f"cannot multiply: each row of A needs {k} entries, B must be rectangular"
         )
     n = len(B[0]) if B else 0
+    if _nonzeros(B) * len(A) < _nonzeros(A) * n:  # so A, B and the product are nonempty
+        return [list(col) for col in zip(*_rows_times(list(zip(*B)), list(zip(*A)), len(A)))]
+    return _rows_times(A, B, n)
+
+
+def _nonzeros(M):
+    return sum(len(row) - row.count(0) for row in M)
+
+
+def _rows_times(A, B, n):
+    """A * B for B with n columns: each row is the sum of a * B[k] over its nonzero a = A[i][k]."""
     out = []
     for row in A:
         acc = [0] * n
@@ -126,12 +140,27 @@ def determinant(M) -> int:
     return sign * prev
 
 
+def _width(M):
+    """The number of columns of M; a row of another length raises ValueError."""
+    cols = len(M[0]) if M else 0
+    for i, row in enumerate(M):
+        if len(row) != cols:
+            raise ValueError(f"ragged matrix: row {i} has {len(row)} entries, row 0 has {cols}")
+    return cols
+
+
 def hermite_with_transform(M):
-    """(H, U) with U * M = H in row Hermite normal form."""
-    h = _copy(M)
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = _identity(rows)
+    """(H, U) with U * M = H in row Hermite normal form.
+
+    Each row is kept as one augmented list M[i] + e_i, so a row operation
+    acts on H and U at once; H and U are the two slices of the rows at the
+    end.  Pivots are the least absolute value in the column (lowest row on
+    ties), and the operations and their order are those of eliminating H
+    and U as two lists (`tests/dense_hermite.py`), so (H, U) is the same.
+    """
+    cols = _width(M)
+    rows = len(M)
+    h = [[*row, *e] for row, e in zip(M, _identity(rows))]
     pivot_row = 0
     for col in range(cols):
         if pivot_row >= rows:
@@ -144,15 +173,14 @@ def hermite_with_transform(M):
             piv = min(live, key=lambda r: (abs(h[r][col]), r))
             if piv != pivot_row:
                 h[piv], h[pivot_row] = h[pivot_row], h[piv]
-                u[piv], u[pivot_row] = u[pivot_row], u[piv]
             done = True
-            pv = h[pivot_row][col]
+            top = h[pivot_row]
+            pv = top[col]
             for r in range(pivot_row + 1, rows):
                 if h[r][col]:
                     q = h[r][col] // pv
                     if q:
-                        h[r] = [a - q * b for a, b in zip(h[r], h[pivot_row])]
-                        u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
+                        h[r] = [a - q * b for a, b in zip(h[r], top)]
                     if h[r][col]:
                         done = False
             if done:
@@ -160,14 +188,15 @@ def hermite_with_transform(M):
         if h[pivot_row][col]:
             if h[pivot_row][col] < 0:
                 h[pivot_row] = [-x for x in h[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
-            pv = h[pivot_row][col]
+            top = h[pivot_row]
+            pv = top[col]
             for r in range(pivot_row):
                 q = h[r][col] // pv
                 if q:
-                    h[r] = [a - q * b for a, b in zip(h[r], h[pivot_row])]
-                    u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
+                    h[r] = [a - q * b for a, b in zip(h[r], top)]
             pivot_row += 1
+    u = [row[cols:] for row in h]
+    h = [row[:cols] for row in h]
     _check_transform_product(u, M, h)
     return h, u
 
@@ -200,7 +229,7 @@ def solve_left(M, targets):
     the integer row span of M).
     """
     rows = len(M)
-    cols = len(M[0]) if rows else 0
+    cols = _width(M)
     if any(len(t) != cols for t in targets):
         raise ValueError("target length does not match matrix columns")
     h, u = hermite_with_transform(M)
@@ -239,9 +268,9 @@ def unimodular_inverse(M):
 
 def smith_with_transforms(M):
     """(P, D, Q) with P * M * Q = D in Smith normal form."""
-    d = _copy(M)
+    cols = _width(M)
+    d = [list(row) for row in M]
     rows = len(d)
-    cols = len(d[0]) if rows else 0
     p = _identity(rows)
     q = _identity(cols)
 

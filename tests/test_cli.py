@@ -67,6 +67,27 @@ def test_presentation_su3_full_flag(capsys):
     assert sorted(obj["relation_degrees"]) == [2, 3]
 
 
+# Spaces whose last relation lies above the top level lmax: without
+# --degree the sweep must run to lmax + g, g the largest generator level.
+TOP_RELATIONS = {
+    "CP3": (["A3", "--K", "1"], 4, ["w1^4"], [4]),
+    "B3/P1": (["B3", "--K", "1"], 8, ["-2*y3 + w1^3", "y3^2"], [3, 6]),
+    "G2/P1": (["G2", "--K", "1"], 8, ["-2*y3 + w1^3", "y3^2"], [3, 6]),
+    "CP1": (["A1"], 2, ["w1^2"], [2]),
+}
+
+
+@pytest.mark.parametrize("space", TOP_RELATIONS)
+def test_presentation_keeps_relations_above_lmax(capsys, space):
+    argv, up_to, relations, degrees = TOP_RELATIONS[space]
+    obj = run_json(capsys, "presentation", *argv)
+    assert obj["up_to"] == up_to
+    assert obj["relations"] == relations
+    assert obj["relation_degrees"] == degrees
+    larger = run_json(capsys, "presentation", *argv, "--degree", str(up_to + 5))
+    assert larger["relations"] == relations  # no later degree adds one
+
+
 # -- class addressing ----------------------------------------------------------
 
 
@@ -464,7 +485,9 @@ def test_multiply_text_output_pinned(capsys, argv, text):
 # sha256 of stdout, JSON and text, captured before JSON got its own writer
 # and the enumeration step its row test (E6/T: before roots were packed into
 # ints; the whole E7/P2 Gysin listing: while each level's Chevalley covers
-# were walked along every target's word); any change to an output byte fails.
+# were walked along every target's word; the JSON of `presentation F4 --K 1`:
+# when the sweep without --degree was taken to lmax + g, which made its
+# "up_to" 21 where it was 15); any change to an output byte fails.
 E6T_JSON_DIGEST = "1cdfe3103698cf548cff9667c689b34784ffab77f2f43cd3ba362ba0bc62635c"
 PINNED_DIGESTS = [
     (["enumerate", "E6"], E6T_JSON_DIGEST,
@@ -476,7 +499,7 @@ PINNED_DIGESTS = [
      "7918fb7955c0b68be78b2c15c1a5b44497f204725cf0f2b1b2670babf43d6dd6",
      "51f5c2a15486b328ed9163b292596be756b258f0fc521b8ddaf107023bbdde73"),
     (["presentation", "F4", "--K", "1"],
-     "39b518aba5ca46345478111da8594162a5583d8a5add0d11d1d60c6579bf7ea9",
+     "6ae4266d0f52aaf39882c43973d4d44e955e85ce0f8c573217db9f92240e009a",
      "4ea10d1244e54f71cb8f704071902904fe78994ba547a6ba85b2b3e8ad74939f"),
     (["giambelli", "F4", "--K", "1", "--degree", "4"],
      "fc9da8cde60212772dab8326e10fe23ffb8d9a68362022e0e19ee3ffd9699606",

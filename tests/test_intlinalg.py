@@ -12,10 +12,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from schubert.cohomology import minimal_generators, structure_matrix
+from schubert import intlinalg
+from schubert.cartan import LieType
+from schubert.cohomology import gysin_analysis, minimal_generators, structure_matrix
 from schubert.intlinalg import (
     AbelianGroupStructure,
     _mat_mul,
@@ -25,8 +27,12 @@ from schubert.intlinalg import (
     hermite_with_transform,
     kernel_basis,
     smith_with_transforms,
+    solve_left,
+    unimodular_inverse,
 )
+from schubert.weyl import enumerate_cosets
 
+from dense_hermite import dense_hermite
 from dense_lattice import IntLattice
 from fraction_determinant import fraction_determinant
 from smith_cokernel import smith_cokernel
@@ -197,6 +203,41 @@ def test_mat_mul_edge_shapes_and_mismatches():
             _mat_mul(A, B)
 
 
+# (A, B, the n that `_rows_times` is called with): n = cols(B) on the direct
+# route, n = rows(A) when the product is taken as (B^T * A^T)^T
+DENSE_U = [[1, -2, 3, 0, 5], [2, 1, 1, 4, -1], [0, 3, -2, 1, 1], [7, 1, 0, 2, 2],
+           [1, 1, 1, 1, 1], [-3, 2, 5, 1, 0]]
+SPARSE_M = [[0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1],
+            [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 3, 0, 0]]
+ROUTE_CASES = {
+    "dense U times sparse M": (DENSE_U, SPARSE_M, 6),
+    "sparse times dense": ([[0, 0, 1, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0]],
+                           [[1, 2, 3]] * 7, 3),
+    "tuple rows, transposed route": (tuple(map(tuple, DENSE_U)),
+                                     tuple(map(tuple, SPARSE_M)), 6),
+    "tuple rows, direct route": ([(0, 2, 0), (0, 0, 0)], ((4, 5, 6, 7),) * 3, 4),
+    "zero left factor": ([[0] * 5] * 6, SPARSE_M, 7),  # 0 < 0 fails: direct
+    "zero right factor": (DENSE_U, [[0] * 7] * 5, 6),  # no step at all
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_mat_mul_routes(monkeypatch, case):
+    A, B, n = ROUTE_CASES[case]
+    widths = []
+    kernel = intlinalg._rows_times
+
+    def spy(left, right, width):
+        widths.append(width)
+        return kernel(left, right, width)
+
+    monkeypatch.setattr(intlinalg, "_rows_times", spy)
+    product = _mat_mul(A, B)
+    assert widths == [n]
+    assert product == triple_loop(A, B)
+    assert all(type(row) is list for row in product)
+
+
 def test_postcondition_check_survives_optimize(subprocess_env):
     code = (
         "from schubert.intlinalg import _check_transform_product\n"
@@ -216,6 +257,89 @@ def test_postcondition_check_survives_optimize(subprocess_env):
 def test_hermite_deterministic():
     m = [[6, 2], [4, 8], [2, 2]]
     assert hermite_with_transform(m) == hermite_with_transform([list(r) for r in m])
+
+
+@st.composite
+def oracle_inputs(draw):
+    """0..8 x 0..8, entries -6..6 with up to three near +-2^70, zeroed rows and columns."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    m = draw(
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if rows and cols:
+        big = st.sampled_from([2**70, -(2**70)]) | st.integers(-(2**70), 2**70)
+        for _ in range(draw(st.integers(0, 3))):
+            m[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(big)
+        zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+        zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+        m = [
+            [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(m)
+        ]
+    return m
+
+
+@given(oracle_inputs())
+@example([])
+@example([[], [], []])  # rows without columns: U is the identity
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, -2], [3, 4], [0, 0], [-5, 6], [2**70, 1], [6, 0], [-6, 5], [1, 1]])  # tall
+@example([[2, 0, -4, 6, 2**70, 0, 1, -3], [4, 0, 2, -6, 5, 0, -(2**70), 3]])  # wide
+@settings(max_examples=300, deadline=None)
+def test_hermite_matches_dense_oracle(m):
+    # the augmented-row elimination performs the oracle's operations in its
+    # order, so H and U agree entry for entry, not just up to the lattice
+    assert hermite_with_transform(m) == dense_hermite(m)
+
+
+def _library_matrices(e6_p2, e7_p2):
+    """Every Gysin matrix of E7/P2 through 20 and E6/P4 through 30, and the
+    structure matrices of E6/P2 through 21."""
+    e6_p4 = enumerate_cosets(LieType.parse("E6"), {4})
+    for table, node, up_to in [(e7_p2, 2, 20), (e6_p4, 4, 30)]:
+        yield from gysin_analysis(table, node, up_to).matrices.values()
+    gens = minimal_generators(e6_p2)
+    for m in range(1, 22):
+        yield structure_matrix(e6_p2, gens, m).matrix
+
+
+def test_hermite_matches_dense_oracle_on_library_matrices(e6_p2, e7_p2):
+    count = 0
+    for m in _library_matrices(e6_p2, e7_p2):
+        assert hermite_with_transform(m) == dense_hermite(m), m
+        count += 1
+    assert count == 20 + 30 + 21
+
+
+RAGGED = {"short last row": [[1, 2], [3]], "long last row": [[1], [2, 3]]}
+RAGGED_ENTRY_POINTS = {
+    "hermite_with_transform": hermite_with_transform,
+    "smith_with_transforms": smith_with_transforms,
+    "kernel_basis": kernel_basis,
+    "cokernel_structure": cokernel_structure,
+    "solve_left": lambda m: solve_left(m, []),
+    "diagonalize_with_unit_minor": diagonalize_with_unit_minor,
+}
+
+
+@pytest.mark.parametrize("shape", RAGGED)
+@pytest.mark.parametrize("name", RAGGED_ENTRY_POINTS)
+def test_ragged_matrix_fails_at_once(name, shape):
+    m = RAGGED[shape]
+    with pytest.raises(ValueError, match=f"^ragged matrix: row 1 has {len(m[1])} entries, "
+                       f"row 0 has {len(m[0])}$"):
+        RAGGED_ENTRY_POINTS[name](m)
+
+
+@pytest.mark.parametrize("shape", RAGGED)
+def test_ragged_square_checks_fail(shape):
+    for f in (determinant, unimodular_inverse):
+        with pytest.raises(ValueError, match="non-square"):
+            f(RAGGED[shape])
 
 
 # -- kernel -----------------------------------------------------------------
