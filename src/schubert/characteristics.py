@@ -380,10 +380,18 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
 
 
 def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
-    """Product of a degree-homogeneous vector with one class, as a vector."""
+    """Product of a degree-homogeneous vector with one class, as a vector.
+
+    A key that names no class raises KeyError, and otherwise keys on more
+    than one level raise ValueError, whichever the branch.
+    """
     if not vec:
         return {}
     r_in = next(iter(vec))[0]
+    if any(r != r_in for r, _ in vec):
+        for ukey in vec:
+            table.check_class(*ukey)
+        raise ValueError("vector is not homogeneous")
     r_target = r_in + cls.r
     if r_target > table.lmax:
         if table.complete:

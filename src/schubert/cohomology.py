@@ -14,7 +14,8 @@ questions to exact integer linear algebra on that basis:
   `minimal_relations` filters the kernels down to fresh ideal generators
   per degree.
 * `giambelli` inverts the evaluation map over Z, writing each Schubert
-  class as a polynomial in the generators.
+  class as a polynomial in the generators: the complement rows of
+  `relation_kernel`, from the same Hermite form, with no Smith form.
 * `gysin_analysis` computes the cohomology groups of the circle bundle
   G/P^s -> G/P from cup-by-omega matrices: even groups are cokernels,
   odd groups are kernels.
@@ -239,29 +240,26 @@ def relation_kernel(table: CosetTable, gens: GeneratorSet, m: int) -> RelationKe
     """The degree-m kernel of monomial evaluation and its complement.
 
     One structure matrix M and one Hermite form H = U * M give every
-    answer.  The generators span degree m over Z exactly when the nonzero
-    rows of H form the beta x beta identity, as the Hermite form of a
-    lattice equal to Z^beta is the identity; raises otherwise (the kernel
-    of a non-surjective map would not capture all relations).  The rows of
-    U then split into the kernel basis (facing zero rows of H) and the
-    complement rows (facing the identity rows), which together form the
-    unimodular U.
+    answer (`diagonalize_with_unit_minor`).  The generators span degree m
+    over Z exactly when H is the beta x beta identity over zero rows;
+    raises otherwise (the kernel of a non-surjective map would not capture
+    all relations).  The first beta rows of U are the complement and the
+    rest the kernel basis.  A degree without monomials is checked as one
+    zero row of width beta, which adds nothing to the kernel.
     """
     bundle = structure_matrix(table, gens, m)
     beta = table.beta(m)
-    h, u = hermite_with_transform(bundle.matrix)
-    unit = [[int(i == j) for j in range(beta)] for i in range(beta)]
-    if [row for row in h if any(row)] != unit:
-        coker = cokernel_structure(bundle.matrix or [[0] * beta])
-        raise ValueError(f"generators do not span degree {m}: cokernel {coker}")
-    kernel, complement = [], []
-    for row, image in zip(u, h):
-        if any(image):
-            complement.append(row)
-        else:
-            terms = {e: c for e, c in zip(bundle.exponents, row) if c}
-            kernel.append(IntPolynomial(gens.ring, terms))
-    return RelationKernel(bundle, kernel, complement)
+    matrix = bundle.matrix or [[0] * beta]
+    try:
+        u = diagonalize_with_unit_minor(matrix).P
+    except ValueError:
+        coker = cokernel_structure(matrix)
+        raise ValueError(f"generators do not span degree {m}: cokernel {coker}") from None
+    kernel = [
+        IntPolynomial(gens.ring, {e: c for e, c in zip(bundle.exponents, row) if c})
+        for row in u[beta:len(bundle.matrix)]
+    ]
+    return RelationKernel(bundle, kernel, u[:beta])
 
 
 def graded_ideal_span(ring: PolyRing, relations, m: int) -> SparseIntLattice:
@@ -393,25 +391,19 @@ def minimal_relations(table: CosetTable, gens: GeneratorSet, up_to: int) -> Pres
 def giambelli(table: CosetTable, gens: GeneratorSet, m: int):
     """Polynomials in the generators mapping to each class of level m.
 
-    With P * M * Q = [I; 0] for the structure matrix M, the rows of
-    Q * (first beta rows of P) give integer monomial combinations hitting
-    each unit class vector exactly.  A complete table has no classes above
-    its top level, so those degrees give no polynomials without building
-    their monomials.
+    They are the complement rows of `relation_kernel`: the rows of the
+    Hermite transform U facing the identity rows of H = U * M, for M the
+    structure matrix, so row j of them times M is the j-th unit class
+    vector.  Any other preimage differs from it by a relation of the
+    degree.  A complete table has no classes above its top level, so those
+    degrees give no polynomials without building their monomials.
     """
     if table.complete and m > table.lmax:
         return []
-    bundle = structure_matrix(table, gens, m)
-    beta = table.beta(m)
-    if beta == 0:
-        return []
-    try:
-        res = diagonalize_with_unit_minor(bundle.matrix)
-    except ValueError as exc:
-        raise ValueError(f"no unimodular minor in degree {m}: {exc}") from None
+    split = relation_kernel(table, gens, m)
     return [
-        IntPolynomial(gens.ring, {e: c for e, c in zip(bundle.exponents, row) if c})
-        for row in _mat_mul(res.Q, res.P[:beta])
+        IntPolynomial(gens.ring, {e: c for e, c in zip(split.bundle.exponents, row) if c})
+        for row in split.complement
     ]
 
 

@@ -12,7 +12,11 @@ Conventions:
 * `kernel_basis(M)` is the saturated left kernel {v : v * M = 0}: the rows
   of U facing zero rows of H.
 * `smith_with_transforms(M)` returns (P, D, Q) with P * M * Q = D diagonal,
-  positive invariant factors in a divisibility chain.
+  positive invariant factors in a divisibility chain, reducing one block
+  matrix [[M, I], [I, 0]].  It runs only where invariant factors are the
+  answer: a cokernel's torsion and a quotient of two lattices.
+* `diagonalize_with_unit_minor(M)` is the Hermite check that M presents
+  Z^cols: H = U * M is the identity over zero rows, P = U and Q = I.
 * `solve_left(M, targets)` solves x * M = t over Z for every target row t
   against one Hermite form of M.
 * `cokernel_structure(M)` describes Z^cols / (row span of M) from the
@@ -267,81 +271,68 @@ def unimodular_inverse(M):
 
 
 def smith_with_transforms(M):
-    """(P, D, Q) with P * M * Q = D in Smith normal form."""
+    """(P, D, Q) with P * M * Q = D in Smith normal form.
+
+    One block matrix [[M, I], [I, 0]] is reduced: row operations touch its
+    first rows(M) rows and column operations its first cols(M) columns,
+    so it ends as [[D, P], [Q, 0]] (the zero block, never touched, is not
+    stored).  Pivots and operations, in their order, are those of the
+    three-matrix oracle `tests/dense_smith.py`, so (P, D, Q) is the same.
+    """
     cols = _width(M)
-    d = [list(row) for row in M]
-    rows = len(d)
-    p = _identity(rows)
-    q = _identity(cols)
+    rows = len(M)
+    a = [[*row, *e] for row, e in zip(M, _identity(rows))] + _identity(cols)
 
     def row_op(r1, r2, k):  # row r1 -= k * row r2
-        d[r1] = [a - k * b for a, b in zip(d[r1], d[r2])]
-        p[r1] = [a - k * b for a, b in zip(p[r1], p[r2])]
-
-    def col_op(c1, c2, k):  # col c1 -= k * col c2
-        for r in range(rows):
-            d[r][c1] -= k * d[r][c2]
-        for r in range(cols):
-            q[r][c1] -= k * q[r][c2]
-
-    def row_swap(r1, r2):
-        d[r1], d[r2] = d[r2], d[r1]
-        p[r1], p[r2] = p[r2], p[r1]
-
-    def col_swap(c1, c2):
-        for r in range(rows):
-            d[r][c1], d[r][c2] = d[r][c2], d[r][c1]
-        for r in range(cols):
-            q[r][c1], q[r][c2] = q[r][c2], q[r][c1]
+        a[r1] = [x - k * y for x, y in zip(a[r1], a[r2])]
 
     t = 0
     while True:
         entries = [
-            (abs(d[r][c]), r, c)
+            (abs(a[r][c]), r, c)
             for r in range(t, rows)
             for c in range(t, cols)
-            if d[r][c]
+            if a[r][c]
         ]
         if not entries:
             break
         _, r0, c0 = min(entries)
         if r0 != t:
-            row_swap(t, r0)
+            a[t], a[r0] = a[r0], a[t]
         if c0 != t:
-            col_swap(t, c0)
+            for row in a:
+                row[t], row[c0] = row[c0], row[t]
         again = False
         for r in range(t + 1, rows):
-            if d[r][t]:
-                kq = d[r][t] // d[t][t]
-                row_op(r, t, kq)
-                if d[r][t]:
+            if a[r][t]:
+                row_op(r, t, a[r][t] // a[t][t])
+                if a[r][t]:
                     again = True
         for c in range(t + 1, cols):
-            if d[t][c]:
-                kq = d[t][c] // d[t][t]
-                col_op(c, t, kq)
-                if d[t][c]:
+            if a[t][c]:
+                k = a[t][c] // a[t][t]
+                for row in a:  # col c -= k * col t
+                    row[c] -= k * row[t]
+                if a[t][c]:
                     again = True
         if again:
             continue
         # divisibility fix: pivot must divide the rest of the block
-        offender = None
-        for r in range(t + 1, rows):
-            for c in range(t + 1, cols):
-                if d[r][c] % d[t][t]:
-                    offender = r
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (r for r in range(t + 1, rows) for c in range(t + 1, cols) if a[r][c] % a[t][t]),
+            None,
+        )
         if offender is not None:
             row_op(t, offender, -1)  # add offending row to pivot row
             continue
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            p[t] = [-x for x in p[t]]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
         t += 1
         if t >= min(rows, cols):
             break
+    p = [row[cols:] for row in a[:rows]]
+    d = [row[:cols] for row in a[:rows]]
+    q = a[rows:]
     if _mat_mul(_mat_mul(p, M), q) != d:
         raise ArithmeticError("Smith postcondition violated")
     if rows <= DET_CHECK_LIMIT and abs(determinant(p)) != 1:
@@ -417,21 +408,22 @@ class DiagonalizationResult:
 
 
 def diagonalize_with_unit_minor(M) -> DiagonalizationResult:
-    """P, Q with P*M*Q = identity stacked over zero rows.
+    """P, Q with P*M*Q = identity stacked over zero rows, from one Hermite form.
 
-    Requires M (rows x cols) to present Z^cols exactly: full column rank
-    and trivial cokernel.  Raises ValueError otherwise.
+    M (rows x cols) must present Z^cols exactly: full column rank and
+    trivial cokernel.  That holds exactly when its Hermite form H = U * M
+    is the identity over zero rows, the Hermite form of a lattice equal to
+    Z^cols, so P = U, Q = I and D = H; the first cols rows of P form a
+    right inverse of M.  Otherwise raises ValueError naming the cokernel,
+    read off H.
     """
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    p, d, q = smith_with_transforms(M)
-    invariants = [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
-    if len(invariants) < cols or any(x != 1 for x in invariants):
+    cols = _width(M)
+    h, u = hermite_with_transform(M)
+    if h[:cols] != _identity(cols):  # then no row of the echelon form H below is nonzero
         raise ValueError(
-            f"matrix does not present Z^{cols} with unit minors "
-            f"(invariant factors {invariants})"
+            f"matrix does not present Z^{cols}: cokernel {_cokernel_of_hermite(h, cols)}"
         )
-    return DiagonalizationResult(p, q, d)
+    return DiagonalizationResult(u, _identity(cols), h)
 
 
 class SparseIntLattice:

@@ -629,6 +629,31 @@ def test_multiply_vec_by_class_linear(f4_p1):
     assert multiply_vec_by_class(f4_p1, {}, y3) == {}
 
 
+
+# one vector per branch of multiply_vec_by_class: a degree-1 class, a pair
+# product, the identity vector, the identity class, and a product beyond the
+# top level (which returns {} on a complete table)
+MIXED_LEVELS = {
+    "degree-1 class": ({(1, 1): 1, (2, 1): 1}, (1, 1)),
+    "pair product": ({(2, 1): 1, (3, 1): 1}, (2, 1)),
+    "identity vector": ({(0, 1): 1, (1, 1): 1}, (2, 1)),
+    "identity class": ({(3, 1): 2, (1, 1): 1}, (0, 1)),
+    "above the top": ({(15, 1): 1, (1, 1): 1}, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("branch", MIXED_LEVELS)
+def test_multiply_vec_by_class_rejects_mixed_levels(f4_p1, branch):
+    # the level of the first key is not taken for the whole vector: on
+    # F4/P1, {(1,1): 1, (2,1): 1} times s[1,1] would read (2,1) as a level-1
+    # source and give {(2,1): 2}
+    vec, key = MIXED_LEVELS[branch]
+    with pytest.raises(ValueError, match="^vector is not homogeneous$"):
+        multiply_vec_by_class(f4_p1, vec, SchubertClass(*key))
+    # a key naming no class still raises KeyError first
+    with pytest.raises(KeyError):
+        multiply_vec_by_class(f4_p1, {**vec, (-1, 1): 1}, SchubertClass(*key))
+
 # ------------------------------------------------------------- Chevalley path
 
 

@@ -487,7 +487,10 @@ def test_multiply_text_output_pinned(capsys, argv, text):
 # ints; the whole E7/P2 Gysin listing: while each level's Chevalley covers
 # were walked along every target's word; the JSON of `presentation F4 --K 1`:
 # when the sweep without --degree was taken to lmax + g, which made its
-# "up_to" 21 where it was 15); any change to an output byte fails.
+# "up_to" 21 where it was 15; `giambelli E6 --K 2 --degree 8`: when the
+# polynomials became the complement rows of the degree's Hermite transform,
+# where a Smith form had given other preimages of the same classes); any
+# change to an output byte fails.
 E6T_JSON_DIGEST = "1cdfe3103698cf548cff9667c689b34784ffab77f2f43cd3ba362ba0bc62635c"
 PINNED_DIGESTS = [
     (["enumerate", "E6"], E6T_JSON_DIGEST,
@@ -504,6 +507,9 @@ PINNED_DIGESTS = [
     (["giambelli", "F4", "--K", "1", "--degree", "4"],
      "fc9da8cde60212772dab8326e10fe23ffb8d9a68362022e0e19ee3ffd9699606",
      "150564298ba91f74c450035b251ffedc85274d96a845aa3071a1c85a46a536e7"),
+    (["giambelli", "E6", "--K", "2", "--degree", "8"],
+     "8692c54612208485c00c1cbdb54cd5e1d81275dcdc37d728e67d7d47b9da361f",
+     "1bca51f5c39ffd723d429659774b0d72c36f763f0ca4b1835c172686344a0e0b"),
     (["gysin", "E6", "--K", "2", "--degree", "12"],
      "0e4be0ae3f555590419cfbc36cb1164e1efa29cd4753e0ac619d272943a909a6",
      "1019397afe809b05ae312289a30e1a10ba733943d28b2fb52cfde2b50268d7ce"),

@@ -11,6 +11,7 @@ import pytest
 import presentation_data as data
 import smith_relations
 from smith_cokernel import smith_cokernel
+from smith_giambelli import smith_giambelli
 from classical_forms import (
     special_unitary_forms,
     spin_even_forms,
@@ -452,6 +453,73 @@ def test_giambelli_needs_surjectivity(f4_p1):
     gens = data.generator_set(f4_p1, [("w1", (1,))])
     with pytest.raises(ValueError, match="degree 3"):
         giambelli(f4_p1, gens, 3)
+
+
+# (type, K, last degree or None for the top level)
+GIAMBELLI_TABLES = [
+    ("F4", {1}, None), ("E6", {2}, None), ("E7", {2}, 12), ("B3", {1, 2, 3}, None),
+    ("D4", {2}, None), ("G2", {1, 2}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "lie, K, up_to", GIAMBELLI_TABLES,
+    ids=[f"{lie}/{'T' if len(K) > 1 else f'P{min(K)}'}" for lie, K, _ in GIAMBELLI_TABLES],
+)
+def test_giambelli_differs_from_smith_route_by_relations(lie, K, up_to):
+    # both routes give preimages of the unit classes, so they differ by
+    # elements of the kernel lattice that relation_kernel returns a basis of
+    table = enumerate_cosets(LieType.parse(lie), K)
+    up_to = table.lmax if up_to is None else up_to
+    gens = minimal_generators(table, up_to)
+    words = {g.name: g.word for g in gens}
+    for m in range(up_to + 1):
+        polys = giambelli(table, gens, m)
+        oracle = smith_giambelli(table, gens, m)
+        assert len(polys) == len(oracle) == table.beta(m), m
+        kernel = SparseIntLattice(p.terms for p in relation_kernel(table, gens, m).kernel)
+        for j, (poly, other) in enumerate(zip(polys, oracle), start=1):
+            assert expand_polynomial(table, poly, words) == {(m, j): 1}, (m, j)
+            assert expand_polynomial(table, other, words) == {(m, j): 1}, (m, j)
+            assert (poly - other).terms in kernel, (m, j)
+
+
+def test_giambelli_makes_no_smith_form(monkeypatch):
+    calls = []
+    smith = intlinalg.smith_with_transforms
+
+    def counted(m):
+        calls.append(m)
+        return smith(m)
+
+    for module in (intlinalg, cohomology):
+        monkeypatch.setattr(module, "smith_with_transforms", counted)
+    for lie, k in [("F4", 1), ("E6", 2)]:
+        table = enumerate_cosets(LieType.parse(lie), {k})
+        gens = minimal_generators(table)
+        for m in range(table.lmax + 2):
+            giambelli(table, gens, m)
+    assert calls == []
+
+
+def test_degrees_without_monomials_keep_their_edge_cases(f4_p1):
+    # the point A2/G has no generators: degrees above its one class have
+    # no monomials and no classes, so nothing is kernel or complement
+    point = enumerate_cosets(A2, set())
+    gens = minimal_generators(point)
+    assert len(gens) == 0 and point.lmax == 0
+    for m in (1, 2):
+        split = relation_kernel(point, gens, m)
+        assert (split.kernel, split.complement) == ([], []), m
+        assert giambelli(point, gens, m) == []
+    assert [str(p) for p in giambelli(point, gens, 0)] == ["1"]
+    # no monomials but classes: the generators do not span
+    with pytest.raises(ValueError, match=r"^generators do not span degree 1: cokernel Z$"):
+        relation_kernel(f4_p1, data.generator_set(f4_p1, []), 1)
+    gens = minimal_generators(f4_p1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        giambelli(f4_p1, gens, -1)
+    assert giambelli(f4_p1, gens, f4_p1.lmax + 1) == []
 
 
 def test_rewrite_invariant_as_glue(f4_p1, f4_gens):

@@ -7,7 +7,9 @@ keep orphaned imports out of `src/`, `tests/` and `scripts/`, orphaned
 module-level `_name` definitions out of `src/schubert/`, and test-only
 code out of `schubert.__all__` and its classes.  Package `__init__.py`
 files re-export names and `from __future__` imports are directives, so
-both are exempt from the import scan.
+both are exempt from the import scan.  A last scan keeps `assert`
+statements out of `src/`: ``python -O`` strips them, and every check of
+the package must hold under it.
 """
 
 import ast
@@ -297,3 +299,33 @@ def test_scan_finds_unused_names(tmp_path):
         "    return os.path.sep\n"
     )
     assert unused_imports(path) == [(3, "dumps"), (3, "load")]
+
+
+def assert_statements(path):
+    """Line numbers of the `assert` statements in a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements_in_src():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line in assert_statements(path)
+    ]
+    assert not found, "assert statements, which python -O strips:\n" + "\n".join(found)
+
+
+def test_scan_finds_assert_statements(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def f(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    if x:\n"
+        "        assert (x, 1)\n"
+        "    return 'assert x'  # assert in a string or comment is no statement\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+    )
+    assert assert_statements(path) == [2, 4, 8]

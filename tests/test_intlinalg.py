@@ -8,6 +8,7 @@ are compared with SymPy's normal forms.
 """
 
 import random
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 
 from schubert import intlinalg
 from schubert.cartan import LieType
-from schubert.cohomology import gysin_analysis, minimal_generators, structure_matrix
+from schubert import cohomology
+from schubert.cohomology import (
+    gysin_analysis,
+    minimal_generators,
+    minimal_relations,
+    structure_matrix,
+)
 from schubert.intlinalg import (
     AbelianGroupStructure,
     _mat_mul,
@@ -34,6 +41,7 @@ from schubert.weyl import enumerate_cosets
 
 from dense_hermite import dense_hermite
 from dense_lattice import IntLattice
+from dense_smith import dense_smith
 from fraction_determinant import fraction_determinant
 from smith_cokernel import smith_cokernel
 
@@ -420,6 +428,40 @@ def test_smith_properties(m):
             assert a > 0 and b % a == 0
 
 
+@given(oracle_inputs())
+@example([])
+@example([[], [], []])  # rows without columns: P is the identity, Q is empty
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, -2], [3, 4], [0, 0], [-5, 6], [2**70, 1], [6, 0], [-6, 5], [1, 1]])  # tall
+@example([[2, 0, -4, 6, 2**70, 0, 1, -3], [4, 0, 2, -6, 5, 0, -(2**70), 3]])  # wide
+@settings(max_examples=300, deadline=None)
+def test_smith_matches_dense_oracle(m):
+    # the block-matrix elimination performs the oracle's operations in its
+    # order, so P, D and Q agree entry for entry
+    assert smith_with_transforms(m) == dense_smith(m)
+
+
+def test_smith_matches_dense_oracle_on_library_calls(e6_p2, e7_p2, monkeypatch):
+    """Every Smith form of the E6/P2 presentation, the E7/P2 presentation
+    through 12 and the E6/P4 Gysin table through 31."""
+    calls = []
+
+    def recorded(m):
+        calls.append(m)
+        return smith_with_transforms(m)
+
+    for module in (intlinalg, cohomology):
+        monkeypatch.setattr(module, "smith_with_transforms", recorded)
+    counts = []
+    for table, up_to in [(e6_p2, e6_p2.lmax), (e7_p2, 12)]:
+        minimal_relations(table, minimal_generators(table, up_to), up_to)
+        counts.append(len(calls) - sum(counts))
+    gysin_analysis(enumerate_cosets(LieType.parse("E6"), {4}), 4, 31)
+    counts.append(len(calls) - sum(counts))
+    assert counts == [3, 4, 19]
+    for m in calls:
+        assert smith_with_transforms(m) == dense_smith(m), m
+
 def _sympy_cases(e6_p2):
     """Seeded random integer matrices, then the E6/P2 structure matrices."""
     rng = random.Random(20191)
@@ -552,10 +594,38 @@ def test_diagonalize_with_unit_minor():
 
 
 def test_diagonalize_rejects_torsion_and_rank_deficit():
-    with pytest.raises(ValueError, match="invariant factors"):
+    with pytest.raises(ValueError, match=r"^matrix does not present Z\^1: cokernel Z/2$"):
         diagonalize_with_unit_minor([[2]])
     with pytest.raises(ValueError):
         diagonalize_with_unit_minor([[1, 1], [2, 2]])
+
+
+@pytest.mark.parametrize(
+    "m, coker",
+    [([[1, 1], [2, 2]], "Z"), ([[1, 0]], "Z"), ([[2, 0], [0, 3], [0, 0]], "Z/6"),
+     ([[1, 0], [0, 2], [0, 4]], "Z/2"), ([[0, 0]], "Z^2")],
+    ids=["rank-deficit", "one-row", "torsion", "torsion-below-a-unit", "zero"],
+)
+def test_diagonalize_names_the_cokernel(m, coker):
+    with pytest.raises(ValueError, match=rf"^matrix does not present Z\^2: cokernel {re.escape(coker)}$"):
+        diagonalize_with_unit_minor(m)
+
+
+def test_diagonalize_is_the_hermite_form(e6_p2, monkeypatch):
+    # P = U and D = H of the Hermite form, Q = I, and no Smith form is made
+    def no_smith(m):
+        raise AssertionError("Smith form computed")
+
+    monkeypatch.setattr(intlinalg, "smith_with_transforms", no_smith)
+    gens = minimal_generators(e6_p2)
+    for deg in range(e6_p2.lmax + 1):
+        m = structure_matrix(e6_p2, gens, deg).matrix
+        beta = len(m[0])
+        res = diagonalize_with_unit_minor(m)
+        h, u = hermite_with_transform(m)
+        assert (res.P, res.D) == (u, h)
+        assert res.Q == [[int(i == j) for j in range(beta)] for i in range(beta)]
+        assert mat_mul(res.P[:beta], m) == res.Q
 
 
 def test_diagonalize_solves_unit_vectors():
