@@ -262,6 +262,19 @@ def _cover_data(table: CosetTable, r: int):
     return entry[0]
 
 
+def _chevalley_covers(table: CosetTable, i: int, r: int):
+    """(covers, l) for the products of the degree-1 class (1, i) into level r >= 2.
+
+    ``covers`` is ``_cover_data(table, r)``.  Class (1, i) is sigma_a, and
+    by Chevalley's formula the coefficient of s_(r,k) in
+    s_(1,i) * s_(r-1,u) is coordinate l = a - 1 of beta^vee for each
+    (k, beta^vee) in ``covers[u - 1]``.
+    """
+    # sigma_a's key has its one negative row at a - 1
+    l = next(k for k, column in enumerate(table.columns[1]) if column[i - 1] < 0)
+    return _cover_data(table, r), l
+
+
 def _cover_step(table: CosetTable, r: int, drops_below):
     """The cache entry of level r from the drops by target of level r - 1."""
     lt = table.lie_type
@@ -269,11 +282,11 @@ def _cover_step(table: CosetTable, r: int, drops_below):
     pairs = reflection_pairs(lt)
     lengths = _root_lengths(lt)
     index = table._level_index(r - 1)
-    keys_below = table.keys[r - 2] if r > 1 else ()
+    keys_below = table.level_keys(r - 2) if r > 1 else ()
     coroots = {}
     covers = [[] for _ in range(table.beta(r - 1))]
     drops = []
-    for k, key in enumerate(table.keys[r], start=1):
+    for k, key in enumerate(table.level_keys(r), start=1):
         j = 0
         while key[j] > 0:
             j += 1
@@ -324,7 +337,7 @@ def _dual(table: CosetTable, r: int):
     lt = table.lie_type
     pairs = reflection_pairs(lt)
     tau = opposition_involution(lt)
-    top = table.keys[table.lmax][0]
+    top = table.level_keys(table.lmax)[0]
     level = table.lmax - r
     duals = []
     for i, u in enumerate(table.level(r), start=1):
@@ -406,13 +419,10 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
     if r_in == 0:  # c times the identity
         return {cls.key(): c for c in vec.values() if c}
     if cls.r == 1:
-        # sigma_a's key has its first negative row at a - 1
-        key = table.keys[1][cls.i - 1]
-        l0 = next(j for j, row in enumerate(key) if row < 0)
-        covers = _cover_data(table, r_target)
+        covers, l0 = _chevalley_covers(table, cls.i, r_target)
     out = {}
     for ukey, cu in vec.items():
-        if cls.r == 1:  # Chevalley: the coefficient is beta^vee's l-th coordinate
+        if cls.r == 1:
             row = (((r_target, k), coroot[l0]) for k, coroot in covers[ukey[1] - 1])
         else:
             row = expand_pair(table, SchubertClass(*ukey), cls).items()

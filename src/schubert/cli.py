@@ -19,7 +19,10 @@ sort_keys=True)`` to the byte, written one top-level value at a time by
 ``_write_json``.  The ``enumerate`` listing is rendered from the table's
 tree, one chunk per level in JSON: the text of each class's word is its
 letter's text followed by its parent's text, so no word is joined letter
-by letter (``_word_texts``).
+by letter (``_word_texts``), and a level's chunk is one join of the cached
+per-index heads, the level's mid, the texts and the tail, so no class is
+formatted on its own.  The listing reads the table's sizes and tree only,
+so it builds no key and no element above level 0.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 from .cartan import LieType
@@ -176,9 +180,11 @@ def _class_obj(table: CosetTable, cls: SchubertClass) -> dict:
 
 # Items of the "elements" list of ``enumerate`` as ``json.dumps(...,
 # indent=1)`` writes them: the identity (level 0) opens the list, and each
-# class follows its predecessor.
+# class follows its predecessor as head(i), mid(r), its word text, tail.
 _IDENTITY_JSON = '[\n  {\n   "i": 1,\n   "r": 0,\n   "word": []\n  }'
-_ELEMENT_JSON = ',\n  {{\n   "i": {},\n   "r": {},\n   "word": [\n    {}\n   ]\n  }}'
+_HEAD_JSON = ',\n  {\n   "i": %d,\n   "r": '
+_MID_JSON = '%d,\n   "word": [\n    '
+_TAIL_JSON = "\n   ]\n  }"
 
 
 def _word_texts(table: CosetTable, sep: str):
@@ -204,24 +210,27 @@ def _word_texts(table: CosetTable, sep: str):
 def _run_enumerate(spec: JobSpec, table: CosetTable):
     """The listing of every class, rendered from ``table.tree``.
 
-    The JSON listing is one chunk per level, so no string of the whole
-    listing is built.
+    The JSON listing is one chunk per level, each one join of the cached
+    heads, the level's mid, the word texts and the tail, so no string of
+    the whole listing is built and no class is formatted on its own.
     """
     if spec.fmt == "json":
-        fmt = _ELEMENT_JSON.format
+        betti = table.betti
+        heads = [_HEAD_JSON % i for i in range(1, max(betti) + 1)]
         chunks = [_IDENTITY_JSON]
         words = _word_texts(table, ",\n    ")
         next(words)  # the identity opens the list
         for r, texts in enumerate(words, start=1):
-            chunks.append("".join([fmt(i, r, w) for i, w in enumerate(texts, start=1)]))
+            parts = zip(heads, repeat(_MID_JSON % r), texts, repeat(_TAIL_JSON))
+            chunks.append("".join(chain.from_iterable(parts)))
         chunks.append("\n ]")
         return {
             "lie_type": str(table.lie_type),
             "K": sorted(table.K),
             "complete": table.complete,
             "max_length": table.max_length,
-            "beta": list(table.betti),
-            "count": table.total,
+            "beta": list(betti),
+            "count": sum(betti),
             "elements": _Rendered(chunks),
         }
     rows = [

@@ -37,7 +37,7 @@ from operator import add
 from types import MappingProxyType
 
 from .cartan import LieType, reflect_weight
-from .characteristics import SchubertClass, multiply_vec_by_class
+from .characteristics import SchubertClass, _chevalley_covers, multiply_vec_by_class
 from .intlinalg import (
     AbelianGroupStructure,
     SparseIntLattice,
@@ -438,6 +438,12 @@ class GysinTable:
 def gysin_analysis(table: CosetTable, i: int, up_to: int) -> GysinTable:
     """Groups of G/P^s from the cup-with-omega matrices A_r on G/P.
 
+    Row u of A_r is omega * s_(r-1,u) by Chevalley's formula, read straight
+    off the cover data of level r at omega's coordinate
+    (``characteristics._chevalley_covers``, the reader the degree-1 path
+    of ``multiply_vec_by_class`` uses); A_1 is the identity's row [1].
+    A truncated table raises ValueError when up_to reaches above it.
+
     Each A_r is factored once, as U * A_r = H in row Hermite form.  The odd
     group is free on the kernel, the rows of U facing zero rows of H, as in
     `kernel_basis`.  The even group is the cokernel of A_r, read off H,
@@ -449,16 +455,22 @@ def gysin_analysis(table: CosetTable, i: int, up_to: int) -> GysinTable:
     """
     if set(table.K) != {i}:
         raise ValueError(f"table was built for K={sorted(table.K)}, expected K={{{i}}}")
-    even, odd, kernels, mats = {}, {}, {}, {}
     top = min(up_to, table.lmax + 1)
-    omega = SchubertClass(1, 1)
+    if top > table.lmax and not table.complete:
+        raise ValueError(f"degree {top} exceeds the truncated table")
+    even, odd, kernels, mats = {}, {}, {}, {}
     for r in range(1, top + 1):
-        beta_prev = table.beta(r - 1)
         beta_cur = table.beta(r)
-        rows = []
-        for j in range(1, beta_prev + 1):
-            vec = multiply_vec_by_class(table, {(r - 1, j): 1}, omega)
-            rows.append([vec.get((r, k), 0) for k in range(1, beta_cur + 1)])
+        if r == 1:  # the identity times omega is omega, the one class of level 1
+            rows = [[1]]
+        elif r > table.lmax:
+            rows = [[] for _ in range(table.beta(r - 1))]
+        else:
+            covers, l = _chevalley_covers(table, 1, r)
+            rows = [[0] * beta_cur for _ in covers]
+            for row, cover in zip(rows, covers):
+                for k, coroot in cover:
+                    row[k - 1] = coroot[l]
         mats[r] = rows
         h, u = hermite_with_transform(rows)
         even[2 * r] = _cokernel_of_hermite(h, beta_cur)

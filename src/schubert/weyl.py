@@ -40,22 +40,25 @@ Each class is reached once, from its parent, and looping over i and then
 over the parent level in order lists each level in lexicographic order of
 the words.  So a level is fixed by its (letter, parent index) pairs, in
 increasing order.  ``enumerate_cosets`` records each pair as its step
-succeeds, and the table keeps them as ``tree`` beside each level's list of
-packed keys.  That is all a cache file stores: ``save_binary`` writes
-``tree`` as it is, and ``CosetTable.load_binary`` enumerates the table once
-and accepts the file only if its bytes are exactly those.  The CLI listing
-builds each word's text from the tree too.  The index from a class's key to
-its place i on level r is built one level at a time, on the first lookup in
-that level, so a table that is only listed or saved never builds one, and a
-product of degree r builds those of the levels it reads.
+succeeds, and the table keeps them as ``tree`` beside the level's n root
+columns: column k lists packed row k of every class of the level, in
+order.  That is all a cache file stores: ``save_binary`` writes ``tree``
+as it is, and ``CosetTable.load_binary`` enumerates the table once and
+accepts the file only if its bytes are exactly those.  The CLI listing
+builds each word's text from the tree too.
 
-The step takes keys to keys: it makes no ``WeylElement`` and no word.  A
-table makes the elements of a level the first time that level is read,
-after the levels below it (``CosetTable.level``), each with its word: the
+The step works on columns: it makes no key tuple, no ``WeylElement`` and
+no word.  A table builds three things per level the first time that level
+is read, and keeps them: its keys (``CosetTable.level_keys``, one tuple
+per class, ``zip`` of the columns), the index from a key to its place i on
+the level (on the first lookup there), and its elements
+(``CosetTable.level``, after the levels below it), each with its word: the
 class with pair (a, p) has word a followed by the word of class p of the
 level below, one tuple concatenation.  So a table that is only listed,
-saved or compared makes no element, a product of degree r makes those of
-levels 0..r, and reading a level costs one word tuple per class.
+saved, loaded or compared builds no key above level 0 and no element, a
+product of degree r builds the keys and elements of levels 0..r (and the
+keys of the top level when it takes the dual route), and reading a level
+costs one key tuple and one word tuple per class.
 
 Most candidate steps fail the third test, and the first letter f of the
 parent u (its tree letter, the identity counting as n + 1) decides most of
@@ -71,13 +74,24 @@ and leaves the others alone.  So
 * f < i not a neighbour of i: row f - 1 is not changed, so f stays a left
   descent of the child, below i, and the step fails;
 * f < i a neighbour of i: the full step decides, on u's own rows before it
-  builds the child's key (row b < i of the child is one multiply-subtract
-  on u's packed rows).
+  builds the child's rows.  Row b of the child is u's row b minus
+  C[b][i-1] * u^{-1}(alpha_i) (0-based b), and C[b][i-1] is 0 off the
+  neighbours of node i and negative on them.  So the child is a step
+  exactly when rows[b] >= C[b][i-1] * rows[i-1] for b = f-1 .. i-2.  The
+  test at b = f - 1 also gives u^{-1}(alpha_i) > 0 (row f - 1 is negative
+  and C[f-1][i-1] < 0), so the rows below f - 1, which are positive, only
+  gain.  Deodhar's test need not be taken: a child u * sigma_j leaving
+  W^P keeps f as a left descent, which the test at b = f - 1 sees.
 
 A level lists its classes in (letter, parent) order, so those with first
-letter f are one contiguous block, and ``enumerate_cosets`` runs the full
-step only on the blocks of i's smaller neighbours.  On E6/T that is 51,813
-full steps for 51,839 children, where trying every letter on every parent
+letter f are one contiguous block of every column.  ``enumerate_cosets``
+filters the block of each smaller neighbour f of i by one comprehension
+over a column per test, in the order above, and takes the block of first
+letters above i whole, as column slices, less the parents that Deodhar's
+test drops.  Then it builds the children's columns at once: a column off
+i's neighbours is the parents' column, and each other is one
+multiply-subtract comprehension.  On E6/T the full step filters 51,813
+candidates for 51,839 children, where trying every letter on every parent
 takes 311,040.
 """
 
@@ -87,6 +101,7 @@ import json
 import os
 from bisect import bisect_left
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 from .cartan import LieType, cartan_matrix
@@ -258,43 +273,6 @@ def _simple_roots_outside(n: int, K) -> frozenset:
     return frozenset(1 << _ROOT_BITS * (j - 1) for j in range(1, n + 1) if j not in K)
 
 
-def _left_step(lie_type: LieType, i: int, K):
-    """The tree step for letter i: a function taking u's key to its child's, or None.
-
-    Keys are packed rows (``WeylElement.inv_root_rows``).  The child
-    sigma_i * u is longer than u, still minimal for K and has i as its
-    least left descent, so i followed by u's word is its lex-least reduced
-    word (see the module docstring).  The step builds neither an element
-    nor a word.  ``enumerate_cosets`` takes this step where u's first
-    letter leaves it open.  The letter's reflection pairs and neighbour
-    coefficients are bound once here, not once per candidate.
-
-    Most candidates fail the least-descent test, so it is decided on u's
-    own rows before the child's key is built.  Row b of the child is u's
-    row b minus C[b][i-1] * u^{-1}(alpha_i) (0-based b); C[b][i-1] is 0 off
-    the neighbours of node i and negative on them, and u^{-1}(alpha_i) > 0
-    once the length and minimality tests hold.  So the child has no left
-    descent b < i exactly when rows[b] >= C[b][i-1] * rows[i-1] for each
-    such b.
-    """
-    j = i - 1
-    pairs = reflection_pairs(lie_type)
-    coeffs = dict(pairs[j])
-    below = tuple((b, coeffs.get(b, 0)) for b in range(j))
-    exits = _simple_roots_outside(lie_type.rank, K)
-
-    def step(rows):
-        rj = rows[j]
-        if rj < 0 or rj in exits:
-            return None
-        for b, c in below:
-            if rows[b] < c * rj:
-                return None
-        return right_multiply_rows(rows, j, pairs)
-
-    return step
-
-
 def _check_K(lie_type: LieType, K) -> frozenset:
     K = frozenset(K)
     for j in K:
@@ -306,10 +284,11 @@ def _check_K(lie_type: LieType, K) -> frozenset:
 class CosetTable:
     """Minimal representatives of W / W_P graded by length.
 
-    ``keys[r]`` lists the packed keys (``WeylElement.inv_root_rows``) of
-    the length-r representatives in lexicographic order of their minimized
-    words; class (r, i) (i is 1-based) has key ``keys[r][i-1]``.  A table is
-    *complete* when the enumeration was not truncated by ``max_length``.
+    ``columns[r]`` holds the length-r representatives in lexicographic
+    order of their minimized words as n root columns: ``columns[r][k][i-1]``
+    is packed row k of the key (``WeylElement.inv_root_rows``) of class
+    (r, i), i 1-based.  A table is *complete* when the enumeration was not
+    truncated by ``max_length``.
 
     ``tree`` is the lex-least-word tree that the enumeration recorded:
     ``tree[r-1]`` is level r >= 1 as one flat list ``[a1, p1, a2, p2, ...]``,
@@ -317,32 +296,42 @@ class CosetTable:
     The cache file is its compact JSON beside the header (``_file_bytes``).
     A table built by hand may pass None; it cannot be saved or listed.
 
-    The sizes, the index from a class's key to (r, i) (one dict per level,
-    built on the first lookup in that level; ``class_of_word`` looks on the
-    level of the word's length), equality, saving and the CLI listing
-    read only ``keys`` and ``tree``.  The ``WeylElement``s of a level are
-    built by ``level`` the first time that level is read, after the levels
-    below it, and kept, each with its word from the tree (see the module
-    docstring); with no tree, each word comes from ``minimized_word``.  ``element``, iteration
-    and ``levels`` go through ``level``.
+    The sizes, equality, saving and the CLI listing read only ``columns``
+    and ``tree``.  Three things are built per level the first time that
+    level is read, and kept: its keys, one tuple per class
+    (``level_keys``, ``zip`` of the columns); the index from a key to its
+    class (one dict per level, built on the first lookup there;
+    ``class_of_word`` looks on the level of the word's length); and its
+    ``WeylElement``s (``level``, after the levels below it, each with its
+    word from the tree, see the module docstring; with no tree, each word
+    comes from ``minimized_word``).  ``element``, iteration and ``levels``
+    go through ``level``.
     """
 
-    def __init__(self, lie_type, K, keys, complete, max_length=None, *, tree):
+    def __init__(self, lie_type, K, columns, complete, max_length=None, *, tree):
         self.lie_type = lie_type
         self.K = frozenset(K)
-        self.keys = keys
+        self.columns = columns
         self.complete = complete
         self.max_length = max_length
         self.tree = tree
         self._cache = {}
+        self._keys = {}
         self._levels = []
         self._index = {}
+
+    def level_keys(self, r: int) -> list[tuple[int, ...]]:
+        """The keys of the classes of level r in order, built on first read."""
+        keys = self._keys.get(r)
+        if keys is None:
+            keys = self._keys[r] = list(zip(*self.columns[r]))
+        return keys
 
     def _level_index(self, r: int) -> dict:
         """Packed key -> i of the classes of level r, built on first lookup."""
         index = self._index.get(r)
         if index is None:
-            index = self._index[r] = {key: i for i, key in enumerate(self.keys[r], start=1)}
+            index = self._index[r] = {key: i for i, key in enumerate(self.level_keys(r), start=1)}
         return index
 
     def level(self, r: int) -> list[WeylElement]:
@@ -353,13 +342,13 @@ class CosetTable:
             if s == 0:
                 level = [WeylElement.identity(self.lie_type)]
             elif self.tree is None:
-                level = [WeylElement(self.lie_type, key) for key in self.keys[s]]
+                level = [WeylElement(self.lie_type, key) for key in self.level_keys(s)]
             else:
                 parents = built[s - 1]
                 flat = self.tree[s - 1]
                 level = [
                     WeylElement(self.lie_type, key, (a,) + parents[p - 1].word)
-                    for key, a, p in zip(self.keys[s], flat[::2], flat[1::2])
+                    for key, a, p in zip(self.level_keys(s), flat[::2], flat[1::2])
                 ]
             built.append(level)
         return built[r]
@@ -374,25 +363,24 @@ class CosetTable:
 
     @property
     def lmax(self) -> int:
-        return len(self.keys) - 1
+        return len(self.columns) - 1
 
     @property
     def total(self) -> int:
-        return sum(map(len, self.keys))
+        return sum(self.betti)
 
     @property
     def betti(self) -> tuple[int, ...]:
-        return tuple(map(len, self.keys))
+        return tuple(len(level[0]) for level in self.columns)
 
     def beta(self, r: int) -> int:
-        if 0 <= r < len(self.keys):
-            return len(self.keys[r])
+        if 0 <= r < len(self.columns):
+            return len(self.columns[r][0])
         return 0
 
     def check_class(self, r: int, i: int) -> None:
-        """Raise KeyError unless (r, i) is a class of the table; builds no element."""
-        keys = self.keys
-        if not (0 <= r < len(keys) and 1 <= i <= len(keys[r])):
+        """Raise KeyError unless (r, i) is a class of the table; builds no key or element."""
+        if not 1 <= i <= self.beta(r):
             raise KeyError(f"no class ({r}, {i}) in table")
 
     def element(self, r: int, i: int) -> WeylElement:
@@ -402,7 +390,7 @@ class CosetTable:
 
     def index_of_inv_root_rows(self, rows, r: int):
         """(r, i) of the class of level r whose key is `rows`, or None."""
-        if not 0 <= r < len(self.keys):
+        if not 0 <= r < len(self.columns):
             return None
         i = self._level_index(r).get(rows)
         return None if i is None else (r, i)
@@ -428,13 +416,13 @@ class CosetTable:
                 yield r, i + 1, w
 
     def __eq__(self, other):
-        # equal keys are equal elements, and comparing them builds no element
+        # equal keys are equal elements, and comparing columns builds no key
         return (
             isinstance(other, CosetTable)
             and self.lie_type == other.lie_type
             and self.K == other.K
             and self.max_length == other.max_length
-            and self.keys == other.keys
+            and self.columns == other.columns
         )
 
     # -- serialization ---------------------------------------------------
@@ -497,12 +485,12 @@ def enumerate_cosets(
     (the resulting table knows it is incomplete).  A negative `max_length`
     raises ValueError.
 
-    Each level is stored as its list of keys beside the recorded tree; the
-    table makes a level's elements when the level is first read.  The
-    previous level's first letters, found by bisection, split it into
+    Each level is stored as n root columns beside the recorded tree; the
+    table builds a level's keys and elements when the level is first read.
+    The previous level's first letters, found by bisection, split it into
     blocks, and the step for letter i looks only at the blocks the module
-    docstring leaves open: the full step on the blocks of i's smaller
-    neighbours, and Deodhar's test alone on the blocks above i.
+    docstring leaves open: the full step's column filters on the blocks of
+    i's smaller neighbours, and Deodhar's test alone on the blocks above i.
     """
     return _grade(lie_type, K, max_length, max_elements)
 
@@ -520,14 +508,16 @@ def _grade(lie_type, K, max_length, max_elements) -> CosetTable:
     if K and max_length != 0 and 1 + len(K) > max_elements:
         raise EnumerationLimit(lie_type, K, max_elements)
     n = lie_type.rank
-    pairs = reflection_pairs(lie_type)
     exits = _simple_roots_outside(n, K)
-    # each letter i with its full step and the neighbours f < i of node i
-    steps = [
-        (i, _left_step(lie_type, i, K), [k + 1 for k, _ in pairs[i - 1] if k < i - 1])
-        for i in range(1, n + 1)
-    ]
-    keys = [[_identity_rows(n)]]
+    # each letter i with the (k, C[k][i-1]) of the rows its reflection
+    # changes and, for each smaller neighbour f of node i, the (b, C[b][i-1])
+    # of the rows b = f-1 .. i-2 that the full step tests
+    plans = []
+    for j, column in enumerate(reflection_pairs(lie_type)):
+        coeffs = dict(column)
+        lower = [(k + 1, [(b, coeffs.get(b, 0)) for b in range(k, j)]) for k, _ in column if k < j]
+        plans.append((j + 1, column, lower))
+    columns = [[[row] for row in _identity_rows(n)]]
     tree = []
     # the first letters of the last level, in order; the identity has none,
     # so it counts as n + 1, above every letter
@@ -535,37 +525,61 @@ def _grade(lie_type, K, max_length, max_elements) -> CosetTable:
     count = 1
     complete = True
     while True:
-        if max_length is not None and len(keys) > max_length:
+        if max_length is not None and len(columns) > max_length:
             complete = False
-            keys = keys[: max_length + 1]
             break
-        prev = keys[-1]
-        m = len(prev)
-        # the parents with first letter f are prev[start[f]:start[f + 1]]
+        prev = columns[-1]
+        m = len(firsts)
+        # the parents with first letter f are at start[f]:start[f + 1]
         start = [bisect_left(firsts, f) for f in range(n + 2)]
-        level = []
+        level = [[] for _ in range(n)]
         flat = []
-        for i, step, lower in steps:
-            j = i - 1
-            # first letter f < i: only a neighbour f of i can pass
-            for f in lower:
-                for p in range(start[f], start[f + 1]):
-                    child = step(prev[p])
-                    if child is not None:
-                        level.append(child)
-                        flat += (i, p + 1)
+        for i, changed, lower in plans:
+            rows_i = prev[i - 1]
+            # first letter f < i: only a neighbour f of i can pass, and only
+            # rows f-1 .. i-2 can turn negative; the test of row f-1 comes
+            # first, and it fails wherever row i-1 is negative
+            ps = []
+            for f, tests in lower:
+                passed = range(start[f], start[f + 1])
+                for b, c in tests:
+                    if not passed:
+                        break
+                    rows_b = prev[b]
+                    passed = [p for p in passed if rows_b[p] >= c * rows_i[p]]
+                ps += passed
             # first letter f > i: only Deodhar's test is left
-            ps = [p for p in range(start[i + 1], m) if prev[p][j] not in exits]
-            level += [right_multiply_rows(prev[p], j, pairs) for p in ps]
+            s = start[i + 1]
+            if exits:
+                ps += [p for p in range(s, m) if rows_i[p] not in exits]
+            else:
+                ps += range(s, m)
+            if not ps:
+                continue
+            if ps[0] == s and len(ps) == m - s:
+                # every parent is in the block above i: its rows are slices
+                cols = [col[s:] for col in prev]
+            else:
+                # an itemgetter of one index gives the item, not a 1-tuple
+                take = itemgetter(*ps)
+                cols = [take(col) for col in prev] if len(ps) > 1 else [[take(col)] for col in prev]
+            # the children's rows: minus c times row i - 1 where sigma_i
+            # changes them, the parents' rows elsewhere
+            parent_i = cols[i - 1]
+            for k, c in changed:
+                cols[k] = [x - c * y for x, y in zip(cols[k], parent_i)]
+            for out, col in zip(level, cols):
+                out += col
             block = [i] * (2 * len(ps))
             block[1::2] = [p + 1 for p in ps]
             flat += block
-        if not level:
+        if not flat:
             break
-        count += len(level)
+        count += len(level[0])
         if count > max_elements:
             raise EnumerationLimit(lie_type, K, max_elements)
-        keys.append(level)
+        columns.append(level)
         tree.append(flat)
         firsts = flat[::2]
-    return CosetTable(lie_type, K, keys, complete, max_length, tree=tree)
+    return CosetTable(lie_type, K, columns, complete, max_length, tree=tree)
+

@@ -13,9 +13,12 @@ here as the oracle of the packed one, together with the earlier subword
 search `ascending_subword_solutions` and the tree step `built_left_step`
 that builds every candidate before testing it.  `word_tree` derives a
 table's (letter, parent) tree from its words, as the cache writer once did,
-to check the tree the enumeration records.  `exhaustive_tree` is the
-enumeration as it was before it skipped steps by the parents' first
-letters: the package's full step on every letter and every parent.
+to check the tree the enumeration records.  `left_step` is the packed tree
+step on one key that the package took per candidate before it filtered
+whole root columns, and `exhaustive_tree` is the enumeration as it was
+before it skipped steps by the parents' first letters: that step on every
+letter and every parent.  `table_keys` reads every level's keys off a
+table.
 """
 
 from fractions import Fraction
@@ -26,11 +29,12 @@ from schubert.weyl import (
     WeylElement,
     _ROOT_BITS,
     _identity_rows,
-    _left_step,
     _root_matrix,
+    _simple_roots_outside,
     reflection_pairs,
     unpack_root,
 )
+from schubert.weyl import right_multiply_rows as packed_right_multiply
 
 
 def _is_neg(vec: tuple[int, ...]) -> bool:
@@ -312,6 +316,46 @@ def built_left_step(u, i, K):
     return WeylElement(u.lie_type, tuple(map(pack_root, inv)), (i,) + u.word)
 
 
+def left_step(lie_type, i, K):
+    """The tree step for letter i: a function taking u's key to its child's, or None.
+
+    Keys are packed rows (``WeylElement.inv_root_rows``).  The child
+    sigma_i * u is longer than u, still minimal for K and has i as its
+    least left descent, so i followed by u's word is its lex-least reduced
+    word.  The step builds neither an element nor a word.
+
+    The least-descent test is decided on u's own rows before the child's
+    key is built.  Row b of the child is u's row b minus
+    C[b][i-1] * u^{-1}(alpha_i) (0-based b); C[b][i-1] is 0 off the
+    neighbours of node i and negative on them, and u^{-1}(alpha_i) > 0
+    once the length and minimality tests hold.  So the child has no left
+    descent b < i exactly when rows[b] >= C[b][i-1] * rows[i-1] for each
+    such b.  Unlike the package, it tests every b < i and Deodhar's exits
+    on every candidate, whatever u's first letter.
+    """
+    j = i - 1
+    pairs = reflection_pairs(lie_type)
+    coeffs = dict(pairs[j])
+    below = tuple((b, coeffs.get(b, 0)) for b in range(j))
+    exits = _simple_roots_outside(lie_type.rank, K)
+
+    def step(rows):
+        rj = rows[j]
+        if rj < 0 or rj in exits:
+            return None
+        for b, c in below:
+            if rows[b] < c * rj:
+                return None
+        return packed_right_multiply(rows, j, pairs)
+
+    return step
+
+
+def table_keys(table):
+    """The keys of every level of a table, ``table_keys(t)[r]`` being ``t.level_keys(r)``."""
+    return [table.level_keys(r) for r in range(table.lmax + 1)]
+
+
 def word_tree(table):
     """The table's lex-least-word tree, found again from the words of its classes.
 
@@ -329,11 +373,11 @@ def exhaustive_tree(lie_type, K, max_length=None):
     """(keys, tree) of W^P by the full step on every letter and every parent.
 
     Level r+1 lists sigma_i * u for i = 1..n and then each u of level r in
-    order, wherever ``_left_step`` accepts it, so it is the (letter, parent)
+    order, wherever ``left_step`` accepts it, so it is the (letter, parent)
     order ``enumerate_cosets`` records, found without its pruning.
     """
     n = lie_type.rank
-    steps = [_left_step(lie_type, i, K) for i in range(1, n + 1)]
+    steps = [left_step(lie_type, i, K) for i in range(1, n + 1)]
     keys = [[_identity_rows(n)]]
     tree = []
     while max_length is None or len(keys) <= max_length:

@@ -36,6 +36,7 @@ from brute_weyl import (
     brute_all_reduced_words,
     brute_length,
     brute_matrix,
+    table_keys,
     weight_matrix,
 )
 from presentation_data import E6_WORDS
@@ -387,12 +388,17 @@ def test_dual_needs_a_complete_table_closed_under_duality():
     with pytest.raises(ValueError, match="complete"):
         _dual(enumerate_cosets(F4, {1}, max_length=5), 2)
     good = enumerate_cosets(A2, {1, 2})
-    (e,), (s1, s2), level2, (w0,) = good.keys
-    missing = CosetTable(A2, {1, 2}, [[e], [s1, s2], level2[:1], [w0]], True, tree=None)
+    (e,), (s1, s2), level2, (w0,) = table_keys(good)
+
+    def by_hand(levels):
+        columns = [[list(col) for col in zip(*keys)] for keys in levels]
+        return CosetTable(A2, {1, 2}, columns, True, tree=None)
+
+    missing = by_hand([[e], [s1, s2], level2[:1], [w0]])
     with pytest.raises(ValueError, match="no Poincare dual"):
         _dual(missing, 1)
     # s2 listed on level 2: its dual is found, but on level 2, not 1
-    moved = CosetTable(A2, {1, 2}, [[e], [s1], [s2] + level2, [w0]], True, tree=None)
+    moved = by_hand([[e], [s1], [s2] + level2, [w0]])
     with pytest.raises(ValueError, match="no Poincare dual on level 1"):
         _dual(moved, 2)
     with pytest.raises(ValueError, match="no Poincare dual"):
@@ -784,7 +790,7 @@ def test_cover_data_builds_no_elements():
 def test_cover_data_needs_no_tree(lie, K):
     table = enumerate_cosets(LieType.parse(lie), set(K))
     bare = CosetTable(
-        table.lie_type, table.K, table.keys, table.complete, table.max_length, tree=None
+        table.lie_type, table.K, table.columns, table.complete, table.max_length, tree=None
     )
     for r in range(1, table.lmax + 1):
         assert _cover_data(bare, r) == _cover_data(table, r), r
@@ -915,6 +921,30 @@ def test_gysin_matrices_match_general_path(f4_p1):
             for j in range(1, f4_p1.beta(r - 1) + 1)
         ]
         assert rows == expected, r
+
+
+@pytest.mark.parametrize("lie, node", [("E7", 2), ("E6", 2), ("F4", 1)])
+def test_gysin_matrices_match_per_row_products(lie, node):
+    # A_r read off the cover data equals one product by omega per row of
+    # a fresh table, through the whole table and one level above it
+    table = enumerate_cosets(LieType.parse(lie), {node})
+    matrices = gysin_analysis(table, node, table.lmax + 1).matrices
+    fresh = enumerate_cosets(LieType.parse(lie), {node})
+    omega = SchubertClass(1, 1)
+    assert sorted(matrices) == list(range(1, table.lmax + 2))
+    for r, rows in matrices.items():
+        expected = []
+        for j in range(1, fresh.beta(r - 1) + 1):
+            vec = multiply_vec_by_class(fresh, {(r - 1, j): 1}, omega)
+            expected.append([vec.get((r, k), 0) for k in range(1, fresh.beta(r) + 1)])
+        assert rows == expected, (lie, r)
+
+
+def test_gysin_rejects_a_truncated_table():
+    table = enumerate_cosets(F4, {1}, max_length=5)
+    assert gysin_analysis(table, 1, 5).matrices.keys() == set(range(1, 6))
+    with pytest.raises(ValueError, match="degree 6 exceeds the truncated table"):
+        gysin_analysis(table, 1, 6)
 
 
 def test_one_class_monomial_is_the_class(f4_p1, monkeypatch):

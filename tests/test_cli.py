@@ -176,12 +176,12 @@ def test_cap_message_on_a_long_k_is_one_short_line(capsys, monkeypatch):
     assert code == EXIT_RESOURCE
     assert "K=[1, 2]" in err
 
-    # A3000/T is over the cap at level 1, so no step is built; the message
-    # gives the size of K, not its 3000 nodes
-    def no_steps(*args):
-        raise AssertionError("steps built for an enumeration over the cap at level 1")
+    # A3000/T is over the cap at level 1, so the O(n^2) set-up of the
+    # steps never starts; the message gives the size of K, not its 3000 nodes
+    def no_setup(*args):
+        raise AssertionError("steps set up for an enumeration over the cap at level 1")
 
-    monkeypatch.setattr("schubert.weyl._left_step", no_steps)
+    monkeypatch.setattr("schubert.weyl.reflection_pairs", no_setup)
     code, out, err = run_cli(capsys, "enumerate", "A3000", "--max-elements", "10")
     assert (code, out) == (EXIT_RESOURCE, "")
     assert err.count("\n") == 1 and len(err.encode()) < 200

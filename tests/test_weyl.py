@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert.cartan import LieType
+from schubert.characteristics import SchubertClass, expand_pair, expand_product
 from schubert.cli import main
 from schubert.weyl import (
     CosetTable,
     EnumerationLimit,
     WeylElement,
-    _left_step,
     _root_matrix,
     enumerate_cosets,
     unpack_root,
@@ -35,9 +35,11 @@ from brute_weyl import (
     exhaustive_tree,
     word_tree,
     inverse_weight_matrix,
+    left_step,
     pack_root,
     positive_roots,
     reflect_root,
+    table_keys,
     unpacked_rows,
     weight_matrix,
 )
@@ -274,7 +276,7 @@ def test_left_step_matches_brute(lt, K):
                 child = brute_length(lt, word) == len(word) and (
                     brute_right_descents(lt, word) <= K
                 ) and min(brute_all_reduced_words(lt, brute_matrix(lt, word))) == word
-                rows = _left_step(lt, i, K)(u.inv_root_rows)
+                rows = left_step(lt, i, K)(u.inv_root_rows)
                 assert (rows is not None) == child, (u.word, i)
                 if child:
                     # the key the step returns is that of w^-1
@@ -295,7 +297,7 @@ def test_left_step_matches_built_step(lt, K):
         return None if w is None else (unpacked_rows(w), w.word)
 
     table = enumerate_cosets(lt, K)
-    steps = [_left_step(lt, i, K) for i in range(1, lt.rank + 1)]
+    steps = [left_step(lt, i, K) for i in range(1, lt.rank + 1)]
     children = 0
     for _, _, u in table:
         for i, step in enumerate(steps, start=1):
@@ -312,10 +314,14 @@ RANK5_TYPES = (
 )
 
 
-def _assert_matches_exhaustive(lt, K):
-    for max_length in (None, 0, 1, 5):
+LENGTHS = (None, 0, 1, 5)  # complete, and truncated at three lengths
+
+
+def _assert_matches_exhaustive(lt, K, lengths=LENGTHS):
+    for max_length in lengths:
         table = enumerate_cosets(lt, K, max_length=max_length)
-        assert (table.keys, table.tree) == exhaustive_tree(lt, K, max_length), (K, max_length)
+        expected = exhaustive_tree(lt, K, max_length)
+        assert (table_keys(table), table.tree) == expected, (K, max_length)
 
 
 @pytest.mark.parametrize("name", RANK5_TYPES)
@@ -332,43 +338,25 @@ def test_enumerate_matches_exhaustive_tree(name):
 
 
 @pytest.mark.parametrize(
-    "name,K", [("E6", range(1, 7)), ("E6", {2}), ("E7", {2}), ("E7", {7})],
-    ids=["E6/T", "E6/P2", "E7/P2", "E7/P7"],
+    "name,K,lengths",
+    [
+        ("E6", range(1, 7), LENGTHS), ("E6", {2}, LENGTHS), ("E7", {2}, LENGTHS),
+        ("E7", {7}, LENGTHS), ("E8", {8}, LENGTHS), ("E8", {1}, LENGTHS),
+        ("E7", range(1, 8), (6,)),
+    ],
+    ids=["E6/T", "E6/P2", "E7/P2", "E7/P7", "E8/P8", "E8/P1", "E7/T-6"],
 )
-def test_enumerate_matches_exhaustive_tree_on_e_types(name, K):
-    _assert_matches_exhaustive(LieType.parse(name), K)
-
-
-def test_enumeration_takes_the_full_step_about_once_per_class(monkeypatch):
-    # on E6/T the full step runs once per parent whose first letter is a
-    # smaller neighbour of the letter, about once per class, where trying
-    # every letter on every parent runs it 6 * 51,840 times
-    calls = []
-
-    def counted(lie_type, i, K):
-        step = _left_step(lie_type, i, K)
-
-        def counted_step(rows):
-            calls.append(i)
-            return step(rows)
-
-        return counted_step
-
-    monkeypatch.setattr("schubert.weyl._left_step", counted)
-    monkeypatch.setattr("brute_weyl._left_step", counted)
-    table = enumerate_cosets(E6, range(1, 7))
-    assert table.total == 51840
-    assert len(calls) <= 51840
-    del calls[:]
-    exhaustive_tree(E6, range(1, 7))
-    assert len(calls) == 311040
+def test_enumerate_matches_exhaustive_tree_on_e_types(name, K, lengths):
+    # E7/T only through level 6: its 2,903,040 classes are too many for
+    # the exhaustive oracle
+    _assert_matches_exhaustive(LieType.parse(name), K, lengths)
 
 
 def test_minimal_rep_examples():
     e = WeylElement.identity(F4)
     # sigma_1 is minimal for K={1}; sigma_2 lies in W_P
-    assert _left_step(F4, 1, {1})(e.inv_root_rows) == wd(F4, 1).inv_root_rows
-    assert _left_step(F4, 2, {1})(e.inv_root_rows) is None
+    assert left_step(F4, 1, {1})(e.inv_root_rows) == wd(F4, 1).inv_root_rows
+    assert left_step(F4, 2, {1})(e.inv_root_rows) is None
     assert brute_right_descents(F4, (1,)) <= {1}
     assert not brute_right_descents(F4, (2,)) <= {1}
     assert enumerate_cosets(F4, set()).levels == [[e]]
@@ -417,7 +405,6 @@ def test_cap_exceeded_by_level_one_fails_before_the_steps(monkeypatch):
     def no_steps(*args):
         raise AssertionError("steps built for an enumeration over the cap at level 1")
 
-    monkeypatch.setattr("schubert.weyl._left_step", no_steps)
     monkeypatch.setattr("schubert.weyl.reflection_pairs", no_steps)
     a3000 = LieType.parse("A3000")
     with pytest.raises(EnumerationLimit):
@@ -525,7 +512,7 @@ def test_recorded_tree_matches_words(lt, K, tmp_path):
             # lengthens within W^P (each row is negative or a simple root
             # alpha_j, j not in K)
             assert part.betti == part.betti[::-1]
-            (top,) = part.keys[part.lmax]
+            (top,) = part.level_keys(part.lmax)
             assert all(row < 0 or row in exits for row in top)
         else:
             assert part.lmax == max_length
@@ -536,7 +523,7 @@ def test_recorded_tree_matches_words(lt, K, tmp_path):
             # the stored keys and tree before `levels` builds the rest
             mid = (t.lmax + 1) // 2
             level = [t.element(mid, i) for i in range(1, t.beta(mid) + 1)]
-            assert [w.inv_root_rows for w in level] == t.keys[mid] == table.keys[mid]
+            assert [w.inv_root_rows for w in level] == t.level_keys(mid) == table.level_keys(mid)
             assert [w.word for w in level] == [w.minimized_word() for w in level] == words[mid]
             assert all(a is b for a, b in zip(t.levels[mid], level))
         # half the tables read their top level first, so `level` builds
@@ -572,7 +559,7 @@ def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
     assert loaded == table
     assert cli_listing(loaded) == cli_listing(table)
     assert loaded.total == table.total == 51840
-    level_of = {key: r for r, level in enumerate(table.keys) for key in level}
+    level_of = {key: r for r, level in enumerate(table_keys(table)) for key in level}
     assert {level_of[key] for key in made} <= {0}
     # reading level 5 makes the elements of levels 0..5, each with its
     # word, and none above
@@ -590,6 +577,31 @@ def test_words_are_built_on_demand(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
     assert {level_of[key] for key in made} == set(range(5))
+
+
+def test_keys_are_built_on_first_read(tmp_path):
+    # enumeration, the listing, saving and a cache load read the root
+    # columns and the tree: no level above 0 gets key tuples or elements
+    table = enumerate_cosets(E6, range(1, 7))
+    path = tmp_path / "table.json"
+    table.save_binary(path)
+    loaded = CosetTable.load_binary(path, E6, range(1, 7))
+    assert cli_listing(loaded) == cli_listing(table)
+    assert loaded == table and loaded.total == 51840
+    loaded.check_class(36, 1)
+    for t in (table, loaded):
+        assert set(t._keys) <= {0} and len(t._levels) <= 1 and t._index == {}
+    # a product of degree 4 builds the keys of levels 0..4 only
+    u = SchubertClass(*loaded.class_of_word((3, 2, 1)))
+    expand_product(loaded, [u, SchubertClass(*loaded.class_of_word((4,)))])
+    assert set(loaded._keys) <= set(range(5))
+    # a pair product on its targets' own words reads levels up to its
+    # degree; the dual route reads the top level too
+    f4t = enumerate_cosets(F4, range(1, 5))
+    expand_pair(f4t, SchubertClass(2, 1), SchubertClass(3, 2))
+    assert set(f4t._keys) <= set(range(6))
+    expand_pair(f4t, SchubertClass(2, 1), SchubertClass(15, 2))
+    assert f4t.lmax in f4t._keys and set(f4t._keys) <= set(range(18)) | {f4t.lmax}
 
 
 def test_word_of_a_long_chain_needs_no_recursion():
@@ -612,9 +624,9 @@ def test_word_of_a_long_chain_needs_no_recursion():
 
 
 def test_enumeration_memory_pin():
-    # E6/T holds 51,840 keys, tuples of 6 packed roots, beside its tree, and
-    # traces 10.4 MiB; an element per class would add about 3 MiB, and a
-    # word tuple per class about 9 MiB more
+    # E6/T holds 6 root columns of 51,840 packed roots beside its tree, and
+    # traces 8.6 MiB (10.4 MiB as a key tuple per class); an element per
+    # class would add about 3 MiB, and a word tuple per class about 9 MiB more
     tracemalloc.start()
     try:
         table = enumerate_cosets(E6, range(1, 7))
