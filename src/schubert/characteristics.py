@@ -23,10 +23,9 @@ a + c instead of a + b.  The duals u^vee = tau(u) * w_top come from the
 top class and the opposition involution tau, cached per level on the
 table.  A truncated table has no top class and keeps the target's own
 word.  Every product expansion, `expand_product` included, folds one
-factor at a time through `expand_class_monomial`, which caches nothing:
-the table caches only pair products, cover data and duals, each bounded by
-the size of the table.  A factor of degree one skips the operator: by
-Chevalley's formula the coefficient of s_w in omega_l * s_u, for a class
+factor at a time through `expand_class_monomial`, which caches nothing.
+A factor of degree one skips the operator: by Chevalley's formula the
+coefficient of s_w in omega_l * s_u, for a class
 w = u * s_beta one level up, is the alpha_l^vee-coordinate of the coroot
 beta^vee.  The pairs (w, beta^vee) of each class u ("cover data") are
 built one level from the one below, with no word: a class w with least
@@ -36,7 +35,36 @@ and sigma_a times each drop of v that lands in a class, with v's beta.
 The same suffix gives the same beta, and left lengthening keeps every
 right descent, so no other drop can land in a class.  The pairs are stored
 per source u, so a product by omega_l reads only the rows of the vector's
-own classes.  Any other factor goes through `expand_pair`.
+own classes.  Any other factor of a single product goes through
+`expand_pair`.
+
+A `cohomology.GeneratorSet` multiplies by a class v of degree d >= 2
+through `level_products`, the products s_u * s_v for every class u of one
+level k at once, which runs the operator only where omega, the sum of
+the level-1 classes, does not reach.  By associativity,
+omega * (s_u' * s_v) = sum_u A_k[u'][u] * (s_u * s_v) for each class u'
+of level k - 1, where A_k is the cup-with-omega matrix read off the cover
+data (`omega_block`) and the left side is a degree-1 product of a row of
+level k - 1.  With one Hermite form U * A_k = H per level, shared by
+every v, H * rows = U * (left sides).  The true rows solve it, and
+given the rows at H's columns without a pivot, which take `expand_pair`
+(Chevalley's formula at level 1), the rest follow uniquely by
+back-substitution, each division checked; a zero row of H must face a
+zero right side.  Multiplication by the
+ample class omega is injective from level k - 1 to level k while
+2k - 1 <= lmax (Hard Lefschetz), so there A_k has rank beta(k - 1) and
+beta(k) - beta(k - 1) rows per level take the operator; a rank deficit
+would only mean more of them, never a wrong row.  On a complete table a
+level with 2k > lmax - d is the transpose of level lmax - d - k through
+the Poincare duals, as c_{u,v}^w and c_{w^vee,v}^{u^vee} are both the
+integral of s_u * s_v * s_{w^vee}.  So only levels up to (lmax - d) / 2
+sweep pairs; the whole E6/P2 presentation sweeps 11.
+
+The table caches only data about itself: pair products, cover data,
+duals, the Hermite form of each A_k and the level rows that
+`level_products` built.  Each is bounded by the size of the table, the level rows
+of one class by beta(k) * beta(k + d) entries per level as its pair
+products are.  Cached values are handed out read-only.
 """
 
 from __future__ import annotations
@@ -53,6 +81,7 @@ from .weyl import (
     unpack_root,
 )
 from .cartan import cartan_matrix
+from .intlinalg import _mat_mul, hermite_with_transform
 from .triangular import cartan_matrix_of_word, evaluate_exponents
 
 
@@ -392,6 +421,128 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
     return result
 
 
+def omega_block(table: CosetTable, r: int):
+    """The dense cup-with-omega matrix A_r, beta(r - 1) x beta(r), for 1 <= r <= lmax.
+
+    omega is the sum of the level-1 classes, and row u is omega * s_(r-1,u)
+    over the classes of level r.  Class (1, i) is sigma_a, so by
+    Chevalley's formula the coefficient of s_(r,k) is the sum over those a
+    of coordinate a - 1 of beta^vee, for each (k, beta^vee) of
+    ``_cover_data(table, r)``.  The identity, alone on level 0, has omega
+    itself as its one row.  Nothing is cached beyond the cover data.
+    """
+    if r == 1:
+        return [[1] * table.beta(1)]
+    # sigma_a's key has its one negative row at a - 1
+    ls = [l for l, column in enumerate(table.columns[1]) if min(column) < 0]
+    width = table.beta(r)
+    rows = []
+    for cover in _cover_data(table, r):
+        row = [0] * width
+        for l in ls:
+            for k, coroot in cover:
+                row[k - 1] += coroot[l]
+        rows.append(row)
+    return rows
+
+
+def _omega_hermite(table: CosetTable, k: int):
+    """(H, U, free) for U * A_k = H in Hermite form, cached per level on the table.
+
+    ``free`` lists the 0-based columns of H without a pivot.
+    """
+    key = ("omega", k)
+    cached = table._cache.get(key)
+    if cached is None:
+        h, u = hermite_with_transform(omega_block(table, k))
+        pivots = {next(c for c, x in enumerate(row) if x) for row in h if any(row)}
+        free = tuple(c for c in range(table.beta(k)) if c not in pivots)
+        cached = table._cache[key] = (h, u, free)
+    return cached
+
+
+def _solve_echelon(h, rhs, rows):
+    """Fill in rows[p] at each pivot column p of the echelon matrix h so that h * rows = rhs.
+
+    ``rows`` holds the rows at h's other columns and is filled in place,
+    last pivot first: row p is (rhs[i] - sum of h[i][c] * rows[c] over
+    c > p) / h[i][p].  Raises ArithmeticError when a division is not exact
+    or a zero row of h faces a nonzero right-hand side, also under
+    ``python -O``.
+    """
+    pivots = []
+    for i, row in enumerate(h):
+        p = next((c for c, x in enumerate(row) if x), None)
+        if p is None:
+            if any(rhs[i]):
+                raise ArithmeticError(
+                    f"row {i} of the echelon form is zero, its right-hand side is not"
+                )
+        else:
+            pivots.append((i, p))
+    for i, p in reversed(pivots):
+        acc = rhs[i]
+        for c in range(p + 1, len(rows)):
+            if h[i][c]:
+                acc = [x - h[i][c] * y for x, y in zip(acc, rows[c])]
+        q = h[i][p]
+        if any(x % q for x in acc):
+            raise ArithmeticError(f"pivot {q} at column {p} does not divide its right-hand side")
+        rows[p] = [x // q for x in acc]
+    return rows
+
+
+def level_products(table: CosetTable, v: SchubertClass, k: int):
+    """(s_u * s_v for each class u of level k, in order), rows cached read-only on the table.
+
+    Level 0 is s_v itself.  On a complete table with 2k > lmax - l(v) the
+    rows are those of level lmax - l(v) - k transposed through the
+    Poincare duals; otherwise they are solved from the rows of level
+    k - 1, with `expand_pair` only at the columns without a pivot in the
+    Hermite form of A_k (see the module docstring).  A target level above
+    the table is empty on a complete table and raises ValueError on a
+    truncated one.
+    """
+    key = ("level", v.key(), k)
+    cached = table._cache.get(key)
+    if cached is not None:
+        return cached
+    table.check_class(*v.key())
+    r = k + v.r
+    if r > table.lmax:
+        if not table.complete:
+            raise ValueError(f"degree {r} exceeds the truncated table")
+        rows = [{} for _ in range(table.beta(k))]
+    elif k == 0:
+        rows = [{v.key(): 1}]
+    elif table.complete and 2 * k > table.lmax - v.r:
+        below = level_products(table, v, table.lmax - r)
+        position = {dual: i for i, dual in enumerate(_dual(table, k))}
+        rows = [{} for _ in range(table.beta(k))]
+        for t, (_, j) in enumerate(_dual(table, r), start=1):
+            for dual, c in below[j - 1].items():
+                rows[position[dual]][r, t] = c
+    else:
+        h, u, free = _omega_hermite(table, k)
+        below = [
+            [row.get((r - 1, w), 0) for w in range(1, table.beta(r - 1) + 1)]
+            for row in level_products(table, v, k - 1)
+        ]
+        rhs = _mat_mul(u, _mat_mul(below, omega_block(table, r)))
+        dense = [None] * table.beta(k)
+        for c in free:
+            cls = SchubertClass(k, c + 1)
+            if k == 1:
+                row = multiply_vec_by_class(table, {v.key(): 1}, cls)
+            else:
+                row = expand_pair(table, cls, v)
+            dense[c] = [row.get((r, t), 0) for t in range(1, table.beta(r) + 1)]
+        _solve_echelon(h, rhs, dense)
+        rows = [{(r, t): x for t, x in enumerate(row, start=1) if x} for row in dense]
+    table._cache[key] = rows = tuple(map(MappingProxyType, rows))
+    return rows
+
+
 def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
     """Product of a degree-homogeneous vector with one class, as a vector.
 
@@ -420,14 +571,40 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
         return {cls.key(): c for c in vec.values() if c}
     if cls.r == 1:
         covers, l0 = _chevalley_covers(table, cls.i, r_target)
+        return _combine(
+            (cu, (((r_target, k), coroot[l0]) for k, coroot in covers[ukey[1] - 1]))
+            for ukey, cu in vec.items()
+        )
+    return _combine(
+        (cu, expand_pair(table, SchubertClass(*ukey), cls).items()) for ukey, cu in vec.items()
+    )
+
+
+def multiply_vec_by_level_rows(table: CosetTable, vec, cls: SchubertClass):
+    """`multiply_vec_by_class` for a vector on one level, read off `level_products`.
+
+    The whole level's rows are built and cached, so this pays where many
+    vectors of a level meet one class, as in `cohomology.GeneratorSet`.
+    A key that names no class raises KeyError, keys on more than one level
+    ValueError.
+    """
+    for ukey in vec:
+        table.check_class(*ukey)
+    levels = {r for r, _ in vec}
+    if len(levels) > 1:
+        raise ValueError("vector is not homogeneous")
+    if not vec:
+        return {}
+    rows = level_products(table, cls, levels.pop())
+    return _combine((c, rows[i - 1].items()) for (_, i), c in vec.items())
+
+
+def _combine(terms):
+    """The sum of c * row over the (c, row items) pairs, as a dict without zeros."""
     out = {}
-    for ukey, cu in vec.items():
-        if cls.r == 1:
-            row = (((r_target, k), coroot[l0]) for k, coroot in covers[ukey[1] - 1])
-        else:
-            row = expand_pair(table, SchubertClass(*ukey), cls).items()
-        for t, av in row:
-            s = out.get(t, 0) + cu * av
+    for c, row in terms:
+        for t, a in row:
+            s = out.get(t, 0) + c * a
             if s:
                 out[t] = s
             elif t in out:

@@ -37,7 +37,12 @@ from operator import add
 from types import MappingProxyType
 
 from .cartan import LieType, reflect_weight
-from .characteristics import SchubertClass, _chevalley_covers, multiply_vec_by_class
+from .characteristics import (
+    SchubertClass,
+    multiply_vec_by_class,
+    multiply_vec_by_level_rows,
+    omega_block,
+)
 from .intlinalg import (
     AbelianGroupStructure,
     SparseIntLattice,
@@ -117,7 +122,10 @@ class GeneratorSet:
         """Schubert expansion vector of the monomial with these exponents.
 
         A monomial is its first generator times the monomial with one fewer
-        of that generator, so each new monomial costs one product by a class.
+        of that generator, so each new monomial costs one product by a class:
+        Chevalley's formula for a degree-1 generator, otherwise the rows of
+        the generator's products with the whole level, cached on the table
+        (``characteristics.level_products``).
         """
         exponents = tuple(exponents)
         if len(exponents) != len(self.generators) or min(exponents, default=0) < 0:
@@ -129,7 +137,8 @@ class GeneratorSet:
             exponents = exponents[:k] + (exponents[k] - 1,) + exponents[k + 1:]
         vec = self._products[exponents]
         for exponents, cls in reversed(missing):
-            vec = MappingProxyType(multiply_vec_by_class(self.table, vec, cls))
+            multiply = multiply_vec_by_class if cls.r < 2 else multiply_vec_by_level_rows
+            vec = MappingProxyType(multiply(self.table, vec, cls))
             self._products[exponents] = vec
         return vec
 
@@ -439,9 +448,8 @@ def gysin_analysis(table: CosetTable, i: int, up_to: int) -> GysinTable:
     """Groups of G/P^s from the cup-with-omega matrices A_r on G/P.
 
     Row u of A_r is omega * s_(r-1,u) by Chevalley's formula, read straight
-    off the cover data of level r at omega's coordinate
-    (``characteristics._chevalley_covers``, the reader the degree-1 path
-    of ``multiply_vec_by_class`` uses); A_1 is the identity's row [1].
+    off the cover data of level r (``characteristics.omega_block``, omega
+    being the one class of level 1 here); A_1 is the identity's row [1].
     A truncated table raises ValueError when up_to reaches above it.
 
     Each A_r is factored once, as U * A_r = H in row Hermite form.  The odd
@@ -461,16 +469,10 @@ def gysin_analysis(table: CosetTable, i: int, up_to: int) -> GysinTable:
     even, odd, kernels, mats = {}, {}, {}, {}
     for r in range(1, top + 1):
         beta_cur = table.beta(r)
-        if r == 1:  # the identity times omega is omega, the one class of level 1
-            rows = [[1]]
-        elif r > table.lmax:
+        if r > table.lmax:
             rows = [[] for _ in range(table.beta(r - 1))]
         else:
-            covers, l = _chevalley_covers(table, 1, r)
-            rows = [[0] * beta_cur for _ in covers]
-            for row, cover in zip(rows, covers):
-                for k, coroot in cover:
-                    row[k - 1] = coroot[l]
+            rows = omega_block(table, r)
         mats[r] = rows
         h, u = hermite_with_transform(rows)
         even[2 * r] = _cokernel_of_hermite(h, beta_cur)

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -26,7 +28,10 @@ from schubert.characteristics import (
     expand_class_monomial,
     expand_pair,
     expand_product,
+    level_products,
     multiply_vec_by_class,
+    multiply_vec_by_level_rows,
+    omega_block,
 )
 
 from along_word import characteristic_with_word, subwords_equal_to
@@ -531,7 +536,7 @@ def test_deep_fold_needs_no_recursion(f4_p1):
 
 
 # the table caches data about itself only, each kind bounded by its size
-TABLE_CACHE_KINDS = {"pair", "cover", "dual"}
+TABLE_CACHE_KINDS = {"pair", "cover", "dual", "level", "omega"}
 
 
 def _cache_kinds(table):
@@ -599,6 +604,15 @@ def test_returned_products_do_not_alias_cached_ones():
     _vandalize(gens.expand_exponents(e))
     assert gens.expand_exponents(e) == cube
     assert gens.expand_exponents((1,) + e[1:]) == {(1, 1): 1}
+    # the level rows behind a product by y3, and the monomial read off them
+    rows = [dict(row) for row in level_products(fresh, y3, 3)]
+    assert rows[0] == square
+    for row in level_products(table, y3, 3):
+        _vandalize(row)
+    assert [dict(row) for row in level_products(table, y3, 3)] == rows
+    e = tuple(int(g.name == "y3") * 2 for g in gens)
+    _vandalize(gens.expand_exponents(e))
+    assert gens.expand_exponents(e) == square
 
 
 @pytest.mark.parametrize(
@@ -659,6 +673,195 @@ def test_multiply_vec_by_class_rejects_mixed_levels(f4_p1, branch):
     # a key naming no class still raises KeyError first
     with pytest.raises(KeyError):
         multiply_vec_by_class(f4_p1, {**vec, (-1, 1): 1}, SchubertClass(*key))
+
+# ------------------------------------------------------------- level rows
+
+
+def _assert_level_rows_match_pairs(table, gens):
+    """Every level row of every generator against `expand_pair` on a fresh table."""
+    oracle = enumerate_cosets(table.lie_type, table.K, max_length=table.max_length)
+    count = 0
+    for g in gens:
+        v = SchubertClass(*table.class_of_word(g.word))
+        for k in range(table.lmax - v.r + 1):
+            rows = level_products(table, v, k)
+            assert len(rows) == table.beta(k)
+            for i, row in enumerate(rows, start=1):
+                assert row == expand_pair(oracle, SchubertClass(k, i), v), (g.name, k, i)
+                count += 1
+    return count
+
+
+LEVEL_TABLES = [
+    ("F4", {1}, None),
+    ("E6", {2}, None),
+    ("E6", {1}, None),
+    ("D4", {2}, None),
+    ("B3", {1, 2, 3}, None),
+    ("G2", {1, 2}, None),
+    ("E7", {2}, 12),
+]
+
+
+@pytest.mark.parametrize(
+    "lie, K, max_length",
+    LEVEL_TABLES,
+    ids=["F4-P1", "E6-P2", "E6-P1", "D4-P2", "B3-T", "G2-T", "E7-P2-12"],
+)
+def test_level_rows_match_pair_products(lie, K, max_length):
+    table = enumerate_cosets(LieType.parse(lie), K, max_length=max_length)
+    gens = minimal_generators(table, up_to=table.lmax)
+    assert _assert_level_rows_match_pairs(table, gens) > 2 * table.beta(table.lmax // 2)
+
+
+def test_level_rows_on_a_truncated_table_take_no_transpose(monkeypatch):
+    def no_duals(*args):
+        raise AssertionError("a transpose ran on a truncated table")
+
+    table = enumerate_cosets(E6, {2}, max_length=14)
+    gens = minimal_generators(table, up_to=14)
+    monkeypatch.setattr(characteristics, "_dual", no_duals)
+    assert _assert_level_rows_match_pairs(table, gens) > 100
+    with pytest.raises(ValueError, match="degree 15 exceeds the truncated table"):
+        level_products(table, SchubertClass(3, 1), 12)
+
+
+_SMALL_TABLES = [
+    (name, K)
+    for name in ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+    for size in range(1, LieType.parse(name).rank + 1)
+    for K in itertools.combinations(range(1, LieType.parse(name).rank + 1), size)
+    if name != "F4" or size <= 2  # at most 384 classes each
+]
+
+
+@given(spec=st.sampled_from(_SMALL_TABLES), data=st.data())
+@seed(20261022)
+@settings(max_examples=40, deadline=None)
+def test_level_rows_match_pair_products_on_small_tables(spec, data):
+    name, K = spec
+    table = _table(name, K)
+    d = data.draw(st.integers(1, table.lmax), label="d")
+    v = SchubertClass(d, data.draw(st.integers(1, table.beta(d)), label="i"))
+    k = data.draw(st.integers(0, table.lmax - v.r), label="k")
+    rows = level_products(_table(name, K), v, k)
+    expected = tuple(expand_pair(table, SchubertClass(k, i), v) for i in range(1, len(rows) + 1))
+    assert rows == expected
+
+
+def _count_sweeps(monkeypatch):
+    """A list that records each `expand_pair` call that misses the table's cache."""
+    sweeps = []
+    real = characteristics.expand_pair
+
+    def spy(table, u, v):
+        a, b = sorted([u.key(), v.key()])
+        if ("pair", a, b) not in table._cache:
+            sweeps.append((a, b))
+        return real(table, u, v)
+
+    monkeypatch.setattr(characteristics, "expand_pair", spy)
+    return sweeps
+
+
+def test_e6_p2_presentation_pass_sweeps_few_pairs(monkeypatch):
+    # 67 sweeps with every product by a generator of degree >= 2 through
+    # expand_pair; the level rows leave only the classes omega does not reach
+    sweeps = _count_sweeps(monkeypatch)
+    table = enumerate_cosets(E6, {2})
+    minimal_relations(table, minimal_generators(table), 21)
+    assert 0 < len(sweeps) <= 11
+
+
+def test_level_rows_sweep_only_where_omega_does_not_reach(monkeypatch):
+    # y3 of E6/P2: below the middle, A_k has rank beta(k - 1) (Hard
+    # Lefschetz), so each level sweeps one pair per unit by which beta
+    # grows, level 1 none (Chevalley); above (lmax - 3) / 2 every level is
+    # a transpose of one below
+    sweeps = _count_sweeps(monkeypatch)
+    table = enumerate_cosets(E6, {2})
+    y3 = SchubertClass(*table.class_of_word(E6_WORDS["y3"]))
+    assert y3.r == 3
+    per_level = []
+    for k in range(19):
+        before = len(sweeps)
+        level_products(table, y3, k)
+        per_level.append(len(sweeps) - before)
+    expected = [
+        max(0, table.beta(k) - table.beta(k - 1)) if 2 <= k and 2 * k <= table.lmax - 3 else 0
+        for k in range(19)
+    ]
+    assert per_level == expected
+    assert sum(expected) >= 4 and table.beta(10) > table.beta(9)
+
+
+def test_omega_block_sums_the_degree_one_products(b3_full):
+    # omega is the sum of the three level-1 classes of B3/T
+    for r in range(1, b3_full.lmax + 1):
+        expected = []
+        for u in range(1, b3_full.beta(r - 1) + 1):
+            row = [0] * b3_full.beta(r)
+            for i in range(1, b3_full.beta(1) + 1):
+                vec = multiply_vec_by_class(b3_full, {(r - 1, u): 1}, SchubertClass(1, i))
+                for (_, k), c in vec.items():
+                    row[k - 1] += c
+            expected.append(row)
+        assert omega_block(b3_full, r) == expected, r
+
+
+# (h, rows at the non-pivot columns, a right-hand side each check rejects,
+# one it accepts with the solved first row, the message)
+SOLVER_FAILURES = {
+    # h = [[1], [0]]: the zero row must face a zero right-hand side
+    "inconsistent": (
+        [[1], [0]], [None], [[3], [1]], [[3], [0]], [3], "row 1 of the echelon form is zero"
+    ),
+    # 2 * x + 1 * 1 = 4 has no integral solution, 2 * x + 1 * 1 = 5 has x = 2
+    "non-integral": (
+        [[2, 1]], [None, [1]], [[4]], [[5]], [2], "pivot 2 at column 0 does not divide"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SOLVER_FAILURES)
+def test_echelon_solver_checks(case):
+    h, rows, bad, good, solved, message = SOLVER_FAILURES[case]
+    with pytest.raises(ArithmeticError, match=message):
+        characteristics._solve_echelon(h, bad, list(rows))
+    assert characteristics._solve_echelon(h, good, list(rows))[0] == solved
+
+
+def test_echelon_solver_checks_survive_optimize(subprocess_env):
+    code = (
+        "assert False\n"  # stripped under -O, so this line proves -O is on
+        "from schubert.characteristics import _solve_echelon\n"
+        "for h, rhs, rows in [([[1], [0]], [[3], [1]], [None]), ([[2, 1]], [[4]], [None, [1]])]:\n"
+        "    try:\n"
+        "        _solve_echelon(h, rhs, rows)\n"
+        "    except ArithmeticError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "row 1 of the echelon form is zero, its right-hand side is not\n"
+        "pivot 2 at column 0 does not divide its right-hand side\n"
+    )
+
+
+def test_multiply_by_level_rows_checks_the_vector(f4_p1):
+    y3 = SchubertClass(3, 1)
+    assert multiply_vec_by_level_rows(f4_p1, {}, y3) == {}
+    with pytest.raises(ValueError, match="^vector is not homogeneous$"):
+        multiply_vec_by_level_rows(f4_p1, {(2, 1): 1, (3, 1): 1}, y3)
+    with pytest.raises(KeyError):
+        multiply_vec_by_level_rows(f4_p1, {(3, 1): 1, (3, 9): 1}, y3)
+    vec = {(3, 1): 2}
+    assert multiply_vec_by_level_rows(f4_p1, vec, y3) == multiply_vec_by_class(f4_p1, vec, y3)
+    assert multiply_vec_by_level_rows(f4_p1, {(13, 1): 1}, y3) == {}
+
 
 # ------------------------------------------------------------- Chevalley path
 
