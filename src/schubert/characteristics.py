@@ -38,33 +38,42 @@ per source u, so a product by omega_l reads only the rows of the vector's
 own classes.  Any other factor of a single product goes through
 `expand_pair`.
 
-A `cohomology.GeneratorSet` multiplies by a class v of degree d >= 2
-through `level_products`, the products s_u * s_v for every class u of one
-level k at once, which runs the operator only where omega, the sum of
-the level-1 classes, does not reach.  By associativity,
-omega * (s_u' * s_v) = sum_u A_k[u'][u] * (s_u * s_v) for each class u'
-of level k - 1, where A_k is the cup-with-omega matrix read off the cover
-data (`omega_block`) and the left side is a degree-1 product of a row of
-level k - 1.  With one Hermite form U * A_k = H per level, shared by
-every v, H * rows = U * (left sides).  The true rows solve it, and
-given the rows at H's columns without a pivot, which take `expand_pair`
-(Chevalley's formula at level 1), the rest follow uniquely by
-back-substitution, each division checked; a zero row of H must face a
-zero right side.  Multiplication by the
-ample class omega is injective from level k - 1 to level k while
-2k - 1 <= lmax (Hard Lefschetz), so there A_k has rank beta(k - 1) and
-beta(k) - beta(k - 1) rows per level take the operator; a rank deficit
-would only mean more of them, never a wrong row.  On a complete table a
-level with 2k > lmax - d is the transpose of level lmax - d - k through
-the Poincare duals, as c_{u,v}^w and c_{w^vee,v}^{u^vee} are both the
-integral of s_u * s_v * s_{w^vee}.  So only levels up to (lmax - d) / 2
-sweep pairs; the whole E6/P2 presentation sweeps 11.
+`level_products` gives the products s_u * s_v by a class v of degree
+d >= 2 for every class u of one level k at once, and runs the operator
+only where omega, the sum of the level-1 classes, does not reach.  By
+associativity, omega * (s_u' * s_v) = sum_u A_k[u'][u] * (s_u * s_v) for
+each class u' of level k - 1, where A_k is the cup-with-omega matrix read
+off the cover data (`omega_block`) and the left side is a degree-1
+product of a row of level k - 1.  With one Hermite form U * A_k = H per
+level, shared by every v, H * rows = U * (left sides).  The true rows
+solve it, and given the rows at H's columns without a pivot, which take
+`expand_pair` (Chevalley's formula at level 1), the rest follow uniquely
+by back-substitution, each division checked; a zero row of H must face a
+zero right side.  Multiplication by the ample class omega is injective
+from level k - 1 to level k while 2k - 1 <= lmax and onto after
+(Hard Lefschetz), so A_k has rank min(beta(k - 1), beta(k)) and
+max(0, beta(k) - beta(k - 1)) rows per level take the operator; a rank
+deficit would only mean more of them, never a wrong row.  On a complete
+table a level with 2k > lmax - d is the transpose of level lmax - d - k
+through the Poincare duals, as c_{u,v}^w and c_{w^vee,v}^{u^vee} are both
+the integral of s_u * s_v * s_{w^vee}.  So only levels up to
+(lmax - d) / 2 sweep pairs.
+
+The rows cost a dense solve of the size of the level, whatever the
+vector, and pay only where many vectors of a level meet v.  A
+`cohomology.GeneratorSet` multiplies by v through
+`multiply_vec_by_generator`, which takes the rows when they still sweep
+no more pairs than the vector's uncached pair products would, and those
+pair products otherwise.  A presentation of G/P, many vectors on small
+levels, reads nearly all its products off the rows: the E6/P2 pass
+sweeps 12 pairs, not 67.  A whole flag's relations, single classes on
+levels of hundreds, keep their cost on the vector's support.
 
 The table caches only data about itself: pair products, cover data,
 duals, the Hermite form of each A_k and the level rows that
-`level_products` built.  Each is bounded by the size of the table, the level rows
-of one class by beta(k) * beta(k + d) entries per level as its pair
-products are.  Cached values are handed out read-only.
+`level_products` built.  Each is bounded by the size of the table, the
+level rows of one class by beta(k) * beta(k + d) entries per level as its
+pair products are.  Cached values are handed out read-only.
 """
 
 from __future__ import annotations
@@ -383,6 +392,11 @@ def _dual(table: CosetTable, r: int):
     return duals
 
 
+def _pair_key(u: SchubertClass, v: SchubertClass):
+    """The table's cache key of s_u * s_v, the same for s_v * s_u."""
+    return ("pair", *sorted([u.key(), v.key()]))
+
+
 def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
     """{target key: coefficient} for s_u * s_v, cached symmetrically, read-only.
 
@@ -393,11 +407,11 @@ def expand_pair(table: CosetTable, u: SchubertClass, v: SchubertClass):
     integral of s_u * s_v * s_{w^vee}, and every target is evaluated along
     the one word of v^vee (u the shorter factor), of length a + c.
     """
-    a, b = sorted([u.key(), v.key()])
-    key = ("pair", a, b)
+    key = _pair_key(u, v)
     cached = table._cache.get(key)
     if cached is not None:
         return cached
+    _, a, b = key
     r = a[0] + b[0]
     if r <= table.lmax:
         lt = table.lie_type
@@ -425,20 +439,17 @@ def omega_block(table: CosetTable, r: int):
     """The dense cup-with-omega matrix A_r, beta(r - 1) x beta(r), for 1 <= r <= lmax.
 
     omega is the sum of the level-1 classes, and row u is omega * s_(r-1,u)
-    over the classes of level r.  Class (1, i) is sigma_a, so by
-    Chevalley's formula the coefficient of s_(r,k) is the sum over those a
-    of coordinate a - 1 of beta^vee, for each (k, beta^vee) of
-    ``_cover_data(table, r)``.  The identity, alone on level 0, has omega
-    itself as its one row.  Nothing is cached beyond the cover data.
+    over the classes of level r: the sum, over the classes (1, i), of the
+    coordinates of the cover data that `_chevalley_covers` reads for them.
+    The identity, alone on level 0, has omega itself as its one row.
+    Nothing is cached beyond the cover data.
     """
     if r == 1:
         return [[1] * table.beta(1)]
-    # sigma_a's key has its one negative row at a - 1
-    ls = [l for l, column in enumerate(table.columns[1]) if min(column) < 0]
-    width = table.beta(r)
+    ls = [_chevalley_covers(table, i, r)[1] for i in range(1, table.beta(1) + 1)]
     rows = []
     for cover in _cover_data(table, r):
-        row = [0] * width
+        row = [0] * table.beta(r)
         for l in ls:
             for k, coroot in cover:
                 row[k - 1] += coroot[l]
@@ -524,11 +535,14 @@ def level_products(table: CosetTable, v: SchubertClass, k: int):
                 rows[position[dual]][r, t] = c
     else:
         h, u, free = _omega_hermite(table, k)
-        below = [
-            [row.get((r - 1, w), 0) for w in range(1, table.beta(r - 1) + 1)]
-            for row in level_products(table, v, k - 1)
-        ]
-        rhs = _mat_mul(u, _mat_mul(below, omega_block(table, r)))
+        block = omega_block(table, r)
+        left = []  # omega * (s_u' * s_v) for each class u' of level k - 1
+        for row in level_products(table, v, k - 1):
+            dense = [0] * table.beta(r)
+            for (_, w), c in row.items():
+                dense = [x + c * y for x, y in zip(dense, block[w - 1])]
+            left.append(dense)
+        rhs = _mat_mul(u, left)
         dense = [None] * table.beta(k)
         for c in free:
             cls = SchubertClass(k, c + 1)
@@ -580,23 +594,52 @@ def multiply_vec_by_class(table: CosetTable, vec, cls: SchubertClass):
     )
 
 
-def multiply_vec_by_level_rows(table: CosetTable, vec, cls: SchubertClass):
-    """`multiply_vec_by_class` for a vector on one level, read off `level_products`.
+def multiply_vec_by_generator(table: CosetTable, vec, cls: SchubertClass):
+    """`multiply_vec_by_class` for a class that multiplies many vectors, as a generator does.
 
-    The whole level's rows are built and cached, so this pays where many
-    vectors of a level meet one class, as in `cohomology.GeneratorSet`.
-    A key that names no class raises KeyError, keys on more than one level
-    ValueError.
+    A vector on a level k >= 1 times a class v of degree >= 2 takes the
+    route that runs fewer operator sweeps from what the table has cached:
+    `expand_pair` for each class of the vector whose pair with v is not
+    cached, or the rows of `level_products`, which solve every level up to
+    k (or up to the level k transposes) not yet solved.  A tie goes to the
+    rows, which serve every later vector of the level.  The rows' counts
+    telescope to about the size of the last level they solve, so a level
+    not yet solved takes the rows only for a vector about as large as that
+    level.  The rows win where many vectors of small levels meet v, as in
+    a presentation of G/P; the sparse vectors of a whole flag's relations,
+    on levels of hundreds, keep their cost on their support.  Anything
+    else is `multiply_vec_by_class`, which also raises for a vector with a
+    key that names no class or keys on more than one level.
     """
-    for ukey in vec:
-        table.check_class(*ukey)
     levels = {r for r, _ in vec}
-    if len(levels) > 1:
-        raise ValueError("vector is not homogeneous")
-    if not vec:
-        return {}
-    rows = level_products(table, cls, levels.pop())
-    return _combine((c, rows[i - 1].items()) for (_, i), c in vec.items())
+    if cls.r >= 2 and len(levels) == 1:
+        (k,) = levels
+        if 1 <= k <= table.lmax - cls.r and _level_sweeps(table, cls, k) <= sum(
+            _pair_key(SchubertClass(*ukey), cls) not in table._cache for ukey in vec
+        ):
+            for ukey in vec:
+                table.check_class(*ukey)
+            rows = level_products(table, cls, k)
+            return _combine((c, rows[i - 1].items()) for (_, i), c in vec.items())
+    return multiply_vec_by_class(table, vec, cls)
+
+
+def _level_sweeps(table: CosetTable, v: SchubertClass, k: int):
+    """The pair sweeps `level_products(table, v, k)` still runs, as Hard Lefschetz counts them.
+
+    On a complete table a level above (lmax - l(v)) / 2 is the transpose of
+    one below it and sweeps no pair of its own.  Each level j >= 2 still to
+    solve sweeps one pair per column without a pivot in the Hermite form of
+    A_j: beta(j) - beta(j - 1) where omega is injective, none where it is
+    onto.  Level 1 takes Chevalley's formula.
+    """
+    if table.complete and 2 * k > table.lmax - v.r:
+        k = table.lmax - v.r - k
+    sweeps = 0
+    while k >= 2 and ("level", v.key(), k) not in table._cache:
+        sweeps += max(0, table.beta(k) - table.beta(k - 1))
+        k -= 1
+    return sweeps
 
 
 def _combine(terms):

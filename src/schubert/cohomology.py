@@ -39,8 +39,7 @@ from types import MappingProxyType
 from .cartan import LieType, reflect_weight
 from .characteristics import (
     SchubertClass,
-    multiply_vec_by_class,
-    multiply_vec_by_level_rows,
+    multiply_vec_by_generator,
     omega_block,
 )
 from .intlinalg import (
@@ -122,10 +121,11 @@ class GeneratorSet:
         """Schubert expansion vector of the monomial with these exponents.
 
         A monomial is its first generator times the monomial with one fewer
-        of that generator, so each new monomial costs one product by a class:
-        Chevalley's formula for a degree-1 generator, otherwise the rows of
-        the generator's products with the whole level, cached on the table
-        (``characteristics.level_products``).
+        of that generator, so each new monomial costs one product by a class
+        (``characteristics.multiply_vec_by_generator``): Chevalley's formula
+        for a degree-1 generator, otherwise pair products or the rows of the
+        generator's products with the whole level, cached on the table,
+        whichever still runs the operator fewer times.
         """
         exponents = tuple(exponents)
         if len(exponents) != len(self.generators) or min(exponents, default=0) < 0:
@@ -137,8 +137,7 @@ class GeneratorSet:
             exponents = exponents[:k] + (exponents[k] - 1,) + exponents[k + 1:]
         vec = self._products[exponents]
         for exponents, cls in reversed(missing):
-            multiply = multiply_vec_by_class if cls.r < 2 else multiply_vec_by_level_rows
-            vec = MappingProxyType(multiply(self.table, vec, cls))
+            vec = MappingProxyType(multiply_vec_by_generator(self.table, vec, cls))
             self._products[exponents] = vec
         return vec
 

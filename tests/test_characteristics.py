@@ -12,6 +12,8 @@ from hypothesis import given, seed, settings, strategies as st
 from schubert.cartan import LieType
 from schubert.weyl import CosetTable, WeylElement, enumerate_cosets, opposition_involution
 from schubert.cohomology import (
+    Generator,
+    GeneratorSet,
     expand_polynomial,
     gysin_analysis,
     minimal_generators,
@@ -30,7 +32,7 @@ from schubert.characteristics import (
     expand_product,
     level_products,
     multiply_vec_by_class,
-    multiply_vec_by_level_rows,
+    multiply_vec_by_generator,
     omega_block,
 )
 
@@ -766,24 +768,28 @@ def _count_sweeps(monkeypatch):
 
 def test_e6_p2_presentation_pass_sweeps_few_pairs(monkeypatch):
     # 67 sweeps with every product by a generator of degree >= 2 through
-    # expand_pair; the level rows leave only the classes omega does not reach
+    # expand_pair; the level rows leave only the classes omega does not
+    # reach, and the few vectors that take pairs where the rows would still
+    # sweep more cost one sweep above the rows alone (11)
     sweeps = _count_sweeps(monkeypatch)
     table = enumerate_cosets(E6, {2})
     minimal_relations(table, minimal_generators(table), 21)
-    assert 0 < len(sweeps) <= 11
+    assert 0 < len(sweeps) <= 12
+    assert ("level", (3, 1), 9) in table._cache
 
 
 def test_level_rows_sweep_only_where_omega_does_not_reach(monkeypatch):
     # y3 of E6/P2: below the middle, A_k has rank beta(k - 1) (Hard
     # Lefschetz), so each level sweeps one pair per unit by which beta
     # grows, level 1 none (Chevalley); above (lmax - 3) / 2 every level is
-    # a transpose of one below
+    # a transpose of one below; the route choice predicts each count
     sweeps = _count_sweeps(monkeypatch)
     table = enumerate_cosets(E6, {2})
     y3 = SchubertClass(*table.class_of_word(E6_WORDS["y3"]))
     assert y3.r == 3
-    per_level = []
+    per_level, predicted = [], []
     for k in range(19):
+        predicted.append(characteristics._level_sweeps(table, y3, k))
         before = len(sweeps)
         level_products(table, y3, k)
         per_level.append(len(sweeps) - before)
@@ -791,8 +797,54 @@ def test_level_rows_sweep_only_where_omega_does_not_reach(monkeypatch):
         max(0, table.beta(k) - table.beta(k - 1)) if 2 <= k and 2 * k <= table.lmax - 3 else 0
         for k in range(19)
     ]
-    assert per_level == expected
+    assert per_level == predicted == expected
     assert sum(expected) >= 4 and table.beta(10) > table.beta(9)
+
+
+def test_generator_products_take_the_route_with_fewer_sweeps(monkeypatch):
+    # B3/T, betti 1 3 5 7 8 8 7 5 3 1; v = s_(2,1).  The rows of level 3
+    # still sweep (5 - 3) + (7 - 5) = 4 pairs, so one class takes its pair;
+    # level 1 sweeps none (Chevalley), and after it a whole level 3 of 7
+    # classes takes the rows, which then serve any vector of the level
+    table = enumerate_cosets(LieType.parse("B3"), {1, 2, 3})
+    v = SchubertClass(2, 1)
+    sweeps = _count_sweeps(monkeypatch)
+    assert multiply_vec_by_generator(table, {(3, 2): 1}, v) == expand_pair(
+        table, SchubertClass(3, 2), v
+    )
+    assert len(sweeps) == 1 and _cache_kinds(table) == {"pair"}
+    assert characteristics._level_sweeps(table, v, 3) == 4
+    level_three = {(3, i): i for i in range(1, 8)}
+    sweeps.clear()
+    product = multiply_vec_by_generator(table, level_three, v)
+    assert ("level", v.key(), 3) in table._cache and len(sweeps) <= 4
+    oracle = enumerate_cosets(LieType.parse("B3"), {1, 2, 3})
+    assert product == multiply_vec_by_class(oracle, level_three, v)
+    sweeps.clear()
+    assert multiply_vec_by_generator(table, {(3, 5): 2}, v) == {
+        t: 2 * c for t, c in expand_pair(table, SchubertClass(3, 5), v).items()
+    }
+    assert multiply_vec_by_generator(table, {(1, 2): 1}, v) == expand_pair(
+        table, SchubertClass(1, 2), v
+    )
+    assert sweeps == []
+
+
+def test_whole_flag_relations_build_no_level_rows(monkeypatch):
+    # F4/T to level 11: y3 and y4 meet single classes on levels 3, 4 and 8
+    # (16, 25 and 71 classes), where the rows would sweep about beta(k)
+    # pairs; every product keeps its cost on the vector's support
+    table = enumerate_cosets(F4, {1, 2, 3, 4}, max_length=11)
+    gens = GeneratorSet(
+        table, [Generator(f"w{i}", (i,)) for i in range(1, 5)]
+        + [Generator("y3", (3, 2, 1)), Generator("y4", (4, 3, 2, 1))]
+    )
+    x = gens.ring.variable
+    sweeps = _count_sweeps(monkeypatch)
+    poly = x("y4") ** 2 * x("y3") + x("y3") ** 2 * x("w1") ** 5 + x("y3") * x("y4") * x("w2") ** 4
+    vec = expand_polynomial(table, poly, {g.name: g.word for g in gens})
+    assert vec and len(sweeps) <= 5
+    assert not _cache_kinds(table) & {"level", "omega"}
 
 
 def test_omega_block_sums_the_degree_one_products(b3_full):
@@ -851,16 +903,17 @@ def test_echelon_solver_checks_survive_optimize(subprocess_env):
     )
 
 
-def test_multiply_by_level_rows_checks_the_vector(f4_p1):
+def test_multiply_by_generator_checks_the_vector(f4_p1):
     y3 = SchubertClass(3, 1)
-    assert multiply_vec_by_level_rows(f4_p1, {}, y3) == {}
+    assert multiply_vec_by_generator(f4_p1, {}, y3) == {}
     with pytest.raises(ValueError, match="^vector is not homogeneous$"):
-        multiply_vec_by_level_rows(f4_p1, {(2, 1): 1, (3, 1): 1}, y3)
-    with pytest.raises(KeyError):
-        multiply_vec_by_level_rows(f4_p1, {(3, 1): 1, (3, 9): 1}, y3)
+        multiply_vec_by_generator(f4_p1, {(2, 1): 1, (3, 1): 1}, y3)
+    for vec in [{(3, 1): 1, (3, 9): 1}, {(1, 1): 1, (1, 2): 1}]:
+        with pytest.raises(KeyError):
+            multiply_vec_by_generator(f4_p1, vec, y3)
     vec = {(3, 1): 2}
-    assert multiply_vec_by_level_rows(f4_p1, vec, y3) == multiply_vec_by_class(f4_p1, vec, y3)
-    assert multiply_vec_by_level_rows(f4_p1, {(13, 1): 1}, y3) == {}
+    assert multiply_vec_by_generator(f4_p1, vec, y3) == multiply_vec_by_class(f4_p1, vec, y3)
+    assert multiply_vec_by_generator(f4_p1, {(13, 1): 1}, y3) == {}
 
 
 # ------------------------------------------------------------- Chevalley path
